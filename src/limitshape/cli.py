@@ -211,10 +211,15 @@ def _cmd_oracle(cfg: ExperimentConfig, thresholds: dict) -> int:
         rng = _studies._replicate_rng(cfg.seed, 4, n[0] * 1000 + n[1], idx)
         counts = {key: 0 for key, _ in dist.entries}
         accepted = 0
+        attempts = 0
         draws = cfg.oracle_draws
         while accepted < draws:
+            if attempts >= cfg.max_attempts:
+                raise Exhausted(attempts)
+            batch = min(draws, cfg.max_attempts - attempts)
+            attempts += batch
             xi, (reps, dix, nus) = _sampler.sample_endpoints(
-                params, draws, rng, collect_support=True)
+                params, batch, rng, collect_support=True)
             hits = np.nonzero((xi[:, 0] == n[0]) & (xi[:, 1] == n[1]))[0]
             h = _sampler._hazard(params)
             for w in hits:
@@ -228,8 +233,6 @@ def _cmd_oracle(cfg: ExperimentConfig, thresholds: dict) -> int:
                 accepted += 1
                 if accepted >= draws:
                     break
-            if not hits.size:
-                continue
         for key, p in dist.entries:
             obs = counts.get(key, 0)
             se = math.sqrt(max(p * (1 - p) * accepted, 1e-300))

@@ -63,19 +63,18 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
+        """Build a config from its JSON form; "curve" is accepted as an
+        alias of "curve_spec"."""
+        if "curve_spec" not in data and "curve" in data:
+            data = dict(data)
+            data["curve_spec"] = data.pop("curve")
         known = {f for f in ExperimentConfig.__dataclass_fields__}
         extra = set(data) - known
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
-        if "curve_spec" not in data and "curve" in data:
-            data = dict(data)
-            data["curve_spec"] = data.pop("curve")
         return ExperimentConfig(**data)
 
     @staticmethod
     def from_file(path: str) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if "curve" in raw and "curve_spec" not in raw:
-            raw["curve_spec"] = raw.pop("curve")
-        return ExperimentConfig.from_dict(raw)
+            return ExperimentConfig.from_dict(json.load(fh))

@@ -6,6 +6,11 @@ tangent-slope coordinate t = g'(u): the generalized inverse u(t), the
 arc-length profile l(t) (length of the sub-arc with tangent slope <= t)
 and the curvature kappa(t).  Presets supply closed forms; tabulated
 data is fitted with a shape-verified quintic spline.
+
+Curves without a closed-form inverse (tabulated arcs) get u(t) from a
+cached table of g1 on 4097 dyadic abscissae: each slope's table cell
+brackets its root, and a safeguarded Newton iteration inside that
+bracket converges to roundoff, in chunks of 2^15 slopes.
 """
 
 from __future__ import annotations
@@ -26,11 +31,15 @@ from .errors import (
     NotConvex,
     NotMonotone,
     QuadratureFailure,
+    SlopeOutOfRange,
 )
 
 _VALIDATION_GRID = 513
 _CURVATURE_REJECT_FLOOR = 1e-7
-_ROOT_TOL = 1e-12
+_SLOPE_TABLE = 4097
+_ROOT_CHUNK = 1 << 15
+_ROOT_STEP = 2.0 ** -50
+_NEWTON_BUDGET = 100
 _QUAD_RTOL = 1e-10
 
 
@@ -75,39 +84,92 @@ def curvature_profile(curve: ConvexCurve, u):
     return float(out) if scalar else out
 
 
-def _invert_g1(curve: ConvexCurve, t):
-    """Safeguarded bisection + Newton for g1(u) = t, t strictly inside (t0, t1)."""
-    lo = np.zeros_like(t)
-    hi = np.ones_like(t)
+@lru_cache(maxsize=32)
+def _slope_table(curve: ConvexCurve):
+    """g1 on the dyadic grid u = j / 2^12, checked strictly increasing.
+
+    Each root of g1(u) = t lies in the table cell that brackets t, so
+    searchsorted hands every slope a bracket of width 2^-12.  The last
+    entry may be +inf when the arc ends vertically.
+    """
+    u = np.linspace(0.0, 1.0, _SLOPE_TABLE)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        f_lo = curve.g1(lo) - t
-        f_hi = curve.g1(hi) - t
-    if np.any(f_lo > 1e-9 * (1.0 + np.abs(t))) or np.any(f_hi < -1e-9 * (1.0 + np.abs(t))):
-        raise NonMonotoneDerivative("g1 does not bracket the requested slope")
-    # 52 halvings push the bracket width to ~2e-16, well under _ROOT_TOL.
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
+        g1 = np.asarray(curve.g1(u), dtype=float)
+    if not np.all(np.diff(g1) > 0.0):
+        raise NonMonotoneDerivative("g1 is not strictly increasing on [0, 1]")
+    return u, g1
+
+
+def _invert_g1(curve: ConvexCurve, t):
+    """Root of g1(u) = t for a 1-D array t strictly inside (t0, t1).
+
+    The cached slope table brackets each root in one cell; a safeguarded
+    Newton iteration (rtsafe) starts from the linear interpolate, and
+    any step that leaves the bracket or fails to halve becomes a
+    bisection step.  Each point iterates until its step is at most
+    _ROOT_STEP (2^-50) in u, within _NEWTON_BUDGET iterations (a point
+    that runs out keeps its last iterate, which lies in its bracket);
+    two final Newton steps drive the slope residual to roundoff, which
+    the calibration identity needs at large t.  Slopes are processed in
+    chunks of _ROOT_CHUNK (2^15) so temporaries stay bounded for any
+    input size.
+    """
+    u_tab, g1_tab = _slope_table(curve)
+    out = np.empty_like(t)
+    for start in range(0, t.size, _ROOT_CHUNK):
+        part = t[start:start + _ROOT_CHUNK]
+        tol = 1e-9 * (1.0 + np.abs(part))
+        if np.any(g1_tab[0] - part > tol) or np.any(g1_tab[-1] - part < -tol):
+            raise NonMonotoneDerivative("g1 does not bracket the requested slope")
+        u = _rtsafe(curve, u_tab, g1_tab, part)
+        for _ in range(2):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                step = (curve.g1(u) - part) / curve.g2(u)
+            step = np.where(np.isfinite(step), step, 0.0)
+            u = np.clip(u - step, 0.0, 1.0)
+        out[start:start + _ROOT_CHUNK] = u
+    return out
+
+
+def _rtsafe(curve: ConvexCurve, u_tab, g1_tab, t):
+    j = np.clip(np.searchsorted(g1_tab, t, side="right") - 1, 0, g1_tab.size - 2)
+    lo, hi = u_tab[j], u_tab[j + 1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        frac = (t - g1_tab[j]) / (g1_tab[j + 1] - g1_tab[j])
+    frac = np.where(np.isfinite(frac), np.clip(frac, 0.0, 1.0), 0.5)
+    u = lo + frac * (hi - lo)
+    last = hi - lo
+    out = np.empty_like(t)
+    todo = np.arange(t.size)
+    for _ in range(_NEWTON_BUDGET):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            below = curve.g1(mid) < t
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    u = 0.5 * (lo + hi)
-    # Newton polish drives the slope residual to roundoff, which the
-    # calibration identity needs at large t.
-    for _ in range(2):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            step = (curve.g1(u) - t) / curve.g2(u)
-        step = np.where(np.isfinite(step), step, 0.0)
-        u = np.clip(u - step, 0.0, 1.0)
-    return u
+            f = curve.g1(u) - t
+            step = f / curve.g2(u)
+        below = f < 0.0
+        lo = np.where(below, u, lo)
+        hi = np.where(below, hi, u)
+        newton = u - step
+        bisect = ~((newton >= lo) & (newton <= hi) & (np.abs(step) <= 0.5 * last))
+        nxt = np.where(bisect, 0.5 * (lo + hi), newton)
+        last = np.abs(nxt - u)
+        done = (last <= _ROOT_STEP) | (f == 0.0)
+        out[todo[done]] = nxt[done]
+        keep = ~done
+        if not np.any(keep):
+            return out
+        todo, t, u = todo[keep], t[keep], nxt[keep]
+        lo, hi, last = lo[keep], hi[keep], last[keep]
+    out[todo] = u
+    return out
 
 
 def slope_inverse(curve: ConvexCurve, t):
     """Generalized inverse u(t) of the derivative g1.
 
     Returns 0 for t <= t0 and 1 for t >= t1; in between, the unique
-    root of g1(u) = t (closed form when the curve carries one,
-    otherwise safeguarded bisection/Newton to ~1e-12).
+    root of g1(u) = t: the closed form when the curve carries one,
+    otherwise the table-bracketed safeguarded Newton of _invert_g1,
+    whose slope residual |g1(u) - t| is at roundoff level.
     Accepts scalars or arrays; t may be +inf.
     """
     t_arr, scalar = _as_float_array(t)
@@ -150,8 +212,6 @@ def arc_length_profile(curve: ConvexCurve, t) -> float:
 
 def curvature_at_slope(curve: ConvexCurve, t) -> float:
     """Curvature kappa(t) = g2(u(t)) / (1 + t^2)^(3/2) for t in [t0, t1]."""
-    from .errors import SlopeOutOfRange
-
     t = float(t)
     if t < curve.t0 or t > curve.t1:
         raise SlopeOutOfRange(f"t={t} outside [{curve.t0}, {curve.t1}]")
@@ -221,20 +281,6 @@ def slope_grid(curve: ConvexCurve, n: int = 64) -> np.ndarray:
     theta1 = math.atan(curve.t1) if math.isfinite(curve.t1) else math.pi / 2.0
     theta = np.linspace(theta0, theta1, n + 2)[1:-1]
     return np.tan(theta)
-
-
-def delta_floor(curve: ConvexCurve, grid: int = 257) -> float:
-    """Infimum over the slope range of min(delta1, delta2) (positive
-    for every valid curve); used for truncation-tail certificates."""
-    from .measure import delta
-
-    theta = np.linspace(math.atan(curve.t0),
-                        math.atan(curve.t1) if math.isfinite(curve.t1) else math.pi / 2,
-                        grid)
-    t = np.tan(theta)
-    t[-1] = curve.t1 if math.isfinite(curve.t1) else math.inf
-    d1, d2 = delta(curve, t)
-    return float(min(np.min(d1), np.min(d2)))
 
 
 def _validate(curve: ConvexCurve, k0_floor: float) -> float:

@@ -85,8 +85,18 @@ def calibration_residual(curve: ConvexCurve, t):
 
 
 def tilt_floor(curve: ConvexCurve) -> float:
-    """Positive lower bound of min(delta1, delta2) over the slope range."""
-    return _curve.delta_floor(curve)
+    """Positive lower bound of min(delta1, delta2) over the slope range.
+
+    The infimum is taken on 257 slopes uniform in tangent angle,
+    endpoints included; it feeds the truncation-tail certificates.
+    """
+    theta = np.linspace(math.atan(curve.t0),
+                        math.atan(curve.t1) if math.isfinite(curve.t1) else math.pi / 2,
+                        257)
+    t = np.tan(theta)
+    t[-1] = curve.t1 if math.isfinite(curve.t1) else math.inf
+    d1, d2 = delta(curve, t)
+    return float(min(np.min(d1), np.min(d2)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -102,11 +102,11 @@ def _lclt_chunk(task):
     params = _params_for(curve_key, n1)
     rng = _replicate_rng(seed, _DOMAIN_LCLT, n1, batch_idx)
     xi = _sampler.sample_endpoints(params, batch_size, rng)
-    codes = xi[:, 0] * (1 << 21) + xi[:, 1]
-    cell_codes = np.array([m1 * (1 << 21) + m2 for m1, m2 in cells], dtype=np.int64)
-    counts = np.array([int(np.count_nonzero(codes == c)) for c in cell_codes],
-                      dtype=np.int64)
-    return counts
+    # compare both coordinates exactly, on the rows whose x1 can match a cell
+    first = [m1 for m1, _ in cells]
+    near = xi[(xi[:, 0] >= min(first)) & (xi[:, 0] <= max(first))]
+    return np.array([int(np.count_nonzero((near[:, 0] == m1) & (near[:, 1] == m2)))
+                     for m1, m2 in cells], dtype=np.int64)
 
 
 def _run_tasks(fn, tasks, workers: int):

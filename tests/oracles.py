@@ -45,6 +45,24 @@ def parabola_inverse(t, c=1.0):
     return 1.0 - (c / (t + c)) ** 2
 
 
+def bisect_slope_inverse(g1, t, steps: int = 64):
+    """Root of g1(u) = t on [0, 1] by plain vectorized bisection.
+
+    No table, no Newton step and no polish: 64 halvings of [0, 1] run
+    past the float resolution, so lo and hi end as neighbouring floats
+    around the sign change of g1(u) - t.
+    """
+    t = np.asarray(t, dtype=float)
+    lo = np.zeros_like(t)
+    hi = np.ones_like(t)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        below = g1(mid) < t
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def parabola_arc_length(t_hi: float) -> float:
     """Arc length of the c=1 parabola up to slope t via the slope-domain
     integrand 2*sqrt(1+s^2)/(1+s)^3 with a tangent substitution."""

@@ -39,11 +39,30 @@ def test_slope_inverse_boundaries(parabola1, power2):
 
 
 def test_slope_inverse_root_finding_matches_closed_form(parabola1):
+    # no closed form and t1 = inf: the last table cell holds g1 = inf, so
+    # roots near the vertical end need the bisection fallback
     generic = cv.ConvexCurve(g=parabola1.g, g1=parabola1.g1, g2=parabola1.g2,
                              c_gamma=1.0, t0=0.0, t1=math.inf, K0=parabola1.K0)
-    t = np.array([0.01, 0.3, 1.0, 4.0, 40.0])
+    t = np.logspace(-9.0, 12.0, 421)
     assert np.max(np.abs(cv.slope_inverse(generic, t)
                          - cv.slope_inverse(parabola1, t))) < 1e-12
+
+
+def test_slope_inverse_tabulated_field_matches_bisection(tabulated_mixed):
+    # every in-window slope of the c08 direction field at n1 = 1e3
+    from limitshape import lattice, measure
+
+    curve = tabulated_mixed
+    params = measure.MeasureParams.for_endpoint(curve, 1000)
+    rho = params.rho_n
+    x1, x2 = lattice.direction_arrays(curve.t0 / rho, curve.t1 / rho,
+                                      params.truncation_radius)
+    keep = x1 > 0
+    t = rho * x2[keep] / x1[keep]
+    t = t[(t > curve.t0) & (t < curve.t1)]
+    assert t.size > 100_000
+    u = cv.slope_inverse(curve, t)
+    assert np.max(np.abs(u - oracles.bisect_slope_inverse(curve.g1, t))) <= 1e-15
 
 
 def test_slope_inverse_non_monotone_rejected():
@@ -52,6 +71,17 @@ def test_slope_inverse_non_monotone_rejected():
                              c_gamma=1.0, t0=0.0, t1=1.0)
     with pytest.raises(NonMonotoneDerivative):
         cv.slope_inverse(bad, 0.5)
+
+
+def test_slope_inverse_unbracketed_slope_rejected():
+    # g1 increases, but the claimed slope range outruns g1(1) = 1
+    short = cv.unchecked_curve(g=lambda u: 0.5 * np.asarray(u, float) ** 2,
+                               g1=lambda u: np.asarray(u, float),
+                               g2=lambda u: np.ones_like(np.asarray(u, float)),
+                               c_gamma=0.5, t0=0.0, t1=2.0)
+    assert cv.slope_inverse(short, 0.5) == pytest.approx(0.5, abs=1e-15)
+    with pytest.raises(NonMonotoneDerivative):
+        cv.slope_inverse(short, 1.5)
 
 
 # --- arc length --------------------------------------------------------------

@@ -41,6 +41,12 @@ def test_config_validation():
                                            "n1_list": [10], "frobnicate": 1})
 
 
+def test_config_from_dict_curve_alias():
+    cfg = cfgmod.ExperimentConfig.from_dict({"mode": "verify", "curve": PARABOLA_SPEC,
+                                             "n1_list": [10]})
+    assert cfg.curve_spec == PARABOLA_SPEC
+
+
 def test_curve_from_spec_variants():
     c = cfgmod.curve_from_spec(PARABOLA_SPEC)
     assert c.c_gamma == 1.0
@@ -195,6 +201,16 @@ def test_lclt_insufficient_replicates():
         stu.run_lclt_study(cfg)
 
 
+def test_lclt_chunk_large_coordinates(monkeypatch):
+    # (1, 2^21) and (2, 0) shared a code when endpoints were packed as x1*2^21 + x2
+    big = 1 << 21
+    xi = np.array([[1, big], [2, 0], [2, 0], [1, big + 1]], dtype=np.int64)
+    monkeypatch.setattr(stu._sampler, "sample_endpoints", lambda *a, **k: xi)
+    cells = ((2, 0), (1, big), (1, big + 1), (3, 0))
+    task = (json.dumps(PARABOLA_SPEC, sort_keys=True), 20, 0, len(xi), 0, cells)
+    assert stu._lclt_chunk(task).tolist() == [2, 1, 1, 0]
+
+
 def test_lclt_study_small():
     cfg = _config(mode="verify", n1_list=[24], lclt_replicates=200_000,
                   lclt_batch=50_000, workers=2)
@@ -276,6 +292,22 @@ def test_cli_oracle(tmp_path):
     assert cli_main(["oracle", "--config", cfg_path]) == 0
     table = open(os.path.join(str(tmp_path / "o"), "oracle.csv")).read()
     assert "exact_p" in table
+
+
+def test_cli_oracle_attempt_budget(tmp_path, monkeypatch):
+    # a sampler that never hits n must end in Exhausted (exit 1), not spin
+    def never_hits(params, count, rng, collect_support=False):
+        empty = np.empty(0, np.int64)
+        return np.zeros((count, 2), dtype=np.int64), (empty, empty, empty)
+
+    monkeypatch.setattr(sp, "sample_endpoints", never_hits)
+    cfg = {"mode": "oracle", "curve": PARABOLA_SPEC, "n1_list": [2],
+           "oracle_instances": [{"n": [1, 1], "cap_radius": 2, "nu_cap": 2}],
+           "oracle_draws": 4000, "max_attempts": 10_000, "seed": 3,
+           "out_dir": str(tmp_path / "o")}
+    cfg_path = str(tmp_path / "cfg.json")
+    json.dump(cfg, open(cfg_path, "w"))
+    assert cli_main(["oracle", "--config", cfg_path]) == 1
 
 
 def test_cli_entry_point_subprocess(tmp_path):
