@@ -17,9 +17,7 @@ from .curve import (
     slope_inverse,
 )
 from .lattice import (
-    LatticeDirection,
     MobiusTable,
-    enumerate_directions,
     mobius_inverted_sum,
     mobius_sieve,
 )
@@ -56,7 +54,6 @@ __all__ = [
     "KAPPA",
     "Configuration",
     "ConvexCurve",
-    "LatticeDirection",
     "MeasureParams",
     "MobiusTable",
     "MomentReport",
@@ -74,7 +71,6 @@ __all__ = [
     "delta",
     "disassemble",
     "distance_report",
-    "enumerate_directions",
     "exact_conditional_oracle",
     "expected_endpoint",
     "expected_length_profile",

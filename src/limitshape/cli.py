@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from importlib import resources
@@ -20,13 +19,12 @@ import numpy as np
 
 from . import curve as _curve
 from . import measure as _measure
-from . import metrics as _metrics
 from . import oracle as _oracle
 from . import report as _report
 from . import sampler as _sampler
 from . import studies as _studies
 from .config import ExperimentConfig, curve_from_spec
-from .errors import Exhausted, LimitShapeError
+from .errors import LimitShapeError
 
 
 def load_thresholds() -> dict:
@@ -209,36 +207,11 @@ def _cmd_oracle(cfg: ExperimentConfig, thresholds: dict) -> int:
         dist = _oracle.exact_conditional_oracle(params, inst["cap_radius"],
                                                 inst["nu_cap"], n)
         rng = _studies._replicate_rng(cfg.seed, 4, n[0] * 1000 + n[1], idx)
-        counts = {key: 0 for key, _ in dist.entries}
-        accepted = 0
-        attempts = 0
-        draws = cfg.oracle_draws
-        while accepted < draws:
-            if attempts >= cfg.max_attempts:
-                raise Exhausted(attempts)
-            batch = min(draws, cfg.max_attempts - attempts)
-            attempts += batch
-            xi, (reps, dix, nus) = _sampler.sample_endpoints(
-                params, batch, rng, collect_support=True)
-            hits = np.nonzero((xi[:, 0] == n[0]) & (xi[:, 1] == n[1]))[0]
-            h = _sampler._hazard(params)
-            for w in hits:
-                mask = reps == w
-                support = {}
-                for i, k in zip(dix[mask], nus[mask]):
-                    key = (int(h.x1[i]), int(h.x2[i]))
-                    support[key] = support.get(key, 0) + int(k)
-                key = _oracle.configuration_key(_sampler.Configuration(support=support))
-                counts[key] = counts.get(key, 0) + 1
-                accepted += 1
-                if accepted >= draws:
-                    break
-        for key, p in dist.entries:
-            obs = counts.get(key, 0)
-            se = math.sqrt(max(p * (1 - p) * accepted, 1e-300))
-            z = abs(obs - p * accepted) / se
+        configs = _sampler.conditioned_configurations(
+            params, n, cfg.oracle_draws, cfg.oracle_draws, cfg.max_attempts, rng)
+        for key, p, obs, z in _oracle.z_scores(dist, configs):
             worst_z = max(worst_z, z)
-            rows.append((f"{n}", "|".join(map(str, key)), p, obs / accepted, z))
+            rows.append((f"{n}", "|".join(map(str, key)), p, obs / len(configs), z))
     _report.write_csv(os.path.join(cfg.out_dir, "oracle.csv"),
                       ["instance", "line", "exact_p", "observed_freq", "z_score"],
                       rows)
@@ -282,9 +255,6 @@ def main(argv=None) -> int:
             return _cmd_profile(cfg, thresholds)
         if args.mode == "oracle":
             return _cmd_oracle(cfg, thresholds)
-        return 1
-    except Exhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     except (LimitShapeError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

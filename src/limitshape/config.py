@@ -20,6 +20,8 @@ def curve_from_spec(spec: dict) -> ConvexCurve:
     """
     if "preset" in spec:
         kwargs = dict(spec["preset"])
+        if "name" not in kwargs:
+            raise ValueError("preset curve spec needs a 'name'")
         name = kwargs.pop("name")
         return make_preset(name, **kwargs)
     if "tabulated" in spec:
@@ -56,8 +58,18 @@ class ExperimentConfig:
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         n1s = list(self.n1_list)
+        if not n1s or n1s[0] < 1:
+            raise ValueError("n1 list must be non-empty and start at n1 >= 1")
         if any(b <= a for a, b in zip(n1s, n1s[1:])):
             raise ValueError("n1 list must be strictly increasing")
+        if self.n2 is not None and self.n2 < 1:
+            raise ValueError("n2 must be >= 1")
+        if self.oracle_draws < 1:
+            raise ValueError("oracle_draws must be >= 1")
+        for inst in self.oracle_instances:
+            missing = {"n", "cap_radius", "nu_cap"} - set(inst)
+            if missing:
+                raise ValueError(f"oracle instance {inst} lacks {sorted(missing)}")
         self.n1_list = [int(v) for v in n1s]
         self.epsilons = tuple(float(e) for e in self.epsilons)
 

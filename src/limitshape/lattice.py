@@ -1,9 +1,9 @@
 """Coprime lattice directions and Moebius-inverted lattice sums.
 
 Every possible edge direction of a convex lattice path is a coprime
-pair x = (x1, x2) in Z+^2 with slope tau = x2/x1.  Enumeration walks
-the Stern-Brocot tree so directions come out sorted by slope; bulk
-sums use a vectorized gcd sieve.  Sums over the coprime set are
+pair x = (x1, x2) in Z+^2 with slope tau = x2/x1.  direction_arrays is
+the one enumeration route: a vectorized gcd sieve over a slope window
+of the ball, sorted by slope.  Sums over the coprime set are
 cross-checked against full-lattice sums through Moebius inversion.
 """
 
@@ -19,67 +19,14 @@ from .errors import LimitTooLarge, TailBoundViolated
 _SIEVE_BUDGET = 1 << 27  # int8 table, ~134 MB
 
 
-@dataclass(frozen=True)
-class LatticeDirection:
-    x1: int
-    x2: int
-
-    def __post_init__(self):
-        if (self.x1, self.x2) == (0, 0) or self.x1 < 0 or self.x2 < 0:
-            raise ValueError(f"invalid direction ({self.x1}, {self.x2})")
-        if math.gcd(self.x1, self.x2) != 1:
-            raise ValueError(f"({self.x1}, {self.x2}) is not coprime")
-
-    @property
-    def tau(self) -> float:
-        return self.x2 / self.x1 if self.x1 else math.inf
-
-
-def enumerate_directions(t_lo: float, t_hi: float, radius: float):
-    """Yield coprime directions with t_lo <= tau <= t_hi and x1 + x2 <= radius.
-
-    Stern-Brocot in-order traversal: strictly increasing slope, each
-    direction exactly once.  (1, 0) opens the stream when t_lo <= 0,
-    (0, 1) closes it when t_hi is infinite.
-    """
-    if radius < 1 or t_lo > t_hi:
-        return
-    if t_lo <= 0.0:
-        yield LatticeDirection(1, 0)
-    # In-order walk over frames (lo, hi); the frame's node is the mediant,
-    # its children are (lo, m) and (m, hi).  A mediant beyond the radius
-    # prunes the whole subtree (mediants only grow along descents); slope
-    # pruning uses that the left subtree sits strictly below tau(m) and
-    # the right strictly above.
-    stack: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    frame: tuple[tuple[int, int], tuple[int, int]] | None = ((1, 0), (0, 1))
-    while True:
-        while frame is not None:
-            lo, hi = frame
-            m = (lo[0] + hi[0], lo[1] + hi[1])
-            if m[0] + m[1] > radius:
-                frame = None
-            else:
-                stack.append(frame)
-                frame = (lo, m) if m[1] / m[0] > t_lo else None
-        if not stack:
-            break
-        lo, hi = stack.pop()
-        m = (lo[0] + hi[0], lo[1] + hi[1])
-        tau_m = m[1] / m[0]
-        if t_lo <= tau_m <= t_hi:
-            yield LatticeDirection(*m)
-        frame = (m, hi) if tau_m < t_hi else None
-    if t_hi == math.inf:
-        yield LatticeDirection(0, 1)
-
-
 def direction_arrays(t_lo: float, t_hi: float, radius: float,
                      chunk: int = 1 << 21):
-    """Vectorized variant of enumerate_directions.
+    """Coprime directions with t_lo <= tau <= t_hi and x1 + x2 <= radius.
 
-    Returns (x1, x2) int64 arrays sorted by slope.  Used by the bulk
-    moment sums where millions of directions are in play.
+    Returns (x1, x2) int64 arrays in strictly increasing slope, each
+    direction once: (1, 0) opens them when t_lo <= 0 and (0, 1) closes
+    them when t_hi is infinite.  A vectorized gcd sieve over the ball,
+    in chunks of about `chunk` candidate pairs.
     """
     r = int(math.floor(radius))
     xs1, xs2 = [], []

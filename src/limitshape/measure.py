@@ -13,7 +13,9 @@ calibration identity delta1(t) + t*delta2(t) = KAPPA * g2(u(t))^(1/3).
 
 Directions with slope outside the curve's tangent range get e = +inf
 (z = 0) and are never enumerated.  All moment sums are finite,
-tail-certified truncations.
+tail-certified truncations.  Length profiles of paths and of the mean
+path are step functions in the slope; step_knots, step_at and
+knot_gaps are the one primitive that evaluates them.
 """
 
 from __future__ import annotations
@@ -242,16 +244,6 @@ class _DirectionField:
         self.var_nu = self.zpow / (1.0 - self.zpow) ** 2
         self.cum_length = np.cumsum(self.norm * self.mean_nu)
 
-    def profile_at(self, t):
-        """Expected length of the sub-path with edge slopes <= t."""
-        t_arr, scalar = _curve._as_float_array(t)
-        if self.tau.size == 0:
-            out = np.zeros_like(t_arr)
-            return float(out) if scalar else out
-        idx = np.searchsorted(self.tau, t_arr, side="right")
-        out = np.where(idx > 0, self.cum_length[np.maximum(idx - 1, 0)], 0.0)
-        return float(out) if scalar else out
-
 
 @lru_cache(maxsize=2)
 def _field(params: MeasureParams) -> _DirectionField:
@@ -283,8 +275,6 @@ def z_pow(params: MeasureParams, x) -> float:
 
 
 def _direction_tuple(x):
-    if isinstance(x, _lattice.LatticeDirection):
-        return x.x1, x.x2
     x1, x2 = x
     return int(x1), int(x2)
 
@@ -301,15 +291,53 @@ def nu_moments(zp):
     return mean, var
 
 
+def step_knots(taus, jumps):
+    """Knots of a step profile: the slope-sorted jump slopes with the
+    profile value just before and just after each jump."""
+    after = np.cumsum(jumps)
+    return taus, after - jumps, after
+
+
+def step_at(taus, after, t, side: str = "right"):
+    """Step profile at slopes t: the sum of the jumps at slopes <= t,
+    or < t with side="left" (the value just below t)."""
+    idx = np.searchsorted(taus, np.asarray(t, dtype=float), side=side)
+    return np.concatenate([[0.0], after])[idx]
+
+
+def knot_gaps(curve: ConvexCurve, taus, before, after):
+    """|step - curve length profile| on both sides of each jump.
+
+    before and after come already scaled; at tau = +inf the curve value
+    is the total length.
+    """
+    finite = np.isfinite(taus)
+    ell = _curve.length_profile(curve, np.where(finite, taus, 1e300))
+    ell[~finite] = _curve.total_length(curve)
+    return np.maximum(np.abs(after - ell), np.abs(before - ell))
+
+
 def expected_length_profile(params: MeasureParams, t):
     """Exact truncated expectation of the path-length profile at slope t."""
-    return _field(params).profile_at(t)
-
-
-def expected_length_knots(params: MeasureParams):
-    """All profile jump slopes with cumulative expected lengths (tau, cum)."""
     f = _field(params)
-    return f.tau, f.cum_length
+    t_arr, scalar = _curve._as_float_array(t)
+    out = step_at(f.tau, f.cum_length, t_arr)
+    return float(out) if scalar else out
+
+
+def mean_length_sup_gap(params: MeasureParams) -> float:
+    """sup over t of |E[path length profile](t) / n1 - l(t)|.
+
+    The expected profile is a step function and l is continuous and
+    monotone, so the sup sits at a jump (either side) or at t = +inf.
+    """
+    f = _field(params)
+    n1 = params.n1
+    total = _curve.total_length(params.curve)
+    taus, before, after = step_knots(f.tau, f.norm * f.mean_nu)
+    gaps = knot_gaps(params.curve, taus, before / n1, after / n1)
+    end = float(after[-1]) / n1 if after.size else 0.0
+    return max(float(gaps.max()) if gaps.size else total, abs(end - total))
 
 
 def expected_endpoint(params: MeasureParams) -> np.ndarray:

@@ -4,17 +4,23 @@ Two metrics: the Hausdorff distance between point sets, and the
 sup-distance between arc-length profiles in the tangent-slope
 coordinate.  The profile distance is evaluated exactly on the closure
 of the jump set, since the path profile is a step function and the
-curve profile is continuous and monotone between knots.
+curve profile is continuous and monotone between knots.  Both sides
+of every jump come from the one step-profile primitive of measure
+(step_knots, step_at, knot_gaps), which also serves the expected
+profile.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import curve as _curve
+from . import measure as _measure
+from . import sampler as _sampler
 from .curve import ConvexCurve
 from .errors import EmptyPath
 from .sampler import PolygonalLine
@@ -64,17 +70,6 @@ def hausdorff(a, b) -> float:
     return max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))
 
 
-def _line_profile_knots(line: PolygonalLine):
-    """Sorted edge slopes with cumulative lengths (before/after jumps)."""
-    taus = np.array([x2 / x1 if x1 else math.inf for (x1, x2), _ in line.edges])
-    lens = np.array([math.hypot(x1, x2) * nu for (x1, x2), nu in line.edges])
-    order = np.argsort(taus)
-    taus = taus[order]
-    cum_after = np.cumsum(lens[order])
-    cum_before = cum_after - lens[order]
-    return taus, cum_before, cum_after
-
-
 def length_distance(line: PolygonalLine, scale: float, curve: ConvexCurve,
                     t_grid=None) -> float:
     return distance_report(line, scale, curve, t_grid).d_length
@@ -87,30 +82,23 @@ def profile_distance(line_a: PolygonalLine, scale_a: float,
     Both profiles are step functions, so the sup sits on the union of
     their jump slopes, evaluated from both sides.
     """
-    knots = []
-    profiles = []
-    for line in (line_a, line_b):
-        taus, cum_before, cum_after = _line_profile_knots(line)
-        knots.append(taus)
-        profiles.append((taus, cum_before, cum_after))
-    all_taus = np.unique(np.concatenate(knots)) if (knots[0].size or knots[1].size) \
-        else np.array([0.0])
+    taus_a, _, after_a = _sampler.profile_knots(line_a)
+    taus_b, _, after_b = _sampler.profile_knots(line_b)
+    all_taus = np.unique(np.concatenate([taus_a, taus_b]))
+    if not all_taus.size:
+        all_taus = np.array([0.0])
+    gaps = [np.abs(scale_a * _measure.step_at(taus_a, after_a, all_taus, side)
+                   - scale_b * _measure.step_at(taus_b, after_b, all_taus, side))
+            for side in ("right", "left")]
+    return float(np.maximum(*gaps).max())
 
-    def eval_sides(profile, scale):
-        taus, cum_before, cum_after = profile
-        if taus.size == 0:
-            z = np.zeros_like(all_taus)
-            return z, z
-        idx = np.searchsorted(taus, all_taus, side="right")
-        after = np.where(idx > 0, np.concatenate([[0.0], cum_after])[idx], 0.0)
-        idx_b = np.searchsorted(taus, all_taus, side="left")
-        before = np.where(idx_b > 0, np.concatenate([[0.0], cum_after])[idx_b], 0.0)
-        return scale * before, scale * after
 
-    a_before, a_after = eval_sides(profiles[0], scale_a)
-    b_before, b_after = eval_sides(profiles[1], scale_b)
-    return float(np.maximum(np.abs(a_after - b_after),
-                            np.abs(a_before - b_before)).max())
+@lru_cache(maxsize=32)
+def _curve_polyline(curve: ConvexCurve, n_points: int) -> np.ndarray:
+    """Read-only arc-length-uniform polyline of the curve, built once."""
+    poly = _curve.discretize(curve, n_points)
+    poly.flags.writeable = False
+    return poly
 
 
 def distance_report(line: PolygonalLine, scale: float, curve: ConvexCurve,
@@ -125,52 +113,27 @@ def distance_report(line: PolygonalLine, scale: float, curve: ConvexCurve,
     if scale < 0.0:
         raise ValueError("scale must be nonnegative")
     curve_total = _curve.total_length(curve)
+    taus, before, after = _sampler.profile_knots(line)
 
-    taus, cum_before, cum_after = _line_profile_knots(line)
-    finite = np.isfinite(taus)
-    cand_t: list[float] = []
-    cand_gap: list[float] = []
-
-    if taus.size:
-        ell = _curve.length_profile(curve, np.where(finite, taus, 1e300))
-        ell[~finite] = curve_total
-        gap = np.maximum(np.abs(scale * cum_after - ell),
-                         np.abs(scale * cum_before - ell))
-        cand_t.extend(taus.tolist())
-        cand_gap.extend(gap.tolist())
-        line_total = float(cum_after[-1])
-    else:
-        line_total = 0.0
+    def grid_gaps(t):
+        line_at = _measure.step_at(taus, after, np.where(np.isfinite(t), t, 1e300))
+        return np.abs(scale * line_at - _curve.length_profile(curve, t))
 
     refine = np.concatenate([_curve.slope_grid(curve, 256),
                              [curve.t0, curve.t1 if math.isfinite(curve.t1) else 1e300]])
-    from .sampler import length_profile as line_profile_at
-
-    if taus.size:
-        lp = line_profile_at(line, np.where(np.isfinite(refine), refine, 1e300))
-    else:
-        lp = np.zeros_like(refine)
-    gap_r = np.abs(scale * lp - _curve.length_profile(curve, refine))
-    cand_t.extend(refine.tolist())
-    cand_gap.extend(gap_r.tolist())
-
-    # slope +inf endpoint: total lengths
-    cand_t.append(math.inf)
-    cand_gap.append(abs(scale * line_total - curve_total))
-
+    line_total = float(after[-1]) if after.size else 0.0
+    # candidate order (knots, refinement, +inf, t_grid) fixes argmax ties
+    cands = [(taus, _measure.knot_gaps(curve, taus, scale * before, scale * after)),
+             (refine, grid_gaps(refine)),
+             (np.array([math.inf]), np.array([abs(scale * line_total - curve_total)]))]
     if t_grid is not None:
         extra = np.asarray(t_grid, dtype=float)
-        lp = line_profile_at(line, np.where(np.isfinite(extra), extra, 1e300)) \
-            if taus.size else np.zeros_like(extra)
-        cand_t.extend(extra.tolist())
-        cand_gap.extend(np.abs(scale * lp - _curve.length_profile(curve, extra)).tolist())
-
-    gaps = np.asarray(cand_gap)
+        cands.append((extra, grid_gaps(extra)))
+    cand_t = np.concatenate([t for t, _ in cands])
+    gaps = np.concatenate([g for _, g in cands])
     i = int(np.argmax(gaps))
-    d_len = float(gaps[i])
-    argmax_t = float(cand_t[i])
 
-    d_h = hausdorff(line.vertices.astype(float) * scale if taus.size
-                    else np.zeros((1, 2)),
-                    _curve.discretize(curve, curve_points))
-    return PathDistanceReport(d_hausdorff=d_h, d_length=d_len, argmax_t=argmax_t)
+    d_h = hausdorff(line.vertices.astype(float) * scale,
+                    _curve_polyline(curve, curve_points))
+    return PathDistanceReport(d_hausdorff=d_h, d_length=float(gaps[i]),
+                              argmax_t=float(cand_t[i]))

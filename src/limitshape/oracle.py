@@ -11,12 +11,13 @@ conditional law with no auxiliary conditioning.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StateSpaceTooLarge
-from .lattice import enumerate_directions
+from .lattice import direction_arrays
 from .measure import MeasureParams, direction_exponent
 from .sampler import Configuration
 
@@ -55,15 +56,14 @@ def exact_conditional_oracle(params: MeasureParams, cap_radius: int,
     rho = params.rho_n
     t_lo = curve.t0 / rho
     t_hi = curve.t1 / rho if math.isfinite(curve.t1) else math.inf
-    dirs = [(d.x1, d.x2) for d in enumerate_directions(t_lo, t_hi, cap_radius)]
+    x1s, x2s = direction_arrays(t_lo, t_hi, cap_radius)
+    dirs = list(zip(x1s.tolist(), x2s.tolist()))
     if not dirs:
         return OracleDistribution(endpoint=(n1, n2), entries=(), reachable=False)
     if (nu_cap + 1) ** len(dirs) > _STATE_BUDGET * 64:
         raise StateSpaceTooLarge(
             f"{len(dirs)} directions with nu <= {nu_cap} exceeds the budget")
-    x1s = np.array([d[0] for d in dirs], dtype=float)
-    x2s = np.array([d[1] for d in dirs], dtype=float)
-    exps = direction_exponent(curve, rho, x1s, x2s)
+    exps = direction_exponent(curve, rho, x1s.astype(float), x2s.astype(float))
     alpha = params.alpha_n
 
     found: list[tuple[tuple, float]] = []
@@ -97,3 +97,17 @@ def exact_conditional_oracle(params: MeasureParams, cap_radius: int,
     order = np.argsort(-ws, kind="stable")
     entries = tuple((found[i][0], float(ws[i])) for i in order)
     return OracleDistribution(endpoint=(n1, n2), entries=entries, reachable=True)
+
+
+def z_scores(dist: OracleDistribution, configs) -> list:
+    """(key, exact p, observed count, |z|) for every oracle entry, where
+    z compares the count among the sampled configurations with its
+    binomial mean and standard deviation."""
+    counts = Counter(configuration_key(c) for c in configs)
+    total = len(configs)
+    rows = []
+    for key, p in dist.entries:
+        obs = counts[key]
+        se = math.sqrt(max(p * (1 - p) * total, 1e-300))
+        rows.append((key, p, obs, abs(obs - p * total) / se))
+    return rows

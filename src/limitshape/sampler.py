@@ -2,8 +2,13 @@
 
 A configuration assigns an independent geometric multiplicity nu(x) to
 every enumerated coprime direction; assembling the nonzero edges in
-slope order yields the convex polygonal line.  Endpoint conditioning
-is exact rejection: resample until the path ends at the target.
+slope order yields the convex polygonal line, whose length profile is
+a step function (profile_knots, evaluated by measure.step_at).
+Endpoint conditioning is exact rejection: resample until the path ends
+at the target.  Every accepted configuration is rebuilt from the
+batched draws by support_of; conditioned_configurations keeps all hits
+in replicate order, condition_on_endpoint the first one together with
+closest-miss diagnostics.
 
 Two equivalent sampling routes are provided.  sample_configuration
 draws one uniform per enumerated direction (inverse transform).  The
@@ -24,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import Exhausted
-from .measure import MeasureParams, _field, covariance_matrix
+from .measure import MeasureParams, _field, covariance_matrix, step_knots
 
 
 @dataclass(frozen=True)
@@ -156,6 +161,40 @@ def sample_endpoints(params: MeasureParams, count: int,
     return xi
 
 
+def support_of(params: MeasureParams, support, rep: int) -> Configuration:
+    """Configuration of replicate rep from the (rep, dir_index, nu)
+    arrays of sample_endpoints; repeated directions add up."""
+    reps, idx, nu = support
+    h = _hazard(params)
+    mask = reps == rep
+    out: dict = {}
+    for i, k in zip(idx[mask], nu[mask]):
+        key = (int(h.x1[i]), int(h.x2[i]))
+        out[key] = out.get(key, 0) + int(k)
+    return Configuration(support=out)
+
+
+def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
+                               max_attempts: int,
+                               rng: np.random.Generator) -> list:
+    """The first count configurations with endpoint n, in replicate order.
+
+    Draws batches of min(batch, max_attempts - attempts) endpoints and
+    raises Exhausted once max_attempts draws are spent short of count.
+    """
+    out: list = []
+    attempts = 0
+    while len(out) < count:
+        if attempts >= max_attempts:
+            raise Exhausted(attempts)
+        size = min(batch, max_attempts - attempts)
+        attempts += size
+        xi, support = sample_endpoints(params, size, rng, collect_support=True)
+        hits = np.nonzero((xi[:, 0] == n[0]) & (xi[:, 1] == n[1]))[0]
+        out.extend(support_of(params, support, int(w)) for w in hits[:count - len(out)])
+    return out
+
+
 @dataclass(frozen=True)
 class MissDiagnostics:
     """Closest-miss summary of a failed conditioning run, in the
@@ -194,21 +233,15 @@ def condition_on_endpoint(params: MeasureParams, n, max_attempts: int,
     sq_dists = []
     while attempts < max_attempts:
         size = min(batch, max_attempts - attempts)
-        xi, (reps, idx, nu) = sample_endpoints(params, size, rng, collect_support=True)
+        xi, support = sample_endpoints(params, size, rng, collect_support=True)
         hits = np.nonzero((xi[:, 0] == target[0]) & (xi[:, 1] == target[1]))[0]
         diff = xi.astype(float) - target.astype(float)
         d2 = np.einsum("ij,jk,ik->i", diff, k_inv, diff)
         sq_dists.append(d2)
         if hits.size:
             winner = int(hits[0])
-            attempts += winner + 1
-            mask = reps == winner
-            support = {}
-            for i, k in zip(idx[mask], nu[mask]):
-                key = (int(_hazard(params).x1[i]), int(_hazard(params).x2[i]))
-                support[key] = support.get(key, 0) + int(k)
-            line = assemble(Configuration(support=support))
-            return ConditionedSample(line=line, attempts=attempts)
+            line = assemble(support_of(params, support, winner))
+            return ConditionedSample(line=line, attempts=attempts + winner + 1)
         attempts += size
         i_best = int(np.argmin(d2))
         if d2[i_best] < best_d:
@@ -222,15 +255,12 @@ def condition_on_endpoint(params: MeasureParams, n, max_attempts: int,
         distance_quantiles=quantiles))
 
 
-def length_profile(line: PolygonalLine, t_grid) -> np.ndarray:
-    """Partial Euclidean lengths over edges with slope <= t, per grid point."""
+def profile_knots(line: PolygonalLine):
+    """Step-profile knots (tau, before, after) of the line's length
+    profile: its edges are already in increasing slope order."""
     taus = np.array([_edge_tau(x) for x, _ in line.edges])
     lens = np.array([math.hypot(*x) * nu for x, nu in line.edges])
-    order = np.argsort(taus)
-    taus, lens = taus[order], lens[order]
-    cum = np.concatenate([[0.0], np.cumsum(lens)])
-    t_arr = np.asarray(t_grid, dtype=float)
-    return cum[np.searchsorted(taus, t_arr, side="right")]
+    return step_knots(taus, lens)
 
 
 def total_length(line: PolygonalLine) -> float:

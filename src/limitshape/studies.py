@@ -214,28 +214,17 @@ def run_moment_study(config) -> StudyResult:
     result = StudyResult()
     kappa = _measure.KAPPA
     b = _measure.b_matrix(curve)
-    total = _curve.total_length(curve)
     bias_points = []
     for n1 in config.n1_list:
         params = _measure.MeasureParams.for_endpoint(curve, n1)
         f = _measure._field(params)
-
-        cum_before = f.cum_length - f.norm * f.mean_nu
-        finite = np.isfinite(f.tau)
-        ell = _curve.length_profile(curve, np.where(finite, f.tau, 1e300))
-        ell[~finite] = total
-        gap_knots = np.maximum(np.abs(f.cum_length / n1 - ell),
-                               np.abs(cum_before / n1 - ell))
-        sup_gap = float(gap_knots.max()) if gap_knots.size else total
-        sup_gap = max(sup_gap, abs((f.cum_length[-1] if f.tau.size else 0.0) / n1 - total))
         result.rows.append(ConvergenceRow(
-            n1=n1, statistic="length_sup_gap", empirical=sup_gap,
+            n1=n1, statistic="length_sup_gap",
+            empirical=_measure.mean_length_sup_gap(params),
             theoretical=0.0, ratio=math.nan, stderr=0.0))
 
         t32 = _curve.slope_grid(curve, 32)
-        cum_x1 = np.cumsum(f.x1 * f.mean_nu)
-        idx = np.searchsorted(f.tau, t32, side="right")
-        xi1_t = np.where(idx > 0, cum_x1[np.maximum(idx - 1, 0)], 0.0)
+        xi1_t = _measure.step_at(f.tau, np.cumsum(f.x1 * f.mean_nu), t32)
         gap_xi1 = float(np.max(np.abs(xi1_t / n1 - _curve.slope_inverse(curve, t32))))
         result.rows.append(ConvergenceRow(
             n1=n1, statistic="xi1_profile_max_gap", empirical=gap_xi1,

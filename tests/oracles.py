@@ -90,6 +90,18 @@ def brute_coprime(t_lo, t_hi, radius):
     return [(x1, x2) for _, x1, x2 in out]
 
 
+def edge_length_profile(edges, t, side="right"):
+    """Length profile of a path given as (direction, multiplicity) pairs:
+    a plain sum over the edges with slope <= t, or < t for side="left"."""
+    total = 0.0
+    for (x1, x2), nu in edges:
+        slope = x2 / x1 if x1 else math.inf
+        counted = slope <= t if side == "right" else slope < t
+        if counted:
+            total += math.hypot(x1, x2) * nu
+    return total
+
+
 def brute_mobius(m: int) -> int:
     """mu(m) by trial-division factorization."""
     if m == 1:

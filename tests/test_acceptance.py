@@ -103,27 +103,13 @@ def test_c03_mobius_machinery():
     assert elapsed < 10.0
 
 
-def _sup_length_gap(params):
-    f = ms._field(params)
-    curve = params.curve
-    total = cv.length_profile(curve, math.inf)
-    finite = np.isfinite(f.tau)
-    ell = cv.length_profile(curve, np.where(finite, f.tau, 1e300))
-    ell[~finite] = total
-    cum_before = f.cum_length - f.norm * f.mean_nu
-    n1 = params.n1
-    gap = float(np.max(np.maximum(np.abs(f.cum_length / n1 - ell),
-                                  np.abs(cum_before / n1 - ell))))
-    return max(gap, abs(float(f.cum_length[-1]) / n1 - total))
-
-
 def test_c04_mean_length_calibration():
     t0 = time.monotonic()
     curve = cv.make_preset("parabola", c=1.0)
     gaps = []
     for n1 in (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6):
         params = ms.MeasureParams.for_endpoint(curve, n1)
-        gaps.append(_sup_length_gap(params))
+        gaps.append(ms.mean_length_sup_gap(params))
         ms._field.cache_clear()
     elapsed = time.monotonic() - t0
     decreasing = all(b < a for a, b in zip(gaps, gaps[1:]))
@@ -276,30 +262,13 @@ def test_c09_oracle_equivalence():
         params = ms.MeasureParams.for_endpoint(curve, n[0], n[1])
         dist = oc.exact_conditional_oracle(params, cap, 4, n)
         assert dist.reachable
-        counts = dict.fromkeys(dist.as_dict(), 0)
-        accepted = 0
         rng = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(9, idx)))
-        h = sp._hazard(params)
-        while accepted < draws_target:
-            xi, (reps, dix, nus) = sp.sample_endpoints(
-                params, 100_000, rng, collect_support=True)
-            hits = np.nonzero((xi[:, 0] == n[0]) & (xi[:, 1] == n[1]))[0]
-            for w in hits:
-                mask = reps == w
-                support = {}
-                for i, k in zip(dix[mask], nus[mask]):
-                    key = (int(h.x1[i]), int(h.x2[i]))
-                    support[key] = support.get(key, 0) + int(k)
-                key = oc.configuration_key(sp.Configuration(support=support))
-                assert key in counts, f"sampled line {key} missing from oracle"
-                counts[key] += 1
-                accepted += 1
-                if accepted >= draws_target:
-                    break
-        for key, p in dist.entries:
-            se = math.sqrt(max(p * (1 - p) * accepted, 1e-300))
-            z = abs(counts[key] - p * accepted) / se
-            worst = max(worst, z)
+        # a batch of 1e5 draws from a budget the loop never reaches
+        configs = sp.conditioned_configurations(params, n, draws_target, 100_000,
+                                                10 ** 12, rng)
+        missing = {oc.configuration_key(c) for c in configs} - set(dist.as_dict())
+        assert not missing, f"sampled lines {missing} missing from oracle"
+        worst = max(worst, max(z for _, _, _, z in oc.z_scores(dist, configs)))
     elapsed = time.monotonic() - t0
     ok = worst <= sigma and elapsed < 300
     _emit("c09 oracle equivalence", ok,

@@ -310,6 +310,27 @@ def test_cli_oracle_attempt_budget(tmp_path, monkeypatch):
     assert cli_main(["oracle", "--config", cfg_path]) == 1
 
 
+@pytest.mark.parametrize("mode, bad", [
+    ("calibrate", {"n1_list": []}),
+    ("calibrate", {"n1_list": [0]}),
+    ("calibrate", {"n2": 0}),
+    ("calibrate", {"curve": {"preset": {"c": 1.0}}}),
+    ("oracle", {"oracle_instances": [{"n": [1, 1], "nu_cap": 2}]}),
+    ("oracle", {"oracle_draws": 0}),
+])
+def test_cli_malformed_config_is_typed_error(tmp_path, mode, bad):
+    cfg = {"mode": mode, "curve": PARABOLA_SPEC, "n1_list": [20],
+           "out_dir": str(tmp_path / "out")}
+    cfg.update(bad)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    proc = subprocess.run([sys.executable, "-m", "limitshape", mode, "--config",
+                           str(cfg_path)], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_entry_point_subprocess(tmp_path):
     out = str(tmp_path / "ep")
     proc = subprocess.run(

@@ -11,32 +11,25 @@ from limitshape.errors import LimitTooLarge, TailBoundViolated
 import oracles
 
 
-def _pairs(gen):
-    return [(d.x1, d.x2) for d in gen]
+def _pairs(t_lo, t_hi, radius):
+    x1, x2 = lt.direction_arrays(t_lo, t_hi, radius)
+    return list(zip(x1.tolist(), x2.tolist()))
 
 
 def test_enumerate_radius_2():
-    assert _pairs(lt.enumerate_directions(0, math.inf, 2)) == [(1, 0), (1, 1), (0, 1)]
+    assert _pairs(0, math.inf, 2) == [(1, 0), (1, 1), (0, 1)]
 
 
 def test_enumerate_radius_3_adds_mediants():
-    got = _pairs(lt.enumerate_directions(0, math.inf, 3))
-    assert got == [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1)]
+    assert _pairs(0, math.inf, 3) == [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1)]
 
 
 def test_enumerate_matches_brute_force_windows():
     windows = [(0.0, math.inf, 1), (0.0, math.inf, 25), (0.3, 2.5, 40),
                (1.0, 1.0, 12), (0.0, 0.0, 6), (2.0, math.inf, 15),
-               (0.7, 0.8, 60)]
+               (0.7, 0.8, 60), (0.1, 3.0, 120)]
     for t_lo, t_hi, radius in windows:
-        assert _pairs(lt.enumerate_directions(t_lo, t_hi, radius)) == \
-            oracles.brute_coprime(t_lo, t_hi, radius)
-
-
-def test_direction_arrays_matches_enumeration():
-    x1, x2 = lt.direction_arrays(0.1, 3.0, 120)
-    assert list(zip(x1.tolist(), x2.tolist())) == \
-        _pairs(lt.enumerate_directions(0.1, 3.0, 120))
+        assert _pairs(t_lo, t_hi, radius) == oracles.brute_coprime(t_lo, t_hi, radius)
 
 
 def test_coprime_count_at_1000():
@@ -51,7 +44,7 @@ def test_coprime_count_at_1000():
        lo=st.floats(min_value=0.0, max_value=3.0),
        span=st.floats(min_value=0.0, max_value=4.0))
 def test_enumeration_sorted_and_distinct(radius, lo, span):
-    got = _pairs(lt.enumerate_directions(lo, lo + span, radius))
+    got = _pairs(lo, lo + span, radius)
     taus = [x2 / x1 if x1 else math.inf for x1, x2 in got]
     assert taus == sorted(taus)
     assert len(set(taus)) == len(taus)

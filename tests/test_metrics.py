@@ -101,3 +101,19 @@ def test_line_on_curve_small_distances(parabola1):
     report_scale = 1.0 / 640
     d_h = mt.hausdorff(verts * report_scale, cv.discretize(parabola1, 2048))
     assert d_h < 0.01
+
+
+def test_distance_report_reuses_curve_polyline(tabulated_mixed, monkeypatch):
+    params = ms.MeasureParams.for_endpoint(tabulated_mixed, 200)
+    line = sp.assemble(sp.sample_configuration(params, np.random.default_rng(6)))
+    mt._curve_polyline.cache_clear()
+    first = mt.distance_report(line, 1.0 / 200, tabulated_mixed)
+    poly = mt._curve_polyline(tabulated_mixed, 2048)
+    assert not poly.flags.writeable
+    assert np.array_equal(poly, cv.discretize(tabulated_mixed, 2048))
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("polyline rebuilt")
+
+    monkeypatch.setattr(cv, "discretize", rebuilt)
+    assert mt.distance_report(line, 1.0 / 200, tabulated_mixed) == first

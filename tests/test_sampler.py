@@ -188,15 +188,36 @@ def test_exhausted_carries_diagnostics(parabola1):
 
 # --- profiles and scaling -----------------------------------------------------------
 
+def _profile(line, t, side="right"):
+    taus, _, after = sp.profile_knots(line)
+    return ms.step_at(taus, after, t, side)
+
+
 def test_length_profile_example():
     line = sp.assemble(sp.Configuration(support={(1, 0): 2, (0, 1): 3}))
-    vals = sp.length_profile(line, [0.0, math.inf])
-    assert vals.tolist() == [2.0, 5.0]
+    assert _profile(line, [0.0, math.inf]).tolist() == [2.0, 5.0]
+    assert _profile(line, [0.0, math.inf], "left").tolist() == [0.0, 2.0]
 
 
 def test_length_profile_empty():
     line = sp.assemble(sp.Configuration(support={}))
-    assert sp.length_profile(line, [0.0, 1.0, math.inf]).tolist() == [0.0, 0.0, 0.0]
+    assert _profile(line, [0.0, 1.0, math.inf]).tolist() == [0.0, 0.0, 0.0]
+    assert _profile(line, [0.0, 1.0, math.inf], "left").tolist() == [0.0, 0.0, 0.0]
+
+
+def test_length_profile_matches_edge_sum_oracle(parabola1):
+    params = _params(parabola1, 40)
+    rng = np.random.default_rng(7)
+    lines = [sp.assemble(sp.Configuration(support={})),
+             sp.assemble(sp.Configuration(support={(1, 0): 3, (2, 1): 1, (0, 1): 2}))]
+    lines += [sp.assemble(sp.sample_configuration(params, rng)) for _ in range(20)]
+    for line in lines:
+        taus = [x2 / x1 if x1 else math.inf for (x1, x2), _ in line.edges]
+        grid = sorted(set(taus) | {0.0, 0.5, 1.0, 7.0, math.inf})
+        for side in ("right", "left"):
+            got = _profile(line, grid, side)
+            want = [oracles.edge_length_profile(line.edges, t, side) for t in grid]
+            assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_length_profile_monotone_on_samples(parabola1):
@@ -205,7 +226,7 @@ def test_length_profile_monotone_on_samples(parabola1):
     grid = np.concatenate([[0.0], cv.slope_grid(parabola1, 16), [math.inf]])
     for _ in range(1000):
         line = sp.assemble(sp.sample_configuration(params, rng))
-        vals = sp.length_profile(line, grid)
+        vals = _profile(line, grid)
         assert np.all(np.diff(vals) >= 0)
 
 
