@@ -112,17 +112,10 @@ def _cmd_sample(cfg: ExperimentConfig, conditioned: bool) -> int:
     overlay = [_curve.discretize(params.curve, 512) * params.n1]
     attempts_rows = []
     for rep_idx in range(cfg.replicates):
-        rng = _studies._replicate_rng(cfg.seed,
-                                      _studies._DOMAIN_CONDITION if conditioned
-                                      else _studies._DOMAIN_LIMIT_SHAPE,
-                                      params.n1, rep_idx)
+        line, attempts = _studies.draw_path(params, cfg.seed, rep_idx,
+                                            cfg.max_attempts if conditioned else None)
         if conditioned:
-            res = _sampler.condition_on_endpoint(
-                params, (params.n1, params.n2), cfg.max_attempts, rng)
-            line = res.line
-            attempts_rows.append((rep_idx, res.attempts, res.acceptance_rate))
-        else:
-            line = _sampler.assemble(_sampler.sample_configuration(params, rng))
+            attempts_rows.append((rep_idx, attempts, 1.0 / attempts))
         records.append(_report.line_record(line, params.n1, rep_idx))
         if len(overlay) < 9:
             overlay.append(line.vertices.astype(float))
@@ -207,7 +200,7 @@ def _cmd_oracle(cfg: ExperimentConfig, thresholds: dict) -> int:
         dist = _oracle.exact_conditional_oracle(params, inst["cap_radius"],
                                                 inst["nu_cap"], n)
         rng = _studies._replicate_rng(cfg.seed, 4, n[0] * 1000 + n[1], idx)
-        configs = _sampler.conditioned_configurations(
+        configs, _ = _sampler.conditioned_configurations(
             params, n, cfg.oracle_draws, cfg.oracle_draws, cfg.max_attempts, rng)
         for key, p, obs, z in _oracle.z_scores(dist, configs):
             worst_z = max(worst_z, z)

@@ -10,6 +10,13 @@ import numpy as np
 from .curve import ConvexCurve, make_preset, make_tabulated
 
 _MODES = ("calibrate", "sample", "condition", "verify", "profile", "oracle")
+_INT_FIELDS = ("replicates", "seed", "workers", "accepted_target", "max_attempts",
+               "lclt_replicates", "lclt_batch", "oracle_draws")
+
+
+def _require_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def curve_from_spec(spec: dict) -> ConvexCurve:
@@ -55,6 +62,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        for name in _INT_FIELDS:
+            _require_int(name, getattr(self, name))
+        if self.n2 is not None:
+            _require_int("n2", self.n2)
+        for name in ("n1_list", "conditioned_n1"):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"{name} must be a list of integers, got {values!r}")
+            for v in values:
+                _require_int(f"{name} entry", v)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         n1s = list(self.n1_list)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import integrate
@@ -243,6 +243,12 @@ class _DirectionField:
         self.mean_nu = self.zpow / (1.0 - self.zpow)
         self.var_nu = self.zpow / (1.0 - self.zpow) ** 2
         self.cum_length = np.cumsum(self.norm * self.mean_nu)
+
+    @cached_property
+    def cum_hazard(self) -> np.ndarray:
+        """Cumulative hazard -log(1 - z^x) of the per-direction activity
+        events, the axis of the batched skip draws; built on first use."""
+        return np.cumsum(-np.log1p(-self.zpow))
 
 
 @lru_cache(maxsize=2)

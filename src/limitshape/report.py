@@ -12,6 +12,7 @@ import os
 import numpy as np
 
 from .errors import IoFailure
+from .sampler import total_length
 
 
 def _fmt(value) -> str:
@@ -55,8 +56,6 @@ def write_lines_jsonl(path: str, records) -> None:
 
 
 def line_record(line, n1: int, replicate: int) -> dict:
-    from .sampler import total_length
-
     return {
         "replicate": replicate,
         "n1": n1,

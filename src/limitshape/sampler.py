@@ -5,10 +5,11 @@ every enumerated coprime direction; assembling the nonzero edges in
 slope order yields the convex polygonal line, whose length profile is
 a step function (profile_knots, evaluated by measure.step_at).
 Endpoint conditioning is exact rejection: resample until the path ends
-at the target.  Every accepted configuration is rebuilt from the
-batched draws by support_of; conditioned_configurations keeps all hits
-in replicate order, condition_on_endpoint the first one together with
-closest-miss diagnostics.
+at the target.  conditioned_configurations is the one rejection loop:
+it draws batched endpoints under an attempt budget, rebuilds each hit
+by support_of in replicate order, and raises Exhausted with
+closest-miss diagnostics once the budget is spent;
+condition_on_endpoint is its first hit, assembled into a path.
 
 Two equivalent sampling routes are provided.  sample_configuration
 draws one uniform per enumerated direction (inverse transform).  The
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -100,24 +100,6 @@ def sample_configuration(params: MeasureParams, rng: np.random.Generator) -> Con
     return Configuration(support=support)
 
 
-class _HazardTable:
-    """Cumulative hazard of the active-direction Bernoulli field."""
-
-    def __init__(self, params: MeasureParams):
-        f = _field(params)
-        lam = -np.log1p(-f.zpow)
-        self.cum = np.cumsum(lam)
-        self.total = float(self.cum[-1]) if lam.size else 0.0
-        self.neg_log_z = f.neg_log_z
-        self.x1 = f.x1
-        self.x2 = f.x2
-
-
-@lru_cache(maxsize=2)
-def _hazard(params: MeasureParams) -> _HazardTable:
-    return _HazardTable(params)
-
-
 def sample_endpoints(params: MeasureParams, count: int,
                      rng: np.random.Generator,
                      collect_support: bool = False):
@@ -126,10 +108,11 @@ def sample_endpoints(params: MeasureParams, count: int,
     When collect_support is set, also returns (rep, dir_index, nu)
     arrays from which any replicate's configuration can be rebuilt.
     """
-    h = _hazard(params)
+    f = _field(params)
+    cum = f.cum_hazard
     xi = np.zeros((count, 2), dtype=np.int64)
     reps_out, idx_out, nu_out = [], [], []
-    if h.total <= 0.0:
+    if not cum.size or cum[-1] <= 0.0:
         if collect_support:
             return xi, (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64))
         return xi
@@ -137,22 +120,22 @@ def sample_endpoints(params: MeasureParams, count: int,
     pos = np.zeros(count)  # consumed hazard per replicate
     while alive.size:
         pos_alive = pos[alive] + rng.standard_exponential(alive.size)
-        j = np.searchsorted(h.cum, pos_alive, side="left")
-        live = j < h.cum.size
+        j = np.searchsorted(cum, pos_alive, side="left")
+        live = j < cum.size
         alive = alive[live]
         if not alive.size:
             break
         j = j[live]
         # conditional on activity, multiplicity is 1 + geometric
         u = rng.random(alive.size)
-        nu = 1 + np.floor(np.log(u) / -h.neg_log_z[j]).astype(np.int64)
-        xi[alive, 0] += h.x1[j] * nu  # alive indices are unique per round
-        xi[alive, 1] += h.x2[j] * nu
+        nu = 1 + np.floor(np.log(u) / -f.neg_log_z[j]).astype(np.int64)
+        xi[alive, 0] += f.x1[j] * nu  # alive indices are unique per round
+        xi[alive, 1] += f.x2[j] * nu
         if collect_support:
             reps_out.append(alive.copy())
             idx_out.append(j.copy())
             nu_out.append(nu)
-        pos[alive] = h.cum[j]
+        pos[alive] = cum[j]
     if collect_support:
         cat = (np.concatenate(reps_out) if reps_out else np.empty(0, np.int64),
                np.concatenate(idx_out) if idx_out else np.empty(0, np.int64),
@@ -165,34 +148,13 @@ def support_of(params: MeasureParams, support, rep: int) -> Configuration:
     """Configuration of replicate rep from the (rep, dir_index, nu)
     arrays of sample_endpoints; repeated directions add up."""
     reps, idx, nu = support
-    h = _hazard(params)
+    f = _field(params)
     mask = reps == rep
     out: dict = {}
     for i, k in zip(idx[mask], nu[mask]):
-        key = (int(h.x1[i]), int(h.x2[i]))
+        key = (int(f.x1[i]), int(f.x2[i]))
         out[key] = out.get(key, 0) + int(k)
     return Configuration(support=out)
-
-
-def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
-                               max_attempts: int,
-                               rng: np.random.Generator) -> list:
-    """The first count configurations with endpoint n, in replicate order.
-
-    Draws batches of min(batch, max_attempts - attempts) endpoints and
-    raises Exhausted once max_attempts draws are spent short of count.
-    """
-    out: list = []
-    attempts = 0
-    while len(out) < count:
-        if attempts >= max_attempts:
-            raise Exhausted(attempts)
-        size = min(batch, max_attempts - attempts)
-        attempts += size
-        xi, support = sample_endpoints(params, size, rng, collect_support=True)
-        hits = np.nonzero((xi[:, 0] == n[0]) & (xi[:, 1] == n[1]))[0]
-        out.extend(support_of(params, support, int(w)) for w in hits[:count - len(out)])
-    return out
 
 
 @dataclass(frozen=True)
@@ -206,53 +168,57 @@ class MissDiagnostics:
     distance_quantiles: dict
 
 
-@dataclass(frozen=True)
-class ConditionedSample:
-    line: PolygonalLine
-    attempts: int
+def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
+                               max_attempts: int, rng: np.random.Generator):
+    """The first count configurations with endpoint n, in replicate order.
 
-    @property
-    def acceptance_rate(self) -> float:
-        return 1.0 / self.attempts if self.attempts else 0.0
-
-
-def condition_on_endpoint(params: MeasureParams, n, max_attempts: int,
-                          rng: np.random.Generator,
-                          batch: int = 8192) -> ConditionedSample:
-    """Exact draw from the endpoint-conditioned law by rejection.
-
-    Samples in batches until the path endpoint equals n; the first hit
-    in replicate order is returned, so the draw is exact.  Raises
-    Exhausted with closest-miss diagnostics after max_attempts.
+    Draws batches of min(batch, max_attempts - attempts) endpoints and
+    returns (configs, attempts), where attempts counts the draws up to
+    and including the last accepted one.  Once max_attempts draws are
+    spent short of count, raises Exhausted with closest-miss
+    diagnostics over every draw.
     """
     target = np.asarray(n, dtype=np.int64)
     k_inv = np.linalg.inv(covariance_matrix(params))
+    out: list = []
     attempts = 0
-    best_d = math.inf
-    best_xi = (0, 0)
+    best_d, best_xi = math.inf, (0, 0)
     sq_dists = []
     while attempts < max_attempts:
         size = min(batch, max_attempts - attempts)
         xi, support = sample_endpoints(params, size, rng, collect_support=True)
         hits = np.nonzero((xi[:, 0] == target[0]) & (xi[:, 1] == target[1]))[0]
-        diff = xi.astype(float) - target.astype(float)
+        hits = hits[:count - len(out)]
+        out.extend(support_of(params, support, int(w)) for w in hits)
+        if len(out) == count:
+            return out, attempts + int(hits[-1]) + 1
+        attempts += size
+        diff = (xi - target).astype(float)
         d2 = np.einsum("ij,jk,ik->i", diff, k_inv, diff)
         sq_dists.append(d2)
-        if hits.size:
-            winner = int(hits[0])
-            line = assemble(support_of(params, support, winner))
-            return ConditionedSample(line=line, attempts=attempts + winner + 1)
-        attempts += size
         i_best = int(np.argmin(d2))
         if d2[i_best] < best_d:
-            best_d = float(d2[i_best])
-            best_xi = (int(xi[i_best, 0]), int(xi[i_best, 1]))
+            best_d, best_xi = float(d2[i_best]), (int(xi[i_best, 0]), int(xi[i_best, 1]))
     pooled = np.sqrt(np.concatenate(sq_dists)) if sq_dists else np.empty(0)
     quantiles = {q: float(np.quantile(pooled, q)) for q in (0.01, 0.1, 0.5)} if pooled.size else {}
     raise Exhausted(attempts, MissDiagnostics(
-        attempts=attempts, best_endpoint=best_xi,
-        best_distance=math.sqrt(best_d) if math.isfinite(best_d) else math.inf,
+        attempts=attempts, best_endpoint=best_xi, best_distance=math.sqrt(best_d),
         distance_quantiles=quantiles))
+
+
+@dataclass(frozen=True)
+class ConditionedSample:
+    line: PolygonalLine
+    attempts: int
+
+
+def condition_on_endpoint(params: MeasureParams, n, max_attempts: int,
+                          rng: np.random.Generator,
+                          batch: int = 8192) -> ConditionedSample:
+    """Exact draw from the endpoint-conditioned law: the first hit of
+    conditioned_configurations, assembled into its path."""
+    (config,), attempts = conditioned_configurations(params, n, 1, batch, max_attempts, rng)
+    return ConditionedSample(line=assemble(config), attempts=attempts)
 
 
 def profile_knots(line: PolygonalLine):

@@ -3,7 +3,11 @@
 Each study fans replicates out over a process pool in fixed-size
 chunks; every replicate (or batch) owns an RNG stream derived from the
 master seed and its index, so results are bit-identical for any worker
-count.  Exact-sum studies need no replication and run in-process.
+count.  draw_path is the one per-replicate path draw, free or
+endpoint-conditioned; the limit-shape and conditioned studies share its
+chunk worker and fan-out (_path_records), and the CLI sample and
+condition modes call it too.  Exact-sum studies need no replication
+and run in-process.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,6 +24,7 @@ from . import curve as _curve
 from . import measure as _measure
 from . import metrics as _metrics
 from . import sampler as _sampler
+from .config import curve_from_spec
 from .errors import Exhausted, InsufficientReplicates
 
 _DOMAIN_LIMIT_SHAPE = 1
@@ -49,50 +55,40 @@ def _replicate_rng(seed: int, domain: int, n1: int, index: int) -> np.random.Gen
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(domain, n1, index)))
 
 
-# --- worker-side caching -----------------------------------------------------
-
-_WORKER_PARAMS: dict = {}
-
-
+@lru_cache(maxsize=1)  # one active parameter set per worker is enough
 def _params_for(curve_key: str, n1: int) -> _measure.MeasureParams:
-    key = (curve_key, n1)
-    if key not in _WORKER_PARAMS:
-        from .config import curve_from_spec
-
-        curve = curve_from_spec(json.loads(curve_key))
-        _WORKER_PARAMS.clear()  # one active parameter set per worker is enough
-        _WORKER_PARAMS[key] = _measure.MeasureParams.for_endpoint(curve, n1)
-    return _WORKER_PARAMS[key]
+    return _measure.MeasureParams.for_endpoint(curve_from_spec(json.loads(curve_key)), n1)
 
 
-def _limit_shape_chunk(task):
-    curve_key, n1, start, count, seed = task
-    params = _params_for(curve_key, n1)
-    out = []
-    for rep in range(start, start + count):
-        rng = _replicate_rng(seed, _DOMAIN_LIMIT_SHAPE, n1, rep)
-        line = _sampler.assemble(_sampler.sample_configuration(params, rng))
-        report = _metrics.distance_report(line, 1.0 / n1, params.curve)
-        verts = (line.vertices.astype(float) / n1).tolist() if rep < _KEEP_OVERLAY else None
-        out.append((rep, report.d_hausdorff, report.d_length, report.argmax_t, verts))
-    return out
+def draw_path(params: _measure.MeasureParams, seed: int, rep: int,
+              max_attempts: int | None = None):
+    """Replicate rep of a path study: a free draw when max_attempts is
+    None, else an endpoint-conditioned draw under that attempt budget.
+
+    Returns (line, attempts); a free draw is one attempt.  The RNG
+    stream depends only on the seed, the route, params.n1 and rep.
+    """
+    if max_attempts is None:
+        rng = _replicate_rng(seed, _DOMAIN_LIMIT_SHAPE, params.n1, rep)
+        return _sampler.assemble(_sampler.sample_configuration(params, rng)), 1
+    rng = _replicate_rng(seed, _DOMAIN_CONDITION, params.n1, rep)
+    res = _sampler.condition_on_endpoint(params, (params.n1, params.n2), max_attempts, rng)
+    return res.line, res.attempts
 
 
-def _condition_chunk(task):
+def _path_chunk(task):
     curve_key, n1, start, count, seed, max_attempts = task
     params = _params_for(curve_key, n1)
-    target = (params.n1, params.n2)
     out = []
     for rep in range(start, start + count):
-        rng = _replicate_rng(seed, _DOMAIN_CONDITION, n1, rep)
         try:
-            res = _sampler.condition_on_endpoint(params, target, max_attempts, rng)
+            line, attempts = draw_path(params, seed, rep, max_attempts)
         except Exhausted as exc:
             out.append((rep, exc.attempts, math.nan, math.nan, math.nan, None))
             continue
-        report = _metrics.distance_report(res.line, 1.0 / n1, params.curve)
-        verts = (res.line.vertices.astype(float) / n1).tolist() if rep < _KEEP_OVERLAY else None
-        out.append((rep, res.attempts, report.d_hausdorff, report.d_length,
+        report = _metrics.distance_report(line, 1.0 / n1, params.curve)
+        verts = (line.vertices.astype(float) / n1).tolist() if rep < _KEEP_OVERLAY else None
+        out.append((rep, attempts, report.d_hausdorff, report.d_length,
                     report.argmax_t, verts))
     return out
 
@@ -147,23 +143,30 @@ def _decay_exponent(n1s, medians):
     return float(slope), se
 
 
+def _path_records(config, n1: int, count: int, max_attempts, result: StudyResult):
+    """Replicates 0..count-1 of draw_path at size n1, fanned out over the
+    pool; adds their details and overlay to result and returns the
+    (attempts, d_L) arrays in replicate order (d_L is nan when exhausted)."""
+    curve_key = json.dumps(config.curve_spec, sort_keys=True)
+    chunk = max(1, count // max(config.workers * 4, 1))
+    tasks = [(curve_key, n1, s, c, config.seed, max_attempts)
+             for s, c in _chunk_ranges(count, chunk)]
+    recs = sorted((r for out in _run_tasks(_path_chunk, tasks, config.workers) for r in out),
+                  key=lambda r: r[0])
+    for rep, _, d_h, d_l, argmax_t, verts in recs:
+        result.details.append((rep, n1, d_h, d_l, argmax_t))
+        if verts is not None:
+            result.extras.setdefault("overlay", {}).setdefault(n1, []).append(verts)
+    return (np.array([r[1] for r in recs], dtype=float),
+            np.array([r[3] for r in recs]))
+
+
 def run_limit_shape_study(config) -> StudyResult:
     """Distances of scaled sampled paths to the target, per path size."""
-    curve_key = json.dumps(config.curve_spec, sort_keys=True)
     result = StudyResult()
-    chunk = max(1, config.replicates // max(config.workers * 4, 1))
     medians = []
     for n1 in config.n1_list:
-        tasks = [(curve_key, n1, s, c, config.seed)
-                 for s, c in _chunk_ranges(config.replicates, chunk)]
-        recs = [r for chunk_out in _run_tasks(_limit_shape_chunk, tasks, config.workers)
-                for r in chunk_out]
-        recs.sort(key=lambda r: r[0])
-        d_l = np.array([r[2] for r in recs])
-        for rep, d_h, dl, argmax_t, verts in recs:
-            result.details.append((rep, n1, d_h, dl, argmax_t))
-            if verts is not None:
-                result.extras.setdefault("overlay", {}).setdefault(n1, []).append(verts)
+        _, d_l = _path_records(config, n1, config.replicates, None, result)
         result.rows.extend(_fraction_rows(n1, d_l, config.epsilons, ""))
         medians.append(float(np.median(d_l)))
     if len(config.n1_list) >= 2:
@@ -176,23 +179,11 @@ def run_limit_shape_study(config) -> StudyResult:
 
 def run_conditioned_study(config) -> StudyResult:
     """Same distances under exact endpoint conditioning (rejection)."""
-    curve_key = json.dumps(config.curve_spec, sort_keys=True)
     result = StudyResult()
+    per = config.accepted_target
     for n1 in config.conditioned_n1 or config.n1_list:
-        per = config.accepted_target
-        chunk = max(1, per // max(config.workers * 2, 1))
-        tasks = [(curve_key, n1, s, c, config.seed, config.max_attempts)
-                 for s, c in _chunk_ranges(per, chunk)]
-        recs = [r for out in _run_tasks(_condition_chunk, tasks, config.workers)
-                for r in out]
-        recs.sort(key=lambda r: r[0])
-        attempts = np.array([r[1] for r in recs], dtype=float)
-        d_l = np.array([r[3] for r in recs])
+        attempts, d_l = _path_records(config, n1, per, config.max_attempts, result)
         accepted = d_l[np.isfinite(d_l)]
-        for rep, att, d_h, dl, argmax_t, verts in recs:
-            result.details.append((rep, n1, d_h, dl, argmax_t))
-            if verts is not None:
-                result.extras.setdefault("overlay", {}).setdefault(n1, []).append(verts)
         result.rows.extend(_fraction_rows(n1, accepted, config.epsilons, "cond_"))
         result.rows.append(ConvergenceRow(
             n1=n1, statistic="cond_accepted", empirical=float(accepted.size),
@@ -208,8 +199,6 @@ def run_conditioned_study(config) -> StudyResult:
 
 def run_moment_study(config) -> StudyResult:
     """Exact-sum calibration gaps and covariance asymptotics (no MC)."""
-    from .config import curve_from_spec
-
     curve = curve_from_spec(config.curve_spec)
     result = StudyResult()
     kappa = _measure.KAPPA
@@ -266,16 +255,13 @@ def _lclt_cells(params, half_width: int = 2):
 
 def run_lclt_study(config) -> StudyResult:
     """Empirical endpoint hit frequencies against the Gaussian density."""
-    from .config import curve_from_spec
-
-    curve = curve_from_spec(config.curve_spec)
     curve_key = json.dumps(config.curve_spec, sort_keys=True)
     result = StudyResult()
     replicates = config.lclt_replicates
     batch = config.lclt_batch
     p_hat_at_n = {}
     for n1 in config.n1_list:
-        params = _measure.MeasureParams.for_endpoint(curve, n1)
+        params = _params_for(curve_key, n1)
         report, cells = _lclt_cells(params)
         target = (params.n1, params.n2)
         all_cells = cells + [target]

@@ -168,11 +168,14 @@ def test_limit_shape_study_rows_and_determinism():
     assert all(r.stderr > 0 for r in med)
 
 
-def test_limit_shape_study_worker_invariance():
-    cfg1 = _config(replicates=8)
-    cfg2 = _config(replicates=8, workers=2)
-    r1 = stu.run_limit_shape_study(cfg1)
-    r2 = stu.run_limit_shape_study(cfg2)
+@pytest.mark.parametrize("study, kw", [
+    (stu.run_limit_shape_study, dict(replicates=8)),
+    (stu.run_conditioned_study, dict(mode="condition", n1_list=[30], conditioned_n1=[30],
+                                     accepted_target=6, max_attempts=10 ** 6)),
+], ids=["free", "conditioned"])
+def test_limit_shape_study_worker_invariance(study, kw):
+    r1 = study(_config(**kw))
+    r2 = study(_config(workers=2, **kw))
     assert r1.rows == r2.rows
     assert r1.details == r2.details
 
@@ -241,6 +244,27 @@ def test_cli_sample_and_condition(tmp_path):
     recs = [json.loads(line) for line in open(os.path.join(out2, "lines.jsonl"))]
     assert all(r["endpoint"] == [25, 25] for r in recs)
     assert os.path.exists(os.path.join(out2, "acceptance.csv"))
+
+
+@pytest.mark.parametrize("mode, study, kw", [
+    ("sample", stu.run_limit_shape_study, dict(n1_list=[40], replicates=3)),
+    ("condition", stu.run_conditioned_study,
+     dict(mode="condition", n1_list=[25], conditioned_n1=[25], accepted_target=3,
+          max_attempts=500_000)),
+], ids=["sample", "condition"])
+def test_cli_and_study_draw_the_same_paths(tmp_path, mode, study, kw):
+    # both go through studies.draw_path, so replicate i is the same path
+    n1 = kw["n1_list"][0]
+    out = str(tmp_path / mode)
+    argv = [mode, "--n1", str(n1), "--curve", "parabola:1.0", "--replicates", "3",
+            "--seed", "4", "--out", out]
+    if mode == "condition":
+        argv += ["--max-attempts", str(kw["max_attempts"])]
+    assert cli_main(argv) == 0
+    cli_verts = [(np.array(json.loads(line)["vertices"], dtype=float) / n1).tolist()
+                 for line in open(os.path.join(out, "lines.jsonl"))]
+    overlay = study(_config(seed=4, **kw)).extras["overlay"][n1]
+    assert cli_verts == overlay
 
 
 def test_cli_calibrate(tmp_path):
@@ -317,6 +341,9 @@ def test_cli_oracle_attempt_budget(tmp_path, monkeypatch):
     ("calibrate", {"curve": {"preset": {"c": 1.0}}}),
     ("oracle", {"oracle_instances": [{"n": [1, 1], "nu_cap": 2}]}),
     ("oracle", {"oracle_draws": 0}),
+    ("calibrate", {"n1_list": ["20"]}),
+    ("calibrate", {"replicates": "5"}),
+    ("oracle", {"oracle_draws": "5"}),
 ])
 def test_cli_malformed_config_is_typed_error(tmp_path, mode, bad):
     cfg = {"mode": mode, "curve": PARABOLA_SPEC, "n1_list": [20],
