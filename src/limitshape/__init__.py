@@ -8,7 +8,6 @@ verify the calibration, moment and local-CLT asymptotics numerically.
 
 from .curve import (
     ConvexCurve,
-    arc_length_profile,
     curvature_at_slope,
     length_profile,
     make_preset,
@@ -60,7 +59,6 @@ __all__ = [
     "OracleDistribution",
     "PathDistanceReport",
     "PolygonalLine",
-    "arc_length_profile",
     "assemble",
     "b_matrix",
     "calibration_residual",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -83,10 +84,26 @@ class ExperimentConfig:
             raise ValueError("n2 must be >= 1")
         if self.oracle_draws < 1:
             raise ValueError("oracle_draws must be >= 1")
+        if not isinstance(self.epsilons, (list, tuple)) or any(
+                isinstance(e, bool) or not isinstance(e, Real) for e in self.epsilons):
+            raise ValueError(f"epsilons must be a list of numbers, got {self.epsilons!r}")
+        if not isinstance(self.oracle_instances, (list, tuple)):
+            raise ValueError(f"oracle_instances must be a list, got {self.oracle_instances!r}")
         for inst in self.oracle_instances:
+            if not isinstance(inst, dict):
+                raise ValueError(f"oracle instance must be an object, got {inst!r}")
             missing = {"n", "cap_radius", "nu_cap"} - set(inst)
             if missing:
                 raise ValueError(f"oracle instance {inst} lacks {sorted(missing)}")
+            n = inst["n"]
+            if not isinstance(n, (list, tuple)) or len(n) != 2:
+                raise ValueError(f"oracle instance n must be a pair of integers, got {n!r}")
+            for v in n:
+                _require_int("oracle instance n entry", v)
+                if v < 1:
+                    raise ValueError(f"oracle instance n entries must be >= 1, got {n!r}")
+            _require_int("cap_radius", inst["cap_radius"])
+            _require_int("nu_cap", inst["nu_cap"])
         self.n1_list = [int(v) for v in n1s]
         self.epsilons = tuple(float(e) for e in self.epsilons)
 

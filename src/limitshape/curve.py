@@ -7,6 +7,11 @@ arc-length profile l(t) (length of the sub-arc with tangent slope <= t)
 and the curvature kappa(t).  Presets supply closed forms; tabulated
 data is fitted with a shape-verified quintic spline.
 
+l(t) has one route, length_profile: a cached antiderivative spline of
+1/kappa over the tangent angle, which maps t = +inf to the total
+length.  One tangent-angle grid (_angle_grid) serves that table,
+slope_grid and the tilt floor of measure.
+
 Curves without a closed-form inverse (tabulated arcs) get u(t) from a
 cached table of g1 on 4097 dyadic abscissae: each slope's table cell
 brackets its root, and a safeguarded Newton iteration inside that
@@ -21,7 +26,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 from scipy.interpolate import CubicSpline, make_interp_spline
 
 from .errors import (
@@ -30,7 +34,6 @@ from .errors import (
     NonMonotoneDerivative,
     NotConvex,
     NotMonotone,
-    QuadratureFailure,
     SlopeOutOfRange,
 )
 
@@ -40,7 +43,6 @@ _SLOPE_TABLE = 4097
 _ROOT_CHUNK = 1 << 15
 _ROOT_STEP = 2.0 ** -50
 _NEWTON_BUDGET = 100
-_QUAD_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,34 +190,26 @@ def slope_inverse(curve: ConvexCurve, t):
     return float(out) if scalar else out
 
 
-def arc_length_profile(curve: ConvexCurve, t) -> float:
-    """Length of the sub-arc whose tangent slope does not exceed t.
-
-    Adaptive quadrature of sqrt(1 + g1(u)^2) over [0, u(t)], relative
-    tolerance 1e-10.
-    """
-    u_end = slope_inverse(curve, float(t))
-    if u_end <= 0.0:
-        return 0.0
-
-    def integrand(u):
-        with np.errstate(divide="ignore", over="ignore"):
-            return math.hypot(1.0, float(curve.g1(u)))
-
-    value, abserr = integrate.quad(integrand, 0.0, u_end, epsabs=0.0,
-                                   epsrel=_QUAD_RTOL, limit=200)
-    if not math.isfinite(value) or abserr > max(1e-8 * abs(value), 1e-11):
-        raise QuadratureFailure(
-            f"arc length quadrature stalled: value={value!r} abserr={abserr!r}")
-    return value
-
-
 def curvature_at_slope(curve: ConvexCurve, t) -> float:
     """Curvature kappa(t) = g2(u(t)) / (1 + t^2)^(3/2) for t in [t0, t1]."""
     t = float(t)
     if t < curve.t0 or t > curve.t1:
         raise SlopeOutOfRange(f"t={t} outside [{curve.t0}, {curve.t1}]")
     return curvature_profile(curve, slope_inverse(curve, t))
+
+
+def _angle_grid(curve: ConvexCurve, n: int):
+    """n tangent angles uniform on [atan t0, atan t1] and their slopes.
+
+    The last angle is pi/2 when the arc ends vertically; the last slope
+    is t1 itself (+inf for a vertical end), not the tangent of the
+    rounded angle.
+    """
+    theta1 = math.atan(curve.t1) if math.isfinite(curve.t1) else math.pi / 2.0
+    theta = np.linspace(math.atan(curve.t0), theta1, n)
+    t = np.tan(theta)
+    t[-1] = curve.t1
+    return theta, t
 
 
 @lru_cache(maxsize=32)
@@ -227,15 +221,11 @@ def _length_table(curve: ConvexCurve):
     at ~1e-12 accuracy, vectorized.  Only valid (checked) curves reach
     this path.
     """
-    theta0 = math.atan(curve.t0)
-    theta1 = math.atan(curve.t1) if math.isfinite(curve.t1) else math.pi / 2.0
-    theta = np.linspace(theta0, theta1, 4097)
-    t = np.tan(theta)
-    t[-1] = curve.t1 if math.isfinite(curve.t1) else math.inf
+    theta, t = _angle_grid(curve, 4097)
     u = slope_inverse(curve, t)
     f = 1.0 / curvature_profile(curve, u)
     spline = CubicSpline(theta, f).antiderivative()
-    return theta0, theta1, spline
+    return float(theta[0]), float(theta[-1]), spline
 
 
 def length_profile(curve: ConvexCurve, t):
@@ -249,10 +239,6 @@ def length_profile(curve: ConvexCurve, t):
     return float(out) if scalar else out
 
 
-def total_length(curve: ConvexCurve) -> float:
-    return float(length_profile(curve, math.inf))
-
-
 def discretize(curve: ConvexCurve, n_points: int = 1024) -> np.ndarray:
     """Arc-length-uniform polyline approximation of the curve."""
     theta0, theta1, spline = _length_table(curve)
@@ -264,7 +250,6 @@ def discretize(curve: ConvexCurve, n_points: int = 1024) -> np.ndarray:
     s_fine = spline(theta_fine) - base
     theta_pts = np.interp(s_targets, s_fine, theta_fine)
     t = np.tan(np.clip(theta_pts, 0.0, math.pi / 2 - 1e-12))
-    t[-1] = curve.t1 if math.isfinite(curve.t1) else 1e300
     u = slope_inverse(curve, t)
     u[0] = 0.0
     u[-1] = 1.0
@@ -277,10 +262,7 @@ def slope_grid(curve: ConvexCurve, n: int = 64) -> np.ndarray:
     The angle parameterization keeps the grid meaningful when t1 is
     infinite; endpoints are excluded (interior-only contracts).
     """
-    theta0 = math.atan(curve.t0)
-    theta1 = math.atan(curve.t1) if math.isfinite(curve.t1) else math.pi / 2.0
-    theta = np.linspace(theta0, theta1, n + 2)[1:-1]
-    return np.tan(theta)
+    return _angle_grid(curve, n + 2)[1][1:-1]
 
 
 def _validate(curve: ConvexCurve, k0_floor: float) -> float:

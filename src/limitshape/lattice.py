@@ -17,6 +17,7 @@ import numpy as np
 from .errors import LimitTooLarge, TailBoundViolated
 
 _SIEVE_BUDGET = 1 << 27  # int8 table, ~134 MB
+_LATTICE_CHUNK = 1 << 18  # lattice points per call of f in _full_lattice_sum
 
 
 def direction_arrays(t_lo: float, t_hi: float, radius: float,
@@ -98,19 +99,22 @@ def _full_lattice_sum(f, h: float, radius: int) -> tuple[float, float]:
 
     Returns (sum, last_shell_mass) where the shell mass is the absolute
     contribution of the outermost diagonal, a cheap tail indicator.
+    f is called once per chunk of rows x1, each chunk holding at most
+    _LATTICE_CHUNK points.
     """
     total = 0.0
     shell_mass = 0.0
-    for x1 in range(0, radius + 1):
-        x2 = np.arange(0 if x1 else 1, radius - x1 + 1, dtype=np.int64)
-        if x2.size == 0:
-            continue
-        vals = np.asarray(f(h * np.full(x2.shape, float(x1)), h * x2.astype(float)),
-                          dtype=float)
+    x2 = np.arange(radius + 1)
+    rows = max(1, _LATTICE_CHUNK // (radius + 1))
+    for start in range(0, radius + 1, rows):
+        x1 = np.arange(start, min(start + rows, radius + 1))
+        i, j = np.nonzero(x1[:, None] + x2 <= radius)
+        a, b = x1[i], x2[j]
+        if start == 0:
+            a, b = a[1:], b[1:]  # drop the origin
+        vals = np.asarray(f(h * a.astype(float), h * b.astype(float)), dtype=float)
         total += float(np.sum(vals))
-        edge = x2 == (radius - x1)
-        if np.any(edge):
-            shell_mass += float(np.sum(np.abs(vals[edge])))
+        shell_mass += float(np.sum(np.abs(vals[a + b == radius])))
     return total, shell_mass
 
 

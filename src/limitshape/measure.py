@@ -14,8 +14,9 @@ calibration identity delta1(t) + t*delta2(t) = KAPPA * g2(u(t))^(1/3).
 Directions with slope outside the curve's tangent range get e = +inf
 (z = 0) and are never enumerated.  All moment sums are finite,
 tail-certified truncations.  Length profiles of paths and of the mean
-path are step functions in the slope; step_knots, step_at and
-knot_gaps are the one primitive that evaluates them.
+path are step functions in the slope; step_knots and step_at evaluate
+them, and profile_gap is the one place a step profile is compared with
+the arc-length profile l of the curve.
 """
 
 from __future__ import annotations
@@ -92,11 +93,7 @@ def tilt_floor(curve: ConvexCurve) -> float:
     The infimum is taken on 257 slopes uniform in tangent angle,
     endpoints included; it feeds the truncation-tail certificates.
     """
-    theta = np.linspace(math.atan(curve.t0),
-                        math.atan(curve.t1) if math.isfinite(curve.t1) else math.pi / 2,
-                        257)
-    t = np.tan(theta)
-    t[-1] = curve.t1 if math.isfinite(curve.t1) else math.inf
+    _, t = _curve._angle_grid(curve, 257)
     d1, d2 = delta(curve, t)
     return float(min(np.min(d1), np.min(d2)))
 
@@ -311,16 +308,24 @@ def step_at(taus, after, t, side: str = "right"):
     return np.concatenate([[0.0], after])[idx]
 
 
-def knot_gaps(curve: ConvexCurve, taus, before, after):
-    """|step - curve length profile| on both sides of each jump.
+def profile_gap(curve: ConvexCurve, taus, before, after):
+    """Sup over slopes of |step profile - l| and the slope of its first
+    occurrence, as (gap, argmax_t).
 
-    before and after come already scaled; at tau = +inf the curve value
-    is the total length.
+    before and after are the already-scaled profile values on either
+    side of each jump at the sorted slopes taus.  Between knots the
+    profile is constant and l is continuous and monotone, so the sup
+    sits on one side of a knot or at t = +inf; a closing knot at +inf
+    (before = after = the final value, 0 without knots) covers the
+    stretch past the last jump.  l(+inf) is the total arc length.
     """
-    finite = np.isfinite(taus)
-    ell = _curve.length_profile(curve, np.where(finite, taus, 1e300))
-    ell[~finite] = _curve.total_length(curve)
-    return np.maximum(np.abs(after - ell), np.abs(before - ell))
+    end = after[-1] if len(after) else 0.0
+    taus = np.append(taus, math.inf)
+    ell = _curve.length_profile(curve, taus)
+    gaps = np.maximum(np.abs(np.append(after, end) - ell),
+                      np.abs(np.append(before, end) - ell))
+    i = int(np.argmax(gaps))
+    return float(gaps[i]), float(taus[i])
 
 
 def expected_length_profile(params: MeasureParams, t):
@@ -332,18 +337,10 @@ def expected_length_profile(params: MeasureParams, t):
 
 
 def mean_length_sup_gap(params: MeasureParams) -> float:
-    """sup over t of |E[path length profile](t) / n1 - l(t)|.
-
-    The expected profile is a step function and l is continuous and
-    monotone, so the sup sits at a jump (either side) or at t = +inf.
-    """
+    """sup over t of |E[path length profile](t) / n1 - l(t)|."""
     f = _field(params)
-    n1 = params.n1
-    total = _curve.total_length(params.curve)
     taus, before, after = step_knots(f.tau, f.norm * f.mean_nu)
-    gaps = knot_gaps(params.curve, taus, before / n1, after / n1)
-    end = float(after[-1]) / n1 if after.size else 0.0
-    return max(float(gaps.max()) if gaps.size else total, abs(end - total))
+    return profile_gap(params.curve, taus, before / params.n1, after / params.n1)[0]
 
 
 def expected_endpoint(params: MeasureParams) -> np.ndarray:

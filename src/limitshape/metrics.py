@@ -2,12 +2,10 @@
 
 Two metrics: the Hausdorff distance between point sets, and the
 sup-distance between arc-length profiles in the tangent-slope
-coordinate.  The profile distance is evaluated exactly on the closure
-of the jump set, since the path profile is a step function and the
-curve profile is continuous and monotone between knots.  Both sides
-of every jump come from the one step-profile primitive of measure
-(step_knots, step_at, knot_gaps), which also serves the expected
-profile.
+coordinate.  The path profile is a step function and the curve
+profile is continuous and monotone between knots, so the profile
+distance is exact on both sides of the jump slopes plus +inf; it comes
+from measure.profile_gap, which also serves the expected profile.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ from .errors import EmptyPath
 from .sampler import PolygonalLine
 
 _POINT_CHUNK = 1024
+_CURVE_POINTS = 2048  # vertices of the target polyline for Hausdorff
 
 
 @dataclass(frozen=True)
@@ -70,9 +69,8 @@ def hausdorff(a, b) -> float:
     return max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))
 
 
-def length_distance(line: PolygonalLine, scale: float, curve: ConvexCurve,
-                    t_grid=None) -> float:
-    return distance_report(line, scale, curve, t_grid).d_length
+def length_distance(line: PolygonalLine, scale: float, curve: ConvexCurve) -> float:
+    return distance_report(line, scale, curve).d_length
 
 
 def profile_distance(line_a: PolygonalLine, scale_a: float,
@@ -94,46 +92,26 @@ def profile_distance(line_a: PolygonalLine, scale_a: float,
 
 
 @lru_cache(maxsize=32)
-def _curve_polyline(curve: ConvexCurve, n_points: int) -> np.ndarray:
+def _curve_polyline(curve: ConvexCurve) -> np.ndarray:
     """Read-only arc-length-uniform polyline of the curve, built once."""
-    poly = _curve.discretize(curve, n_points)
+    poly = _curve.discretize(curve, _CURVE_POINTS)
     poly.flags.writeable = False
     return poly
 
 
-def distance_report(line: PolygonalLine, scale: float, curve: ConvexCurve,
-                    t_grid=None, curve_points: int = 2048) -> PathDistanceReport:
+def distance_report(line: PolygonalLine, scale: float,
+                    curve: ConvexCurve) -> PathDistanceReport:
     """Both path distances between the scaled line and the target arc.
 
     The profile distance is the sup over slopes of
-    |scale * path_profile(t) - curve_profile(t)|, attained on the union
-    of the path's jump slopes (evaluated on both sides), the curve's
-    slope range endpoints and a fixed refinement grid.
+    |scale * path_profile(t) - curve_profile(t)|, taken by
+    measure.profile_gap on both sides of the path's jump slopes and at
+    +inf; argmax_t is the slope of its first occurrence, +inf when the
+    sup holds from the last knot on.
     """
     if scale < 0.0:
         raise ValueError("scale must be nonnegative")
-    curve_total = _curve.total_length(curve)
     taus, before, after = _sampler.profile_knots(line)
-
-    def grid_gaps(t):
-        line_at = _measure.step_at(taus, after, np.where(np.isfinite(t), t, 1e300))
-        return np.abs(scale * line_at - _curve.length_profile(curve, t))
-
-    refine = np.concatenate([_curve.slope_grid(curve, 256),
-                             [curve.t0, curve.t1 if math.isfinite(curve.t1) else 1e300]])
-    line_total = float(after[-1]) if after.size else 0.0
-    # candidate order (knots, refinement, +inf, t_grid) fixes argmax ties
-    cands = [(taus, _measure.knot_gaps(curve, taus, scale * before, scale * after)),
-             (refine, grid_gaps(refine)),
-             (np.array([math.inf]), np.array([abs(scale * line_total - curve_total)]))]
-    if t_grid is not None:
-        extra = np.asarray(t_grid, dtype=float)
-        cands.append((extra, grid_gaps(extra)))
-    cand_t = np.concatenate([t for t, _ in cands])
-    gaps = np.concatenate([g for _, g in cands])
-    i = int(np.argmax(gaps))
-
-    d_h = hausdorff(line.vertices.astype(float) * scale,
-                    _curve_polyline(curve, curve_points))
-    return PathDistanceReport(d_hausdorff=d_h, d_length=float(gaps[i]),
-                              argmax_t=float(cand_t[i]))
+    d_length, argmax_t = _measure.profile_gap(curve, taus, scale * before, scale * after)
+    d_h = hausdorff(line.vertices.astype(float) * scale, _curve_polyline(curve))
+    return PathDistanceReport(d_hausdorff=d_h, d_length=d_length, argmax_t=argmax_t)

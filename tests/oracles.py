@@ -63,6 +63,26 @@ def bisect_slope_inverse(g1, t, steps: int = 64):
     return 0.5 * (lo + hi)
 
 
+def arc_length_profile(curve, t) -> float:
+    """Length of the sub-arc whose tangent slope does not exceed t.
+
+    Adaptive quadrature of sqrt(1 + g1(u)^2) in the abscissa over
+    [0, u(t)], with u(t) from bisect_slope_inverse rather than the
+    package's inverse; the reference for curve.length_profile.
+    """
+    t = float(t)
+    if t <= curve.t0:
+        return 0.0
+    u_end = 1.0 if t >= curve.t1 else float(bisect_slope_inverse(curve.g1, t))
+
+    def integrand(u):
+        with np.errstate(divide="ignore", over="ignore"):
+            return math.hypot(1.0, float(curve.g1(u)))
+
+    val, _ = integrate.quad(integrand, 0.0, u_end, epsabs=0.0, epsrel=1e-10, limit=200)
+    return val
+
+
 def parabola_arc_length(t_hi: float) -> float:
     """Arc length of the c=1 parabola up to slope t via the slope-domain
     integrand 2*sqrt(1+s^2)/(1+s)^3 with a tangent substitution."""

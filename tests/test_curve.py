@@ -12,7 +12,6 @@ from limitshape.errors import (
     NonMonotoneDerivative,
     NotConvex,
     NotMonotone,
-    QuadratureFailure,
 )
 
 import oracles
@@ -86,48 +85,28 @@ def test_slope_inverse_unbracketed_slope_rejected():
 
 # --- arc length --------------------------------------------------------------
 
-def test_arc_length_straight_line_oracle_mode():
-    line = cv.unchecked_curve(g=lambda u: np.asarray(u, float),
-                              g1=lambda u: np.ones_like(np.asarray(u, float)),
-                              g2=lambda u: np.zeros_like(np.asarray(u, float)),
-                              c_gamma=1.0, t0=1.0, t1=1.0)
-    assert cv.arc_length_profile(line, math.inf) == pytest.approx(math.sqrt(2), rel=1e-12)
-
-
 def test_arc_length_below_range_is_zero(power2):
-    assert cv.arc_length_profile(power2, -0.5 + 0.5) == 0.0  # t = 0 = t0 boundary
-    assert cv.arc_length_profile(power2, 0.0) == 0.0
+    assert cv.length_profile(power2, -0.5) == 0.0
+    assert cv.length_profile(power2, 0.0) == 0.0  # t = t0 boundary
 
 
 def test_arc_length_total_matches_independent_quadrature(parabola1):
     oracle = oracles.parabola_arc_length(math.inf)
     assert oracle == pytest.approx(oracles.L_STAR_PARABOLA1, abs=1e-11)
-    assert cv.arc_length_profile(parabola1, math.inf) == pytest.approx(oracle, rel=1e-9)
+    assert cv.length_profile(parabola1, math.inf) == pytest.approx(oracle, rel=1e-13)
 
 
 def test_arc_length_partial_matches_independent_quadrature(parabola1):
     for t in [0.3, 1.0, 4.0]:
-        assert cv.arc_length_profile(parabola1, t) == pytest.approx(
-            oracles.parabola_arc_length(t), rel=1e-9)
+        assert cv.length_profile(parabola1, t) == pytest.approx(
+            oracles.parabola_arc_length(t), rel=1e-13)
 
 
 def test_length_profile_table_matches_quadrature(parabola1, circle, tabulated_mixed):
     for curve in (parabola1, circle, tabulated_mixed):
         for t in [0.2, 1.0, 3.0, math.inf]:
             assert cv.length_profile(curve, t) == pytest.approx(
-                cv.arc_length_profile(curve, t), abs=1e-9)
-
-
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-def test_quadrature_failure_on_pathological_integrand():
-    osc = cv.ConvexCurve(
-        g=lambda u: np.asarray(u, float),
-        g1=lambda u: 1e6 * np.cos(1e7 * np.asarray(u, float)) ** 2,
-        g2=lambda u: np.ones_like(np.asarray(u, float)),
-        c_gamma=1.0, t0=0.0, t1=2e6, K0=0.0,
-        inverse_slope=lambda t: np.full_like(np.asarray(t, float), 0.9))
-    with pytest.raises(QuadratureFailure):
-        cv.arc_length_profile(osc, 1e6)
+                oracles.arc_length_profile(curve, t), abs=1e-9)
 
 
 # --- curvature ---------------------------------------------------------------
@@ -250,7 +229,7 @@ def test_inverse_consistency_power(p, frac):
 
 def test_rectifiability_bound(parabola1, parabola2, circle, power2, tabulated_mixed):
     for curve in (parabola1, parabola2, circle, power2, tabulated_mixed):
-        assert cv.arc_length_profile(curve, math.inf) <= 1.0 + curve.c_gamma + 1e-9
+        assert cv.length_profile(curve, math.inf) <= 1.0 + curve.c_gamma + 1e-9
 
 
 def test_monotone_profiles(parabola1):

@@ -344,6 +344,10 @@ def test_cli_oracle_attempt_budget(tmp_path, monkeypatch):
     ("calibrate", {"n1_list": ["20"]}),
     ("calibrate", {"replicates": "5"}),
     ("oracle", {"oracle_draws": "5"}),
+    ("calibrate", {"epsilons": 0.1}),
+    ("calibrate", {"epsilons": [[1]]}),
+    ("oracle", {"oracle_instances": [{"n": "ab", "cap_radius": 2, "nu_cap": 2}]}),
+    ("oracle", {"oracle_instances": [5]}),
 ])
 def test_cli_malformed_config_is_typed_error(tmp_path, mode, bad):
     cfg = {"mode": mode, "curve": PARABOLA_SPEC, "n1_list": [20],

@@ -177,6 +177,21 @@ def test_degenerate_truncation_radius_rejected(parabola1):
         ms.expected_endpoint(params)
 
 
+def test_self_dual_curves_give_symmetric_fields(parabola1, circle):
+    # parabola(1) and the circle quadrant are self-dual under
+    # (u, g) -> (1 - g, 1 - u), so e(x2, x1) = e(x1, x2) on every direction
+    for curve in (parabola1, circle):
+        for n1 in (100, 1000):
+            params = ms.MeasureParams.for_endpoint(curve, n1)
+            f = ms._field(params)
+            swapped = ms.direction_exponent(curve, params.rho_n, f.x2, f.x1)
+            assert np.max(np.abs(swapped - f.exponent) / f.exponent) < 1e-12
+            a = ms.expected_endpoint(params)
+            K = ms.covariance_matrix(params)
+            assert a[1] == pytest.approx(a[0], rel=1e-13)
+            assert K[1, 1] == pytest.approx(K[0, 0], rel=1e-13)
+
+
 def test_covariance_symmetry_and_definiteness(parabola1):
     params = ms.MeasureParams.for_endpoint(parabola1, 800)
     K = ms.covariance_matrix(params)

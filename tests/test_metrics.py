@@ -9,6 +9,8 @@ from limitshape import metrics as mt
 from limitshape import sampler as sp
 from limitshape.errors import EmptyPath
 
+import oracles
+
 
 def test_hausdorff_identical_polylines():
     poly = [[0.0, 0.0], [0.5, 0.2], [1.0, 1.0]]
@@ -31,23 +33,44 @@ def test_hausdorff_empty_path():
 
 def test_length_distance_empty_line(parabola1):
     line = sp.assemble(sp.Configuration(support={}))
-    total = cv.arc_length_profile(parabola1, math.inf)
+    total = oracles.arc_length_profile(parabola1, math.inf)
     assert mt.length_distance(line, 1.0, parabola1) == pytest.approx(total, abs=1e-9)
 
 
 def test_length_distance_zero_scale(parabola1):
     line = sp.assemble(sp.Configuration(support={(1, 0): 3, (1, 1): 2, (0, 1): 1}))
-    total = cv.arc_length_profile(parabola1, math.inf)
+    total = oracles.arc_length_profile(parabola1, math.inf)
     assert mt.length_distance(line, 0.0, parabola1) == pytest.approx(total, abs=1e-9)
 
 
-def test_grid_refinement_already_exact(parabola1):
+def _brute_length_sup(line, scale, curve):
+    """sup of |scale * edge profile - l| over a fine angle grid, both
+    sides of every knot slope and +inf, by plain edge sums."""
+    knots = [x[1] / x[0] if x[0] else math.inf for x, _ in line.edges]
+    ts = np.concatenate([cv.slope_grid(curve, 4096), knots, [math.inf]])
+    best = 0.0
+    for t in ts:
+        ell = cv.length_profile(curve, t)
+        for side in ("left", "right"):
+            best = max(best, abs(scale * oracles.edge_length_profile(line.edges, t, side)
+                                 - ell))
+    return best
+
+
+def test_grid_refinement_already_exact(parabola1, tabulated_mixed):
     params = ms.MeasureParams.for_endpoint(parabola1, 300)
-    line = sp.assemble(sp.sample_configuration(params, np.random.default_rng(2)))
-    base = mt.length_distance(line, 1.0 / 300, parabola1)
-    doubled = mt.length_distance(line, 1.0 / 300, parabola1,
-                                 t_grid=cv.slope_grid(parabola1, 512))
-    assert abs(base - doubled) < 1e-9
+    drawn = sp.assemble(sp.sample_configuration(params, np.random.default_rng(2)))
+    cases = [
+        (drawn, 1.0 / 300, parabola1),
+        (sp.assemble(sp.Configuration(support={})), 1.0, parabola1),
+        (sp.assemble(sp.Configuration(support={(0, 1): 2})), 0.25, parabola1),
+        (sp.assemble(sp.Configuration(support={(1, 0): 3, (1, 1): 2})), 0.1, tabulated_mixed),
+    ]
+    for line, scale, curve in cases:
+        rep = mt.distance_report(line, scale, curve)
+        assert rep.d_length == pytest.approx(_brute_length_sup(line, scale, curve), abs=1e-12)
+    # the last line ends at slope 1 < t1 = 2.5: the sup holds from there on
+    assert rep.argmax_t == math.inf
 
 
 def test_profile_distance_axioms(parabola1):
@@ -108,9 +131,9 @@ def test_distance_report_reuses_curve_polyline(tabulated_mixed, monkeypatch):
     line = sp.assemble(sp.sample_configuration(params, np.random.default_rng(6)))
     mt._curve_polyline.cache_clear()
     first = mt.distance_report(line, 1.0 / 200, tabulated_mixed)
-    poly = mt._curve_polyline(tabulated_mixed, 2048)
+    poly = mt._curve_polyline(tabulated_mixed)
     assert not poly.flags.writeable
-    assert np.array_equal(poly, cv.discretize(tabulated_mixed, 2048))
+    assert np.array_equal(poly, cv.discretize(tabulated_mixed, mt._CURVE_POINTS))
 
     def rebuilt(*args, **kwargs):
         raise AssertionError("polyline rebuilt")
