@@ -16,7 +16,6 @@ from .curve import (
     slope_inverse,
 )
 from .lattice import (
-    MobiusTable,
     mobius_inverted_sum,
     mobius_sieve,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "Configuration",
     "ConvexCurve",
     "MeasureParams",
-    "MobiusTable",
     "MomentReport",
     "OracleDistribution",
     "PathDistanceReport",

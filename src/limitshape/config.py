@@ -26,16 +26,25 @@ def curve_from_spec(spec: dict) -> ConvexCurve:
     {"preset": {"name": "parabola", "c": 1.0}} or
     {"tabulated": {"points": [[u, g], ...], "k0": 0.1}}.
     """
+    if not isinstance(spec, dict):
+        raise ValueError(f"curve spec must be an object, got {spec!r}")
     if "preset" in spec:
-        kwargs = dict(spec["preset"])
-        if "name" not in kwargs:
-            raise ValueError("preset curve spec needs a 'name'")
+        preset = spec["preset"]
+        if not isinstance(preset, dict) or "name" not in preset:
+            raise ValueError(f"preset curve spec needs an object with a 'name', got {preset!r}")
+        kwargs = dict(preset)
         name = kwargs.pop("name")
         return make_preset(name, **kwargs)
     if "tabulated" in spec:
         body = spec["tabulated"]
-        return make_tabulated(np.asarray(body["points"], dtype=float),
-                              k0=float(body.get("k0", 1e-6)))
+        if not isinstance(body, dict) or "points" not in body:
+            raise ValueError(f"tabulated curve spec needs an object with 'points', got {body!r}")
+        try:
+            points = np.asarray(body["points"], dtype=float)
+            k0 = float(body.get("k0", 1e-6))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"tabulated points and k0 must be numbers: {exc}") from None
+        return make_tabulated(points, k0=k0)
     raise ValueError(f"curve spec needs 'preset' or 'tabulated', got {sorted(spec)}")
 
 
@@ -73,8 +82,11 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a list of integers, got {values!r}")
             for v in values:
                 _require_int(f"{name} entry", v)
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        for name in ("replicates", "accepted_target", "lclt_batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         n1s = list(self.n1_list)
         if not n1s or n1s[0] < 1:
             raise ValueError("n1 list must be non-empty and start at n1 >= 1")
@@ -104,6 +116,10 @@ class ExperimentConfig:
                     raise ValueError(f"oracle instance n entries must be >= 1, got {n!r}")
             _require_int("cap_radius", inst["cap_radius"])
             _require_int("nu_cap", inst["nu_cap"])
+            # only caps that do not bind give the sampler's conditional law
+            if inst["cap_radius"] < n[0] + n[1] or inst["nu_cap"] < max(n):
+                raise ValueError(f"oracle instance {inst} needs cap_radius >= n1 + n2 "
+                                 "and nu_cap >= max(n)")
         self.n1_list = [int(v) for v in n1s]
         self.epsilons = tuple(float(e) for e in self.epsilons)
 

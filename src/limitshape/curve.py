@@ -310,6 +310,13 @@ def unchecked_curve(g, g1, g2, c_gamma, t0, t1, K0=0.0, name="unchecked") -> Con
                        K0=K0, name=name)
 
 
+def _preset_param(kwargs: dict, key: str, default: float) -> float:
+    try:
+        return float(kwargs.pop(key, default))
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidPresetParameter(f"preset parameter {key} must be a number") from None
+
+
 def make_preset(name: str, **kwargs) -> ConvexCurve:
     """Build a closed-form preset curve.
 
@@ -317,7 +324,7 @@ def make_preset(name: str, **kwargs) -> ConvexCurve:
     quadrant, and power(p) = u**p with finite slope range.
     """
     if name == "parabola":
-        c = float(kwargs.pop("c", 1.0))
+        c = _preset_param(kwargs, "c", 1.0)
         if kwargs or not (c > 0.0) or not math.isfinite(c):
             raise InvalidPresetParameter(f"parabola needs c > 0, got {kwargs or c}")
 
@@ -373,7 +380,7 @@ def make_preset(name: str, **kwargs) -> ConvexCurve:
                        inverse_slope=inverse_slope, name="circle_arc")
 
     if name == "power":
-        p = float(kwargs.pop("p", 2.0))
+        p = _preset_param(kwargs, "p", 2.0)
         if kwargs or not (p > 1.0) or not math.isfinite(p):
             raise InvalidPresetParameter(f"power needs p > 1, got {kwargs or p}")
 
@@ -435,10 +442,4 @@ def make_tabulated(samples, k0: float) -> ConvexCurve:
     dense = np.linspace(0.0, 1.0, 4001)
     if not np.all(d2(dense) > 0.0):
         raise NotConvex("interpolant loses convexity; supply denser or smoother samples")
-    try:
-        return _finish(g, g1, g2, float(y[-1]), name="tabulated",
-                       k0_floor=float(k0))
-    except CurvatureFloorViolated:
-        raise
-    except NotConvex:
-        raise
+    return _finish(g, g1, g2, float(y[-1]), name="tabulated", k0_floor=float(k0))

@@ -3,18 +3,19 @@
 Every possible edge direction of a convex lattice path is a coprime
 pair x = (x1, x2) in Z+^2 with slope tau = x2/x1.  direction_arrays is
 the one enumeration route: a vectorized gcd sieve over a slope window
-of the ball, sorted by slope.  Sums over the coprime set are
-cross-checked against full-lattice sums through Moebius inversion.
+of the ball, sorted by slope.  mobius_inverted_sum is the independent
+route for sums over the coprime set: it combines full-lattice sums with
+mu weights, which is exact for any function on the lattice, and
+coprime_sum is the direct sum it is checked against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LimitTooLarge, TailBoundViolated
+from .errors import LimitTooLarge
 
 _SIEVE_BUDGET = 1 << 27  # int8 table, ~134 MB
 _LATTICE_CHUNK = 1 << 18  # lattice points per call of f in _full_lattice_sum
@@ -64,18 +65,9 @@ def direction_arrays(t_lo: float, t_hi: float, radius: float,
     return x1[order], x2[order]
 
 
-@dataclass(frozen=True)
-class MobiusTable:
-    limit: int
-    values: np.ndarray  # int8, index m in 1..limit
-
-    def __getitem__(self, m: int) -> int:
-        return int(self.values[m])
-
-
-def mobius_sieve(limit: int) -> MobiusTable:
-    """Sieve mu(1..limit): mu(m) = (-1)^d for squarefree m with d prime
-    factors, 0 otherwise."""
+def mobius_sieve(limit: int) -> np.ndarray:
+    """Sieve mu(0..limit) as an int8 array: mu(m) = (-1)^d for squarefree
+    m with d prime factors, 0 otherwise (and mu(0) = 0)."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if limit + 1 > _SIEVE_BUDGET:
@@ -91,19 +83,16 @@ def mobius_sieve(limit: int) -> MobiusTable:
                 is_prime[p2::p] = False
                 mu[p2::p2] = 0
     mu[0] = 0
-    return MobiusTable(limit=limit, values=mu)
+    return mu
 
 
-def _full_lattice_sum(f, h: float, radius: int) -> tuple[float, float]:
-    """Sum of f(h*x) over the full lattice Z+^2 \\ {0} with x1 + x2 <= radius.
+def _full_lattice_sum(f, radius: int) -> float:
+    """Sum of f(x) over the full lattice Z+^2 \\ {0} with x1 + x2 <= radius.
 
-    Returns (sum, last_shell_mass) where the shell mass is the absolute
-    contribution of the outermost diagonal, a cheap tail indicator.
     f is called once per chunk of rows x1, each chunk holding at most
     _LATTICE_CHUNK points.
     """
     total = 0.0
-    shell_mass = 0.0
     x2 = np.arange(radius + 1)
     rows = max(1, _LATTICE_CHUNK // (radius + 1))
     for start in range(0, radius + 1, rows):
@@ -112,51 +101,36 @@ def _full_lattice_sum(f, h: float, radius: int) -> tuple[float, float]:
         a, b = x1[i], x2[j]
         if start == 0:
             a, b = a[1:], b[1:]  # drop the origin
-        vals = np.asarray(f(h * a.astype(float), h * b.astype(float)), dtype=float)
-        total += float(np.sum(vals))
-        shell_mass += float(np.sum(np.abs(vals[a + b == radius])))
-    return total, shell_mass
+        total += float(np.sum(f(a.astype(float), b.astype(float))))
+    return total
 
 
-def coprime_sum(f, h: float, radius: int) -> float:
-    """Direct summation of f(h*x) over coprime x with x1 + x2 <= radius."""
+def coprime_sum(f, radius: int) -> float:
+    """Direct summation of f(x) over coprime x with x1 + x2 <= radius."""
     x1, x2 = direction_arrays(0.0, math.inf, radius)
     if x1.size == 0:
         return 0.0
-    vals = np.asarray(f(h * x1.astype(float), h * x2.astype(float)), dtype=float)
-    return float(np.sum(vals))
+    return float(np.sum(f(x1.astype(float), x2.astype(float))))
 
 
-def mobius_inverted_sum(f, h: float, radius: float, *,
-                        table: MobiusTable | None = None,
-                        tail_bound: float | None = None) -> float:
-    """Evaluate sum of f(h*x) over coprime x via Moebius inversion.
+def mobius_inverted_sum(f, radius: float, *, table: np.ndarray | None = None) -> float:
+    """Sum of f(x) over coprime x with x1 + x2 <= radius, by Moebius inversion.
 
-    Sums full-lattice blocks F(h*m) with the ball x1 + x2 <= radius/m
-    and combines them with mu(m) weights; with consistent truncation
-    this reproduces the direct coprime sum over the same ball exactly.
-    f must accept (x1, x2) float arrays.  When tail_bound is given, the
-    outermost-shell mass is checked against it.
+    Every nonzero lattice point is m*x for one m >= 1 and one coprime x,
+    so the coprime sum is the sum over m of mu(m) times the full-lattice
+    sum of f(m*y) over y with y1 + y2 <= radius/m.  This is exact for any
+    f on the lattice and reproduces coprime_sum up to rounding.  f must
+    accept (x1, x2) float arrays; table is a mobius_sieve of at least
+    floor(radius).
     """
     r = int(math.floor(radius))
     if r < 1:
         return 0.0
-    if table is None or table.limit < r:
+    if table is None or len(table) <= r:
         table = mobius_sieve(r)
     total = 0.0
-    shell = 0.0
     for m in range(1, r + 1):
-        mu = table[m]
-        inner_radius = r // m
-        if inner_radius < 1:
-            break
-        if mu == 0:
-            continue
-        block, block_shell = _full_lattice_sum(f, h * m, inner_radius)
-        total += mu * block
-        if m == 1:
-            shell = block_shell
-    if tail_bound is not None and shell > tail_bound:
-        raise TailBoundViolated(
-            f"outermost shell mass {shell!r} exceeds certified tail bound {tail_bound!r}")
+        if table[m]:
+            total += int(table[m]) * _full_lattice_sum(
+                lambda a, b, m=m: f(m * a, m * b), r // m)
     return total

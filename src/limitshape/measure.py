@@ -3,20 +3,25 @@
 Each direction x gets an independent geometric multiplicity with
 parameter z^x = exp(-alpha * e(x)), where the exponent field
 
-    e(x) = KAPPA * kappa(u(tt))^(1/3) * w(tt) * (c*x1 + rho*x2),
-    tt = rho*x2/x1,   w(t) = sqrt(1+t^2)/(c+t),
+    e(x) = base(tt) * (c*x1 + rho*x2),   tt = rho*x2/x1,
+    base(t) = KAPPA * kappa(u(t))^(1/3) * w(t),   w(t) = sqrt(1+t^2)/(c+t),
 
-encodes the tilt functions (delta1, delta2) calibrated so that the
-expected length profile of the random path reproduces the target arc.
-KAPPA = (2 zeta(3)/zeta(2))^(1/3) is the universal constant of the
-calibration identity delta1(t) + t*delta2(t) = KAPPA * g2(u(t))^(1/3).
+encodes the tilt functions (delta1, delta2) = (c*base, base),
+calibrated so that the expected length profile of the random path
+reproduces the target arc.  KAPPA = (2 zeta(3)/zeta(2))^(1/3) is the
+universal constant of the calibration identity
+delta1(t) + t*delta2(t) = KAPPA * g2(u(t))^(1/3).  base is written once
+(_tilt_base), and nu_moments is the one formula for the mean and
+variance of a multiplicity.
 
 Directions with slope outside the curve's tangent range get e = +inf
 (z = 0) and are never enumerated.  All moment sums are finite,
 tail-certified truncations.  Length profiles of paths and of the mean
 path are step functions in the slope; step_knots and step_at evaluate
 them, and profile_gap is the one place a step profile is compared with
-the arc-length profile l of the curve.
+the arc-length profile l of the curve.  expected_length_profile_mobius
+is the independent route that cross-checks the exact sums: one
+Moebius-inverted sum over the full lattice.
 """
 
 from __future__ import annotations
@@ -51,25 +56,31 @@ _DEFAULT_TAIL_BUDGET = 1e-9
 _MAX_RADIUS = 200_000
 
 
-def delta(curve: ConvexCurve, t):
-    """Tilt pair (delta1, delta2) at slope t; (+inf, +inf) outside [t0, t1].
+def _tilt_base(curve: ConvexCurve, t: np.ndarray) -> np.ndarray:
+    """KAPPA * kappa(u(t))^(1/3) * w(t) with w(t) = sqrt(1+t^2)/(c+t) and
+    w(inf) = 1; +inf outside [t0, t1].
 
-    delta1 = KAPPA * kappa(t)^(1/3) * c * sqrt(1+t^2)/(c+t) and
-    delta2 = delta1 / c, evaluated through the curvature-in-u form so
-    vertical tangents (t1 = inf) stay numerically stable.
+    The curvature-in-u form keeps vertical tangents (t1 = inf) stable.
     """
-    t_arr, scalar = _curve._as_float_array(t)
-    d1 = np.full_like(t_arr, math.inf)
-    inside = (t_arr >= curve.t0) & (t_arr <= curve.t1)
+    out = np.full(t.shape, math.inf)
+    inside = (t >= curve.t0) & (t <= curve.t1)
     if np.any(inside):
-        ti = t_arr[inside]
-        u = slope_inverse(curve, ti)
-        k3 = curvature_profile(curve, u) ** (1.0 / 3.0)
-        w = np.where(np.isinf(ti), 1.0,
-                     np.hypot(1.0, np.where(np.isinf(ti), 0.0, ti))
-                     / (curve.c_gamma + np.where(np.isinf(ti), 0.0, ti)))
-        d1[inside] = KAPPA * k3 * curve.c_gamma * w
-    d2 = d1 / curve.c_gamma
+        ti = t[inside]
+        k3 = curvature_profile(curve, slope_inverse(curve, ti)) ** (1.0 / 3.0)
+        finite = ~np.isinf(ti)
+        w = np.ones_like(ti)
+        w[finite] = np.hypot(1.0, ti[finite]) / (curve.c_gamma + ti[finite])
+        out[inside] = KAPPA * k3 * w
+    return out
+
+
+def delta(curve: ConvexCurve, t):
+    """Tilt pair (delta1, delta2) = (c * base, base) at slope t, with
+    base = KAPPA * kappa(t)^(1/3) * sqrt(1+t^2)/(c+t); (+inf, +inf)
+    outside [t0, t1]."""
+    t_arr, scalar = _curve._as_float_array(t)
+    d2 = _tilt_base(curve, t_arr)
+    d1 = curve.c_gamma * d2
     if scalar:
         return float(d1), float(d2)
     return d1, d2
@@ -196,25 +207,17 @@ def validate_tail(params: MeasureParams) -> None:
 
 
 def direction_exponent(curve: ConvexCurve, rho: float, x1, x2):
-    """Exponent field e(x) with z^x = exp(-alpha*e(x)); +inf outside the
-    slope window.  Accepts real vectors (1-homogeneous in x)."""
+    """Exponent field e(x) = base(tt) * (c*x1 + rho*x2), tt = rho*x2/x1,
+    with z^x = exp(-alpha*e(x)); +inf outside the slope window.  Accepts
+    real vectors (1-homogeneous in x)."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         tt = np.where(x1 > 0.0, rho * x2 / np.where(x1 > 0.0, x1, 1.0), math.inf)
-    inside = (tt >= curve.t0) & (tt <= curve.t1)
-    out = np.full(np.broadcast(x1, x2).shape, math.inf)
-    if np.any(inside):
-        ti = tt[inside]
-        u = slope_inverse(curve, ti)
-        k3 = curvature_profile(curve, u) ** (1.0 / 3.0)
-        finite = ~np.isinf(ti)
-        w = np.ones_like(ti)
-        w[finite] = np.hypot(1.0, ti[finite]) / (curve.c_gamma + ti[finite])
-        x1b = np.broadcast_to(x1, out.shape)[inside]
-        x2b = np.broadcast_to(x2, out.shape)[inside]
-        out[inside] = KAPPA * k3 * w * (curve.c_gamma * x1b + rho * x2b)
-    return out
+    base = _tilt_base(curve, tt)
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isinf(base), math.inf,
+                        base * (curve.c_gamma * x1 + rho * x2))
 
 
 class _DirectionField:
@@ -237,8 +240,7 @@ class _DirectionField:
         self.neg_log_z = params.alpha_n * self.exponent
         with np.errstate(over="ignore"):
             self.zpow = np.exp(-self.neg_log_z)
-        self.mean_nu = self.zpow / (1.0 - self.zpow)
-        self.var_nu = self.zpow / (1.0 - self.zpow) ** 2
+        self.mean_nu, self.var_nu = nu_moments(self.zpow)
         self.cum_length = np.cumsum(self.norm * self.mean_nu)
 
     @cached_property
@@ -420,40 +422,23 @@ def moment_report(params: MeasureParams) -> MomentReport:
     return report
 
 
-def expected_length_profile_mobius(params: MeasureParams, t,
-                                   radius: int | None = None,
-                                   rel_tol: float = 1e-12) -> float:
+def expected_length_profile_mobius(params: MeasureParams, t) -> float:
     """Moebius-inverted evaluation of the expected length profile.
 
-    Independent route for cross-checking expected_length_profile: the
-    geometric series over multiplicities is kept explicit and each term
-    is a full-lattice sum combined with mu weights.  Cost grows with
+    Independent route for cross-checking expected_length_profile: one
+    mobius_inverted_sum of |v| * E[nu] * 1[tau_v <= t] over the full
+    lattice in the truncation ball, with z_v = exp(-alpha * e(v)) taken
+    from the exponent field at every lattice point v.  Cost grows with
     radius^2, so use test-sized parameter sets.
     """
-    r = int(radius if radius is not None else params.truncation_radius)
     c = params.curve
     rho = params.rho_n
-    alpha = params.alpha_n
     t = float(t)
-    table = _lattice.mobius_sieve(max(r, 1))
-
-    e_min = alpha * tilt_floor(c)
-    k_max = max(1, int(math.ceil(37.0 / e_min)))
 
     def f(v1, v2):
-        # scale-invariant in direction, 1-homogeneous in magnitude, so
-        # f(k*x)/k recovers the k-th geometric term of E[nu(x)]
-        e = direction_exponent(c, rho, v1, v2)
         with np.errstate(divide="ignore", invalid="ignore"):
             tau = np.where(v1 > 0.0, v2 / np.where(v1 > 0.0, v1, 1.0), math.inf)
-        with np.errstate(over="ignore"):
-            vals = np.hypot(v1, v2) * np.exp(-alpha * np.where(tau <= t, e, math.inf))
-        return np.where(np.isfinite(vals), vals, 0.0)
+        mean, _ = nu_moments(np.exp(-params.alpha_n * direction_exponent(c, rho, v1, v2)))
+        return np.where(tau <= t, np.hypot(v1, v2) * mean, 0.0)
 
-    total = 0.0
-    for k in range(1, k_max + 1):
-        term = _lattice.mobius_inverted_sum(f, float(k), r, table=table) / k
-        total += term
-        if k > 3 and abs(term) < rel_tol * max(abs(total), 1e-300):
-            break
-    return total
+    return _lattice.mobius_inverted_sum(f, params.truncation_radius)

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from limitshape import config as cfgmod
 from limitshape import curve as cv
@@ -15,7 +17,12 @@ from limitshape import report as rp
 from limitshape import sampler as sp
 from limitshape import studies as stu
 from limitshape.cli import main as cli_main
-from limitshape.errors import InsufficientReplicates, IoFailure, StateSpaceTooLarge
+from limitshape.errors import (
+    InsufficientReplicates,
+    IoFailure,
+    LimitShapeError,
+    StateSpaceTooLarge,
+)
 
 PARABOLA_SPEC = {"preset": {"name": "parabola", "c": 1.0}}
 
@@ -56,6 +63,40 @@ def test_curve_from_spec_variants():
     assert tab.c_gamma == pytest.approx(1.0)
     with pytest.raises(ValueError):
         cfgmod.curve_from_spec({"nope": {}})
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8)
+_NUMBER = st.integers() | st.floats()
+_PRESET = st.fixed_dictionaries(
+    {"name": st.sampled_from(["parabola", "circle_arc", "power", "ellipse"]) | _JSON},
+    optional={"c": _NUMBER | _JSON, "p": _NUMBER | _JSON})
+_U = np.linspace(0.0, 1.0, 9)
+_TABULATED = st.fixed_dictionaries(
+    {"points": st.lists(st.floats(min_value=0.05, max_value=2.0), min_size=8, max_size=8)
+               .map(lambda d: np.column_stack(
+                   [_U, np.concatenate([[0.0], np.cumsum(np.cumsum(d))])]).tolist())
+               | st.lists(st.lists(_NUMBER, max_size=3), max_size=9) | _JSON},
+    optional={"k0": _NUMBER | _JSON})
+_CURVE_SPEC = (st.fixed_dictionaries({"preset": _PRESET})
+               | st.fixed_dictionaries({"tabulated": _TABULATED})
+               | st.fixed_dictionaries({"preset": _JSON})
+               | st.fixed_dictionaries({"tabulated": _JSON}) | _JSON)
+
+
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=_CURVE_SPEC)
+def test_curve_from_spec_fuzz_is_curve_or_typed_error(spec):
+    # any JSON-shaped spec gives a curve or a typed error, which the CLI
+    # turns into exit 1 and an error: line
+    try:
+        curve = cfgmod.curve_from_spec(spec)
+    except (ValueError, LimitShapeError):
+        return
+    assert isinstance(curve, cv.ConvexCurve)
 
 
 # --- exact conditional oracle -------------------------------------------------------
@@ -348,6 +389,16 @@ def test_cli_oracle_attempt_budget(tmp_path, monkeypatch):
     ("calibrate", {"epsilons": [[1]]}),
     ("oracle", {"oracle_instances": [{"n": "ab", "cap_radius": 2, "nu_cap": 2}]}),
     ("oracle", {"oracle_instances": [5]}),
+    ("calibrate", {"curve": 5}),
+    ("verify", {"curve": {"preset": 5}}),
+    ("calibrate", {"curve": {"preset": {"name": "parabola", "c": [1]}}}),
+    ("verify", {"curve": {"tabulated": {}}}),
+    ("calibrate", {"curve": {"tabulated": {"points": [[0, 0], [1, 1]], "k0": None}}}),
+    ("calibrate", {"out_dir": 5}),
+    ("verify", {"conditioned_n1": [20], "accepted_target": 0}),
+    ("verify", {"lclt_batch": 0}),
+    ("oracle", {"oracle_instances": [{"n": [1, 1], "cap_radius": -1, "nu_cap": 2}]}),
+    ("oracle", {"oracle_instances": [{"n": [2, 1], "cap_radius": 3, "nu_cap": 1}]}),
 ])
 def test_cli_malformed_config_is_typed_error(tmp_path, mode, bad):
     cfg = {"mode": mode, "curve": PARABOLA_SPEC, "n1_list": [20],

@@ -150,7 +150,7 @@ def test_expected_length_dual_route_agreement(parabola1):
     for t in (0.7, math.inf):
         direct = ms.expected_length_profile(params, t)
         inverted = ms.expected_length_profile_mobius(params, t)
-        assert inverted == pytest.approx(direct, rel=1e-6)
+        assert inverted == pytest.approx(direct, rel=1e-12)
 
 
 def test_expected_endpoint_scaling(parabola1):
