@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -69,7 +70,7 @@ def _build_config(args) -> ExperimentConfig:
         cfg.replicates = args.replicates
     if getattr(args, "max_attempts", None) is not None:
         cfg.max_attempts = args.max_attempts
-    return cfg
+    return replace(cfg)  # runs the range checks again on the command-line overrides
 
 
 def _params_from_config(cfg: ExperimentConfig, n1: int):

@@ -82,9 +82,11 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a list of integers, got {values!r}")
             for v in values:
                 _require_int(f"{name} entry", v)
-        for name in ("replicates", "accepted_target", "lclt_batch"):
+        for name in ("replicates", "workers", "accepted_target", "max_attempts", "lclt_batch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if any(v < 1 for v in self.conditioned_n1):
+            raise ValueError("conditioned_n1 entries must be >= 1")
         if not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         n1s = list(self.n1_list)

@@ -22,7 +22,8 @@ class InvalidPresetParameter(LimitShapeError):
 
 
 class NotMonotone(LimitShapeError):
-    """Tabulated curve data is not strictly increasing."""
+    """Tabulated curve data is not strictly increasing, or a polyline given
+    to metrics.hausdorff decreases in x or y."""
 
 
 class NotConvex(LimitShapeError):

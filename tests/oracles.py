@@ -151,3 +151,34 @@ def rational_rho(c_gamma: float, n1: int, n2: int) -> float:
 
 def exact_aspect(n1: int, n2: int) -> Fraction:
     return Fraction(n2, n1)
+
+
+_POINT_CHUNK = 1024
+
+
+def _dense_directed_hausdorff(points: np.ndarray, poly: np.ndarray) -> float:
+    """max over points of the distance to the polyline poly."""
+    if poly.shape[0] == 1:
+        d = np.hypot(points[:, 0] - poly[0, 0], points[:, 1] - poly[0, 1])
+        return float(d.max())
+    a = poly[:-1]
+    v = poly[1:] - a
+    vv = np.maximum(np.einsum("ij,ij->i", v, v), 1e-300)
+    best = np.full(points.shape[0], math.inf)
+    for start in range(0, points.shape[0], _POINT_CHUNK):
+        p = points[start:start + _POINT_CHUNK]
+        w = p[:, None, :] - a[None, :, :]
+        t = np.clip(np.einsum("pij,ij->pi", w, v) / vv, 0.0, 1.0)
+        d2 = np.einsum("pij,pij->pi", w - t[:, :, None] * v[None, :, :],
+                       w - t[:, :, None] * v[None, :, :])
+        best[start:start + _POINT_CHUNK] = np.sqrt(d2.min(axis=1))
+    return float(best.max())
+
+
+def dense_hausdorff(a, b) -> float:
+    """Symmetric vertex-to-segment Hausdorff distance by a dense scan of
+    every (vertex, segment) pair, in chunks of 1024 vertices; the
+    reference for the windowed kernel in metrics.hausdorff."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    return max(_dense_directed_hausdorff(a, b), _dense_directed_hausdorff(b, a))

@@ -399,6 +399,10 @@ def test_cli_oracle_attempt_budget(tmp_path, monkeypatch):
     ("verify", {"lclt_batch": 0}),
     ("oracle", {"oracle_instances": [{"n": [1, 1], "cap_radius": -1, "nu_cap": 2}]}),
     ("oracle", {"oracle_instances": [{"n": [2, 1], "cap_radius": 3, "nu_cap": 1}]}),
+    ("verify", {"conditioned_n1": [20], "max_attempts": 0}),
+    ("verify", {"conditioned_n1": [0]}),
+    ("verify", {"conditioned_n1": [-5]}),
+    ("calibrate", {"workers": 0}),
 ])
 def test_cli_malformed_config_is_typed_error(tmp_path, mode, bad):
     cfg = {"mode": mode, "curve": PARABOLA_SPEC, "n1_list": [20],
@@ -408,6 +412,17 @@ def test_cli_malformed_config_is_typed_error(tmp_path, mode, bad):
     cfg_path.write_text(json.dumps(cfg))
     proc = subprocess.run([sys.executable, "-m", "limitshape", mode, "--config",
                            str(cfg_path)], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [["--workers", "0"], ["--replicates", "0"]])
+def test_cli_flag_out_of_range_is_typed_error(tmp_path, flags):
+    proc = subprocess.run(
+        [sys.executable, "-m", "limitshape", "condition", "--n1", "20",
+         "--curve", "parabola:1.0", "--out", str(tmp_path / "o")] + flags,
+        capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr

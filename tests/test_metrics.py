@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limitshape import curve as cv
 from limitshape import measure as ms
 from limitshape import metrics as mt
 from limitshape import sampler as sp
-from limitshape.errors import EmptyPath
+from limitshape.errors import EmptyPath, NotMonotone
 
 import oracles
 
@@ -29,6 +31,89 @@ def test_hausdorff_parallel_offset():
 def test_hausdorff_empty_path():
     with pytest.raises(EmptyPath):
         mt.hausdorff([], [[0, 0]])
+
+
+_RUN_STEP = st.one_of(st.tuples(st.integers(0, 4), st.just(0)),
+                      st.tuples(st.just(0), st.integers(0, 4)),
+                      st.tuples(st.integers(0, 4), st.integers(0, 4)))
+
+
+@st.composite
+def monotone_polylines(draw):
+    """Polylines non-decreasing in x and y: lattice steps scaled by 1/n1
+    (zero steps repeat a vertex; no steps give a one-point line) or float
+    steps, from an origin up to three units out, with an optional
+    vertical last edge."""
+    n1 = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        steps = draw(st.lists(_RUN_STEP, max_size=40))
+        origin = draw(st.tuples(st.integers(0, 3 * n1), st.integers(0, 3 * n1)))
+        tail = (0, draw(st.integers(1, 4 * n1)))
+    else:
+        unit = st.floats(0.0, 1.0, allow_subnormal=False)
+        steps = draw(st.lists(st.tuples(unit, unit), max_size=40))
+        origin = draw(st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)))
+        tail = (0.0, draw(st.floats(0.01, 4.0)))
+    if draw(st.booleans()):
+        steps.append(tail)
+    return np.cumsum([origin] + steps, axis=0) * (1.0 / n1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(monotone_polylines(), monotone_polylines(), st.sampled_from([1, 7, 64, None]))
+def test_hausdorff_equals_dense_oracle(a, b, chunk):
+    # small pair chunks make the block loop run on small inputs
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(mt, "_PAIR_CHUNK", chunk)
+        assert mt.hausdorff(a, b) == oracles.dense_hausdorff(a, b)
+
+
+@pytest.mark.parametrize("curve_name", ["tabulated_mixed", "parabola1"])
+@pytest.mark.parametrize("n1", [1000, 10000])
+def test_hausdorff_bit_identical_on_sampled_paths(request, curve_name, n1):
+    curve = request.getfixturevalue(curve_name)
+    params = ms.MeasureParams.for_endpoint(curve, n1)
+    poly = mt._curve_polyline(curve)
+    for r in range(3):
+        line = sp.assemble(sp.sample_configuration(params, np.random.default_rng((n1, r))))
+        x = line.vertices.astype(float) * (1.0 / n1)
+        # shifted three units right, every window spans the whole curve,
+        # which at n1 = 1e4 takes more than one pair chunk
+        for y in (x, x + [3.0, 0.0]):
+            assert mt.hausdorff(y, poly) == oracles.dense_hausdorff(y, poly)
+
+
+def test_hausdorff_symmetric_and_transpose_invariant(parabola1, tabulated_mixed):
+    # swapping x and y keeps both polylines monotone, and each per-pair
+    # sum of two products is commutative, so all three agree bit for bit
+    for curve in (parabola1, tabulated_mixed):
+        params = ms.MeasureParams.for_endpoint(curve, 500)
+        rng = np.random.default_rng(21)
+        lines = [sp.assemble(sp.sample_configuration(params, rng)).vertices * (1.0 / 500)
+                 for _ in range(10)]
+        for a, b in zip(lines, lines[1:] + [mt._curve_polyline(curve)]):
+            h = mt.hausdorff(a, b)
+            assert h == mt.hausdorff(b, a) == mt.hausdorff(a[:, ::-1], b[:, ::-1])
+
+
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_hausdorff_rejects_decreasing_polyline(which, axis):
+    good = np.array([[0.0, 0.0], [0.5, 0.2], [1.0, 1.0]])
+    bad = good.copy()
+    bad[2, axis] = bad[1, axis] - 0.1
+    args = [good, good]
+    args[which] = bad
+    with pytest.raises(NotMonotone):
+        mt.hausdorff(*args)
+
+
+@pytest.mark.parametrize("name", ["parabola1", "parabola2", "power2", "circle",
+                                  "tabulated_parabola", "tabulated_mixed"])
+def test_discretize_output_is_monotone(request, name):
+    poly = cv.discretize(request.getfixturevalue(name), mt._CURVE_POINTS)
+    assert mt.hausdorff(poly, poly) == 0.0
 
 
 def test_length_distance_empty_line(parabola1):
