@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from numbers import Real
 
 import numpy as np
@@ -129,13 +129,19 @@ class ExperimentConfig:
     def from_dict(data: dict) -> "ExperimentConfig":
         """Build a config from its JSON form; "curve" is accepted as an
         alias of "curve_spec"."""
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         if "curve_spec" not in data and "curve" in data:
             data = dict(data)
             data["curve_spec"] = data.pop("curve")
-        known = {f for f in ExperimentConfig.__dataclass_fields__}
-        extra = set(data) - known
+        fields = ExperimentConfig.__dataclass_fields__.values()
+        extra = set(data) - {f.name for f in fields}
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
+        missing = {f.name for f in fields if f.default is MISSING
+                   and f.default_factory is MISSING} - set(data)
+        if missing:
+            raise ValueError(f"config lacks required keys: {sorted(missing)}")
         return ExperimentConfig(**data)
 
     @staticmethod

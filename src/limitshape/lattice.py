@@ -3,7 +3,8 @@
 Every possible edge direction of a convex lattice path is a coprime
 pair x = (x1, x2) in Z+^2 with slope tau = x2/x1.  direction_arrays is
 the one enumeration route: a vectorized gcd sieve over a slope window
-of the ball, sorted by slope.  mobius_inverted_sum is the independent
+of the ball, optionally capped by a linear form per slope sector, sorted
+by slope.  mobius_inverted_sum is the independent
 route for sums over the coprime set: it combines full-lattice sums with
 mu weights, which is exact for any function on the lattice, and
 coprime_sum is the direct sum it is checked against.
@@ -22,29 +23,59 @@ _LATTICE_CHUNK = 1 << 18  # lattice points per call of f in _full_lattice_sum
 
 
 def direction_arrays(t_lo: float, t_hi: float, radius: float,
-                     chunk: int = 1 << 21):
+                     chunk: int = 1 << 21, *, cuts=(), caps=(math.inf,),
+                     weights=(1.0, 1.0)):
     """Coprime directions with t_lo <= tau <= t_hi and x1 + x2 <= radius.
 
     Returns (x1, x2) int64 arrays in strictly increasing slope, each
     direction once: (1, 0) opens them when t_lo <= 0 and (0, 1) closes
     them when t_hi is infinite.  A vectorized gcd sieve over the ball,
     in chunks of about `chunk` candidate pairs.
+
+    cuts (increasing) split the slope window into len(cuts) + 1
+    sectors, sector k holding the slopes in (cuts[k-1], cuts[k]]; a
+    direction in sector k is kept only when
+    weights[0]*x1 + weights[1]*x2 <= caps[k].  The default, one sector
+    with an infinite cap, is the plain ball.  Sector membership is
+    decided on floor(x1 * cut), so a direction within rounding of a cut
+    may be held to the cap of its neighbour.
     """
     r = int(math.floor(radius))
+    cuts = np.asarray(cuts, dtype=float)
+    caps = np.asarray(caps, dtype=float)
+    w1, w2 = (float(w) for w in weights)
+    if caps.shape != (cuts.size + 1,):
+        raise ValueError("caps needs one entry per sector, len(cuts) + 1")
+
+    def under_cap(x1, x2):
+        k = np.searchsorted(cuts, x2 / x1 if x1 else math.inf)
+        return w1 * x1 + w2 * x2 <= caps[k]
+
     xs1, xs2 = [], []
-    if r >= 1 and t_lo <= 0.0:
+    if r >= 1 and t_lo <= 0.0 and under_cap(1, 0):
         xs1.append(np.array([1], dtype=np.int64))
         xs2.append(np.array([0], dtype=np.int64))
-    for a_start in range(1, r + 1, max(1, chunk // max(1, r))):
-        a_stop = min(r, a_start + max(1, chunk // max(1, r)) - 1)
-        a = np.arange(a_start, a_stop + 1, dtype=np.int64)
-        # all pairs (a_i, b) with 1 <= b <= r - a_i, slope filtered first
-        reps = r - a + 1  # b in 0..r-a, but b >= 1 here
-        reps = np.maximum(reps - 1, 0)
-        if reps.sum() == 0:
+    cols = max(1, chunk // max(1, r))
+    for a_start in range(1, r + 1, cols):
+        a = np.arange(a_start, min(r, a_start + cols - 1) + 1, dtype=np.int64)
+        af = a[:, None].astype(float)
+        # x2 range of each (column, sector): sector k ends at floor(a*cuts[k])
+        # and sector k+1 starts one above it, so the sectors partition the
+        # column; the window ends are padded by one and filtered exactly below
+        ends = np.floor(af * cuts)
+        lo = np.concatenate([np.ceil(af * t_lo) - 1.0, ends + 1.0], axis=1)
+        hi = np.concatenate([ends, np.floor(af * t_hi) + 1.0
+                             if math.isfinite(t_hi) else np.full_like(af, r)], axis=1)
+        hi = np.minimum(hi, np.floor((caps - w1 * af) / w2))
+        lo = np.clip(lo, 1.0, r + 1.0).astype(np.int64)
+        hi = np.clip(hi, 0.0, (r - a)[:, None]).astype(np.int64)
+        counts = np.maximum(hi - lo + 1, 0).ravel()
+        total = int(counts.sum())
+        if total == 0:
             continue
-        x1 = np.repeat(a, reps)
-        b = np.concatenate([np.arange(1, n + 1, dtype=np.int64) for n in reps if n > 0])
+        starts = np.cumsum(counts) - counts
+        x1 = np.repeat(np.broadcast_to(a[:, None], lo.shape).ravel(), counts)
+        b = np.repeat(lo.ravel() - starts, counts) + np.arange(total, dtype=np.int64)
         tau = b / x1
         keep = (tau >= t_lo) & (tau <= t_hi)
         x1, b = x1[keep], b[keep]
@@ -52,7 +83,7 @@ def direction_arrays(t_lo: float, t_hi: float, radius: float,
             cop = np.gcd(x1, b) == 1
             xs1.append(x1[cop])
             xs2.append(b[cop])
-    if r >= 1 and t_hi == math.inf:
+    if r >= 1 and t_hi == math.inf and under_cap(0, 1):
         xs1.append(np.array([0], dtype=np.int64))
         xs2.append(np.array([1], dtype=np.int64))
     if not xs1:

@@ -15,13 +15,18 @@ delta1(t) + t*delta2(t) = KAPPA * g2(u(t))^(1/3).  base is written once
 variance of a multiplicity.
 
 Directions with slope outside the curve's tangent range get e = +inf
-(z = 0) and are never enumerated.  All moment sums are finite,
-tail-certified truncations.  Length profiles of paths and of the mean
-path are step functions in the slope; step_knots and step_at evaluate
-them, and profile_gap is the one place a step profile is compared with
-the arc-length profile l of the curve.  expected_length_profile_mobius
-is the independent route that cross-checks the exact sums: one
-Moebius-inverted sum over the full lattice.
+(z = 0) and are never enumerated.  The direction field is the tilt's
+sublevel set {alpha*e(x) <= T} inside the L1 ball x1 + x2 <= R, so all
+moment sums are finite truncations with a two-term certified tail:
+certified_tail bounds the edges beyond the ball, in_ball_tail those
+along the in-ball directions with z <= e^-T, and MeasureParams picks R
+and T so that each term is at most half the tail tolerance.  Length
+profiles of paths and of the mean path are step functions in the
+slope; step_knots and step_at evaluate them, and profile_gap is the
+one place a step profile is compared with the arc-length profile l of
+the curve.  expected_length_profile_mobius is the independent route
+that cross-checks the exact sums: one Moebius-inverted sum over the
+full lattice.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ assert abs(KAPPA - _KAPPA_PINNED) < 1e-12, "zeta-based kappa drifted from pinned
 
 _DEFAULT_TAIL_BUDGET = 1e-9
 _MAX_RADIUS = 200_000
+_SECTOR_SAFETY = 0.9  # sector floor = 0.9 x the smaller tilt at its two ends
 
 
 def _tilt_base(curve: ConvexCurve, t: np.ndarray) -> np.ndarray:
@@ -98,15 +104,25 @@ def calibration_residual(curve: ConvexCurve, t):
     return float(out) if scalar else out
 
 
+@lru_cache(maxsize=32)
+def _tilt_grid(curve: ConvexCurve) -> tuple[np.ndarray, np.ndarray]:
+    """257 slopes uniform in tangent angle, endpoints included, and
+    _tilt_base on them (read-only arrays)."""
+    _, t = _curve._angle_grid(curve, 257)
+    base = _tilt_base(curve, t)
+    t.flags.writeable = False
+    base.flags.writeable = False
+    return t, base
+
+
 def tilt_floor(curve: ConvexCurve) -> float:
     """Positive lower bound of min(delta1, delta2) over the slope range.
 
-    The infimum is taken on 257 slopes uniform in tangent angle,
-    endpoints included; it feeds the truncation-tail certificates.
+    The infimum is taken on the tilt grid (_tilt_grid); it feeds the
+    truncation-tail certificate beyond the radius.
     """
-    _, t = _curve._angle_grid(curve, 257)
-    d1, d2 = delta(curve, t)
-    return float(min(np.min(d1), np.min(d2)))
+    _, base = _tilt_grid(curve)
+    return float(min(curve.c_gamma, 1.0) * np.min(base))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,9 +130,15 @@ class MeasureParams:
     """Everything defining the tilted measure for one endpoint n.
 
     alpha_n = (rho_n * n1)^(-1/3) with rho_n = c_gamma / c_n computed
-    from the exact rational c_n = n2/n1.  truncation_radius bounds
-    x1 + x2 of enumerated directions; tail_tolerance is the certified
-    bound on the expected number of edges the truncation omits.
+    from the exact rational c_n = n2/n1.  The direction field keeps
+    the coprime x with x1 + x2 <= truncation_radius and
+    alpha_n * e(x) <= neg_log_z_cap, the sublevel set of the tilt.
+    tail_tolerance is the certified bound on the expected number of
+    edges the truncation omits, in two halves: certified_tail covers
+    the directions beyond the radius, and neg_log_z_cap = T is set so
+    that N * e^-T / (1 - e^-T) <= tail_tolerance / 2, with
+    N = (R+1)(R+2)/2 lattice points in the ball; that term covers the
+    in-ball directions the cap drops (in_ball_tail).
     """
 
     n1: int
@@ -127,15 +149,23 @@ class MeasureParams:
     c_n: float = field(init=False)
     rho_n: float = field(init=False)
     alpha_n: float = field(init=False)
+    neg_log_z_cap: float = field(init=False)
 
     def __post_init__(self):
         if self.n1 <= 0 or self.n2 <= 0:
             raise ParameterOutOfRange("endpoint components must be positive")
+        if not 0.0 < self.tail_tolerance < math.inf:
+            raise ParameterOutOfRange("tail tolerance must be positive and finite")
         c_n = Fraction(self.n2, self.n1)
         rho = self.curve.c_gamma * self.n1 / self.n2
         object.__setattr__(self, "c_n", float(c_n))
         object.__setattr__(self, "rho_n", rho)
         object.__setattr__(self, "alpha_n", (rho * self.n1) ** (-1.0 / 3.0))
+        # N / expm1(T) = tol/2 at T = log1p(2N/tol); the relative 1e-12 keeps
+        # the in-ball term below tol/2 through the rounding of both functions
+        n_ball = _ball_points(self.truncation_radius)
+        object.__setattr__(self, "neg_log_z_cap",
+                           math.log1p(2.0 * n_ball / self.tail_tolerance) * (1.0 + 1e-12))
 
     @staticmethod
     def for_endpoint(curve: ConvexCurve, n1: int, n2: int | None = None, *,
@@ -149,6 +179,11 @@ class MeasureParams:
         radius, tail = _choose_radius(curve, rho, alpha, tail_budget)
         return MeasureParams(n1=n1, n2=n2, curve=curve,
                              truncation_radius=radius, tail_tolerance=tail)
+
+
+def _ball_points(radius: int) -> float:
+    """Lattice points x >= 0 with x1 + x2 <= radius, origin included."""
+    return (radius + 1) * (radius + 2) / 2.0
 
 
 def _geometric_tail(q: float, m: int) -> float:
@@ -171,9 +206,17 @@ def certified_tail(curve: ConvexCurve, rho: float, alpha: float, radius: int) ->
     """Closed-form bound on the expected number of edges beyond the radius."""
     b = _tail_rate(curve, rho, alpha)
     q = math.exp(-b)
+    if q >= 1.0:
+        return math.inf
     # E[nu] = z/(1-z) <= z / (1 - q^(radius+1)) on the omitted set
-    slack = 1.0 / max(1.0 - q ** (radius + 1), 0.5)
-    return _geometric_tail(q, radius + 1) * slack
+    return _geometric_tail(q, radius + 1) / (1.0 - q ** (radius + 1))
+
+
+def in_ball_tail(params: MeasureParams) -> float:
+    """Bound on the expected number of edges along the in-ball directions
+    the cap drops: each has z <= e^-T, so E[nu] = z/(1-z) <= 1/expm1(T),
+    and there are at most N = (R+1)(R+2)/2 of them."""
+    return _ball_points(params.truncation_radius) / math.expm1(params.neg_log_z_cap)
 
 
 def _choose_radius(curve: ConvexCurve, rho: float, alpha: float,
@@ -182,15 +225,16 @@ def _choose_radius(curve: ConvexCurve, rho: float, alpha: float,
     q1 = math.exp(-2.0 * b)  # un-halved decay, rough scale of the edge count
     anchor = max(1.0, _geometric_tail(q1, 1))
     target = tail_budget * anchor
+    half = target / 2.0  # the other half is in_ball_tail's
     lo, hi = 1, 2
-    while certified_tail(curve, rho, alpha, hi) > target:
+    while certified_tail(curve, rho, alpha, hi) > half:
         hi *= 2
         if hi > _MAX_RADIUS:
             raise TailBoundViolated(
                 f"no radius below {_MAX_RADIUS} meets the tail budget {target!r}")
     while lo < hi:
         mid = (lo + hi) // 2
-        if certified_tail(curve, rho, alpha, mid) <= target:
+        if certified_tail(curve, rho, alpha, mid) <= half:
             hi = mid
         else:
             lo = mid + 1
@@ -198,8 +242,10 @@ def _choose_radius(curve: ConvexCurve, rho: float, alpha: float,
 
 
 def validate_tail(params: MeasureParams) -> None:
+    """Raise unless the two certified tail terms, beyond the radius and
+    dropped in the ball, sum to at most tail_tolerance."""
     tail = certified_tail(params.curve, params.rho_n, params.alpha_n,
-                          params.truncation_radius)
+                          params.truncation_radius) + in_ball_tail(params)
     if tail > params.tail_tolerance:
         raise TailBoundViolated(
             f"certified tail {tail!r} exceeds tolerance {params.tail_tolerance!r} "
@@ -221,25 +267,37 @@ def direction_exponent(curve: ConvexCurve, rho: float, x1, x2):
 
 
 class _DirectionField:
-    """Tau-sorted per-direction arrays for one parameter set."""
+    """Tau-sorted per-direction arrays for one parameter set: the coprime
+    x in the ball with alpha * e(x) <= T (MeasureParams.neg_log_z_cap)."""
 
     def __init__(self, params: MeasureParams):
         validate_tail(params)
         c = params.curve
         rho = params.rho_n
-        # enumerate only the slope window where z > 0: tau in [t0/rho, t1/rho]
+        cap = params.neg_log_z_cap
+        # enumerate only the slope window where z > 0: tau in [t0/rho, t1/rho].
+        # Between two tilt-grid slopes the tilt base is at least floor_k, so
+        # alpha*e(x) <= T needs c*x1 + rho*x2 <= T / (alpha * floor_k) there.
         t_lo = c.t0 / rho
         t_hi = c.t1 / rho if math.isfinite(c.t1) else math.inf
-        x1, x2 = _lattice.direction_arrays(t_lo, t_hi, params.truncation_radius)
+        t, base = _tilt_grid(c)
+        floors = _SECTOR_SAFETY * np.minimum(base[:-1], base[1:])
+        x1, x2 = _lattice.direction_arrays(t_lo, t_hi, params.truncation_radius,
+                                           cuts=t[1:-1] / rho,
+                                           caps=cap / (params.alpha_n * floors),
+                                           weights=(c.c_gamma, rho))
+        exponent = direction_exponent(c, rho, x1, x2)
+        neg_log_z = params.alpha_n * exponent
+        keep = neg_log_z <= cap
+        x1, x2 = x1[keep], x2[keep]
         self.x1 = x1
         self.x2 = x2
         with np.errstate(divide="ignore"):
             self.tau = np.where(x1 > 0, x2 / np.maximum(x1, 1), np.inf)
         self.norm = np.hypot(x1.astype(float), x2.astype(float))
-        self.exponent = direction_exponent(c, rho, x1, x2)
-        self.neg_log_z = params.alpha_n * self.exponent
-        with np.errstate(over="ignore"):
-            self.zpow = np.exp(-self.neg_log_z)
+        self.exponent = exponent[keep]
+        self.neg_log_z = neg_log_z[keep]
+        self.zpow = np.exp(-self.neg_log_z)
         self.mean_nu, self.var_nu = nu_moments(self.zpow)
         self.cum_length = np.cumsum(self.norm * self.mean_nu)
 
@@ -426,10 +484,12 @@ def expected_length_profile_mobius(params: MeasureParams, t) -> float:
     """Moebius-inverted evaluation of the expected length profile.
 
     Independent route for cross-checking expected_length_profile: one
-    mobius_inverted_sum of |v| * E[nu] * 1[tau_v <= t] over the full
-    lattice in the truncation ball, with z_v = exp(-alpha * e(v)) taken
-    from the exponent field at every lattice point v.  Cost grows with
-    radius^2, so use test-sized parameter sets.
+    mobius_inverted_sum of |v| * E[nu] * 1[tau_v <= t] * 1[alpha*e(v) <= T]
+    over the full lattice in the truncation ball, with
+    z_v = exp(-alpha * e(v)) taken from the exponent field at every
+    lattice point v.  Both indicators are functions of the lattice
+    point, so the inversion stays exact.  Cost grows with radius^2, so
+    use test-sized parameter sets.
     """
     c = params.curve
     rho = params.rho_n
@@ -438,7 +498,9 @@ def expected_length_profile_mobius(params: MeasureParams, t) -> float:
     def f(v1, v2):
         with np.errstate(divide="ignore", invalid="ignore"):
             tau = np.where(v1 > 0.0, v2 / np.where(v1 > 0.0, v1, 1.0), math.inf)
-        mean, _ = nu_moments(np.exp(-params.alpha_n * direction_exponent(c, rho, v1, v2)))
-        return np.where(tau <= t, np.hypot(v1, v2) * mean, 0.0)
+        neg_log_z = params.alpha_n * direction_exponent(c, rho, v1, v2)
+        mean, _ = nu_moments(np.exp(-neg_log_z))
+        return np.where((tau <= t) & (neg_log_z <= params.neg_log_z_cap),
+                        np.hypot(v1, v2) * mean, 0.0)
 
     return _lattice.mobius_inverted_sum(f, params.truncation_radius)

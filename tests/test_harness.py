@@ -99,6 +99,59 @@ def test_curve_from_spec_fuzz_is_curve_or_typed_error(spec):
     assert isinstance(curve, cv.ConvexCurve)
 
 
+# Numbers stay small so that any config that passes validation builds a small
+# measure: n1 and n2 at most 60, curve parameters at most 8.
+_SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 60) | st.floats(-2.0, 8.0)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_CLI_CURVE = st.fixed_dictionaries({"preset": st.one_of(
+    st.fixed_dictionaries({"name": st.just("parabola"), "c": st.floats(0.2, 4.0)}),
+    st.fixed_dictionaries({"name": st.just("power"), "p": st.floats(1.1, 4.0)}),
+    st.just({"name": "circle_arc"}))})
+_CLI_VALID = {"replicates": st.integers(1, 60), "seed": st.integers(0, 60),
+              "workers": st.integers(1, 4), "n2": st.integers(1, 60),
+              "epsilons": st.lists(st.floats(0.01, 1.0), max_size=3)}
+
+
+@st.composite
+def _cli_configs(draw):
+    """A valid calibrate config, then up to two keys dropped or set to
+    arbitrary JSON, an unknown key among them."""
+    cfg = draw(st.fixed_dictionaries(
+        {"mode": st.just("calibrate"), "curve": _CLI_CURVE,
+         "n1_list": st.lists(st.integers(1, 60), min_size=1, max_size=3,
+                             unique=True).map(sorted)},
+        optional=_CLI_VALID))
+    keys = ["mode", "curve", "n1_list", "accepted_target", "max_attempts",
+            "conditioned_n1", "oracle_instances", "oracle_draws", "extra", *_CLI_VALID]
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            cfg.pop(key, None)
+        else:
+            cfg[key] = draw(_SMALL_JSON)
+    return cfg
+
+
+@settings(deadline=None, max_examples=80,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(cfg=_cli_configs() | _SMALL_JSON)
+def test_cli_config_fuzz_exits_cleanly(tmp_path, capsys, cfg):
+    # any JSON-shaped config ends in exit 0, 2 or a typed error (exit 1 and
+    # an error: line); an uncaught exception fails the test
+    if isinstance(cfg, dict):
+        cfg["out_dir"] = str(tmp_path / "out")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = cli_main(["calibrate", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith("error:")
+
+
 # --- exact conditional oracle -------------------------------------------------------
 
 def test_oracle_cap22_two_lines(parabola1):

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -49,6 +50,28 @@ def test_enumeration_sorted_and_distinct(radius, lo, span):
     assert taus == sorted(taus)
     assert len(set(taus)) == len(taus)
     assert got == oracles.brute_coprime(lo, lo + span, radius)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), radius=st.integers(min_value=1, max_value=60),
+       lo=st.integers(min_value=0, max_value=128),
+       steps=st.lists(st.integers(min_value=1, max_value=64), max_size=5),
+       span=st.one_of(st.none(), st.integers(min_value=0, max_value=128)),
+       weights=st.tuples(st.integers(1, 3), st.integers(1, 3)))
+def test_sector_caps_match_brute_force(data, radius, lo, steps, span, weights):
+    # dyadic cuts and half-integer caps keep every comparison away from a tie
+    t_lo = lo / 64
+    cuts = [t_lo + s / 64 for s in np.cumsum(steps)]
+    t_hi = math.inf if span is None else t_lo + span / 64
+    caps = data.draw(st.lists(st.one_of(st.just(math.inf),
+                                        st.integers(0, 150).map(lambda m: m + 0.5)),
+                              min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+    x1, x2 = lt.direction_arrays(t_lo, t_hi, radius, cuts=cuts, caps=caps,
+                                 weights=weights)
+    want = [(a, b) for a, b in oracles.brute_coprime(t_lo, t_hi, radius)
+            if weights[0] * a + weights[1] * b
+            <= caps[bisect.bisect_left(cuts, b / a if a else math.inf)]]
+    assert list(zip(x1.tolist(), x2.tolist())) == want
 
 
 def test_partition_property_exhaustive():

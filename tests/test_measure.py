@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limitshape import curve as cv
+from limitshape import lattice as lt
 from limitshape import measure as ms
 from limitshape.errors import (
     ParameterOutOfRange,
@@ -177,6 +178,14 @@ def test_degenerate_truncation_radius_rejected(parabola1):
         ms.expected_endpoint(params)
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -1e-9, math.inf, math.nan])
+def test_tail_tolerance_must_be_positive_and_finite(parabola1, tolerance):
+    # the in-ball level T = log1p(2N / tolerance) needs 0 < tolerance < inf
+    with pytest.raises(ParameterOutOfRange):
+        ms.MeasureParams(n1=500, n2=500, curve=parabola1, truncation_radius=600,
+                         tail_tolerance=tolerance)
+
+
 def test_self_dual_curves_give_symmetric_fields(parabola1, circle):
     # parabola(1) and the circle quadrant are self-dual under
     # (u, g) -> (1 - g, 1 - u), so e(x2, x1) = e(x1, x2) on every direction
@@ -226,6 +235,49 @@ def test_normalization_constant_in_unit_interval(parabola1):
     assert np.isfinite(np.sum(f.zpow))
     assert ms.certified_tail(parabola1, params.rho_n, params.alpha_n,
                              params.truncation_radius) <= params.tail_tolerance
+
+
+def test_certified_tail_at_small_radii(parabola1):
+    # the y + 1 directions with x1 + x2 = y each have z <= q^y, so
+    # E[nu] <= q^y / (1 - q^y) <= q^y / (1 - q^(R+1)) beyond radius R: the
+    # certificate is that last sum, also where q^(R+1) > 1/2, and it bounds
+    # both the term-wise sum and the measure's own tail beyond R
+    params = ms.MeasureParams.for_endpoint(parabola1, 100)
+    rho, alpha = params.rho_n, params.alpha_n
+    log_q = -ms._tail_rate(parabola1, rho, alpha)
+    assert math.exp(4 * log_q) > 0.5  # the small radii below reach that regime
+    y = np.arange(1, 20_000, dtype=float)
+    geometric = (y + 1) * np.exp(y * log_q)
+    f = ms._field(params)
+    mean_nu, length = f.mean_nu, f.x1 + f.x2
+    for radius in range(1, 16):
+        tail = ms.certified_tail(parabola1, rho, alpha, radius)
+        closed = float(np.sum(geometric[radius:])) / -math.expm1((radius + 1) * log_q)
+        assert tail == pytest.approx(closed, rel=1e-12)
+        assert tail >= float(np.sum(geometric[radius:] / -np.expm1(y[radius:] * log_q)))
+        assert tail >= float(np.sum(mean_nu[length > radius]))
+
+
+@pytest.mark.parametrize("name", ["parabola1", "parabola2", "power2", "circle",
+                                  "tabulated_parabola", "tabulated_mixed"])
+def test_field_is_the_sublevel_set_of_the_ball(request, name):
+    curve = request.getfixturevalue(name)
+    for n1 in (100, 1000, 10_000):
+        params = ms.MeasureParams.for_endpoint(curve, n1)
+        f = ms._field(params)
+        rho, alpha = params.rho_n, params.alpha_n
+        t_hi = curve.t1 / rho if math.isfinite(curve.t1) else math.inf
+        x1, x2 = lt.direction_arrays(curve.t0 / rho, t_hi, params.truncation_radius)
+        neg_log_z = alpha * ms.direction_exponent(curve, rho, x1, x2)
+        keep = neg_log_z <= params.neg_log_z_cap
+        assert np.array_equal(f.x1, x1[keep]) and np.array_equal(f.x2, x2[keep])
+        # the in-ball directions the cap drops carry at most the in-ball term,
+        # and the two certified terms together stay within the tolerance
+        dropped, _ = ms.nu_moments(np.exp(-neg_log_z[~keep]))
+        in_ball = ms.in_ball_tail(params)
+        assert float(np.sum(dropped)) <= in_ball
+        beyond = ms.certified_tail(curve, rho, alpha, params.truncation_radius)
+        assert beyond + in_ball <= params.tail_tolerance
 
 
 # --- B matrix -------------------------------------------------------------------
