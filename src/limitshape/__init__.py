@@ -42,7 +42,6 @@ from .sampler import (
     PolygonalLine,
     assemble,
     condition_on_endpoint,
-    disassemble,
     sample_configuration,
     sample_endpoints,
     scale,
@@ -65,7 +64,6 @@ __all__ = [
     "covariance_matrix",
     "curvature_at_slope",
     "delta",
-    "disassemble",
     "distance_report",
     "exact_conditional_oracle",
     "expected_endpoint",

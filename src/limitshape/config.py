@@ -11,6 +11,7 @@ import numpy as np
 from .curve import ConvexCurve, make_preset, make_tabulated
 
 _MODES = ("calibrate", "sample", "condition", "verify", "profile", "oracle")
+_N2_MODES = ("calibrate", "sample", "condition")
 _INT_FIELDS = ("replicates", "seed", "workers", "accepted_target", "max_attempts",
                "lclt_replicates", "lclt_batch", "oracle_draws")
 
@@ -96,6 +97,9 @@ class ExperimentConfig:
             raise ValueError("n1 list must be strictly increasing")
         if self.n2 is not None and self.n2 < 1:
             raise ValueError("n2 must be >= 1")
+        if self.n2 is not None and self.mode not in _N2_MODES:
+            raise ValueError(f"n2 is read only by the {', '.join(_N2_MODES)} modes, "
+                             f"not by {self.mode}")
         if self.oracle_draws < 1:
             raise ValueError("oracle_draws must be >= 1")
         if not isinstance(self.epsilons, (list, tuple)) or any(

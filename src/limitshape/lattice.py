@@ -19,18 +19,18 @@ import numpy as np
 from .errors import LimitTooLarge
 
 _SIEVE_BUDGET = 1 << 27  # int8 table, ~134 MB
+_DIRECTION_CHUNK = 1 << 21  # candidate pairs per pass of direction_arrays
 _LATTICE_CHUNK = 1 << 18  # lattice points per call of f in _full_lattice_sum
 
 
-def direction_arrays(t_lo: float, t_hi: float, radius: float,
-                     chunk: int = 1 << 21, *, cuts=(), caps=(math.inf,),
-                     weights=(1.0, 1.0)):
+def direction_arrays(t_lo: float, t_hi: float, radius: float, *,
+                     cuts=(), caps=(math.inf,), weights=(1.0, 1.0)):
     """Coprime directions with t_lo <= tau <= t_hi and x1 + x2 <= radius.
 
     Returns (x1, x2) int64 arrays in strictly increasing slope, each
     direction once: (1, 0) opens them when t_lo <= 0 and (0, 1) closes
     them when t_hi is infinite.  A vectorized gcd sieve over the ball,
-    in chunks of about `chunk` candidate pairs.
+    in chunks of about _DIRECTION_CHUNK candidate pairs.
 
     cuts (increasing) split the slope window into len(cuts) + 1
     sectors, sector k holding the slopes in (cuts[k-1], cuts[k]]; a
@@ -55,7 +55,7 @@ def direction_arrays(t_lo: float, t_hi: float, radius: float,
     if r >= 1 and t_lo <= 0.0 and under_cap(1, 0):
         xs1.append(np.array([1], dtype=np.int64))
         xs2.append(np.array([0], dtype=np.int64))
-    cols = max(1, chunk // max(1, r))
+    cols = max(1, _DIRECTION_CHUNK // max(1, r))
     for a_start in range(1, r + 1, cols):
         a = np.arange(a_start, min(r, a_start + cols - 1) + 1, dtype=np.int64)
         af = a[:, None].astype(float)

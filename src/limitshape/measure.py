@@ -57,7 +57,7 @@ KAPPA = float((2.0 * _zeta(3.0) / _zeta(2.0)) ** (1.0 / 3.0))
 _KAPPA_PINNED = 1.1348422840496904
 assert abs(KAPPA - _KAPPA_PINNED) < 1e-12, "zeta-based kappa drifted from pinned value"
 
-_DEFAULT_TAIL_BUDGET = 1e-9
+_TAIL_BUDGET = 1e-9
 _MAX_RADIUS = 200_000
 _SECTOR_SAFETY = 0.9  # sector floor = 0.9 x the smaller tilt at its two ends
 
@@ -168,15 +168,14 @@ class MeasureParams:
                            math.log1p(2.0 * n_ball / self.tail_tolerance) * (1.0 + 1e-12))
 
     @staticmethod
-    def for_endpoint(curve: ConvexCurve, n1: int, n2: int | None = None, *,
-                     tail_budget: float = _DEFAULT_TAIL_BUDGET) -> "MeasureParams":
+    def for_endpoint(curve: ConvexCurve, n1: int, n2: int | None = None) -> "MeasureParams":
         """Build params with the default aspect rule n2 = round(c_gamma*n1)
         and the smallest truncation radius meeting the tail budget."""
         if n2 is None:
             n2 = max(1, round(curve.c_gamma * n1))
         rho = curve.c_gamma * n1 / n2
         alpha = (rho * n1) ** (-1.0 / 3.0)
-        radius, tail = _choose_radius(curve, rho, alpha, tail_budget)
+        radius, tail = _choose_radius(curve, rho, alpha)
         return MeasureParams(n1=n1, n2=n2, curve=curve,
                              truncation_radius=radius, tail_tolerance=tail)
 
@@ -219,12 +218,11 @@ def in_ball_tail(params: MeasureParams) -> float:
     return _ball_points(params.truncation_radius) / math.expm1(params.neg_log_z_cap)
 
 
-def _choose_radius(curve: ConvexCurve, rho: float, alpha: float,
-                   tail_budget: float) -> tuple[int, float]:
+def _choose_radius(curve: ConvexCurve, rho: float, alpha: float) -> tuple[int, float]:
     b = _tail_rate(curve, rho, alpha)
     q1 = math.exp(-2.0 * b)  # un-halved decay, rough scale of the edge count
     anchor = max(1.0, _geometric_tail(q1, 1))
-    target = tail_budget * anchor
+    target = _TAIL_BUDGET * anchor
     half = target / 2.0  # the other half is in_ball_tail's
     lo, hi = 1, 2
     while certified_tail(curve, rho, alpha, hi) > half:

@@ -26,7 +26,7 @@ _STATE_BUDGET = 2_000_000
 
 def configuration_key(config: Configuration) -> tuple:
     """Canonical hashable identity of a configuration (and its path)."""
-    return tuple(sorted((x1, x2, nu) for (x1, x2), nu in config.support.items()))
+    return tuple(sorted(map(tuple, config.support.tolist())))
 
 
 @dataclass(frozen=True)
@@ -36,12 +36,6 @@ class OracleDistribution:
     endpoint: tuple
     entries: tuple  # of (key, probability), probability descending
     reachable: bool
-
-    def probability(self, key: tuple) -> float:
-        for k, p in self.entries:
-            if k == key:
-                return p
-        return 0.0
 
     def as_dict(self) -> dict:
         return dict(self.entries)

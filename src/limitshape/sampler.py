@@ -1,15 +1,18 @@
 """Drawing random convex paths from the tilted product measure.
 
 A configuration assigns an independent geometric multiplicity nu(x) to
-every enumerated coprime direction; assembling the nonzero edges in
-slope order yields the convex polygonal line, whose length profile is
-a step function (profile_knots, evaluated by measure.step_at).
-Endpoint conditioning is exact rejection: resample until the path ends
-at the target.  conditioned_configurations is the one rejection loop:
-it draws batched endpoints under an attempt budget, rebuilds each hit
-by support_of in replicate order, and raises Exhausted with
-closest-miss diagnostics once the budget is spent;
-condition_on_endpoint is its first hit, assembled into a path.
+every enumerated coprime direction.  A path has one format, shared by
+Configuration.support and PolygonalLine.edges: an int64 (k, 3) array
+of (x1, x2, nu) rows, nu >= 1, in strictly increasing slope, the order
+of the direction field.  Draws take their rows straight from the field,
+so assembly is a prefix sum, and the length profile is a step function
+(profile_knots, evaluated by measure.step_at).  Endpoint conditioning
+is exact rejection: resample until the path ends at the target.
+conditioned_configurations is the one rejection loop: it draws batched
+endpoints under an attempt budget, rebuilds each hit by support_of in
+replicate order, and raises Exhausted with closest-miss diagnostics
+once the budget is spent; condition_on_endpoint is its first hit,
+assembled into a path.
 
 Two equivalent sampling routes are provided.  sample_configuration
 draws one uniform per enumerated direction (inverse transform).  The
@@ -18,7 +21,8 @@ a unit-rate Poisson process on the cumulative-hazard axis and skips
 straight to the next active direction, which costs O(active) instead
 of O(enumerated) per replicate; the joint law is identical and the
 equivalence is pinned by tests against the direct route and against
-exhaustive enumeration.
+exhaustive enumeration.  Each skip lands on a later direction, so
+support_of reads a replicate's rows in order, with no repeats to merge.
 """
 
 from __future__ import annotations
@@ -32,72 +36,64 @@ from .errors import Exhausted
 from .measure import MeasureParams, _field, covariance_matrix, step_knots
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Configuration:
-    """Finite-support multiplicity map direction -> count (all >= 1)."""
+    """A convex path as its edges: an int64 (k, 3) array of (x1, x2, nu)
+    rows with nu >= 1, the directions in strictly increasing slope."""
 
-    support: dict
+    support: np.ndarray
 
     def __post_init__(self):
-        for x, nu in self.support.items():
-            if nu < 1:
-                raise ValueError(f"multiplicity {nu} < 1 at {x}")
+        s = self.support
+        if not (isinstance(s, np.ndarray) and s.dtype == np.int64 and s.ndim == 2
+                and s.shape[1] == 3):
+            raise ValueError(f"support must be an int64 (k, 3) array, got {s!r}")
+        if np.any(s[:, 2] < 1):
+            raise ValueError("multiplicities must be >= 1")
+        x1, x2 = s[:, 0], s[:, 1]
+        # tau_i < tau_{i+1}, exactly on the integers
+        if np.any(x2[:-1] * x1[1:] >= x2[1:] * x1[:-1]):
+            raise ValueError("directions must be distinct and in increasing slope")
 
     def endpoint(self) -> np.ndarray:
-        e = np.zeros(2, dtype=np.int64)
-        for (x1, x2), nu in self.support.items():
-            e[0] += x1 * nu
-            e[1] += x2 * nu
-        return e
+        return self.support[:, 2] @ self.support[:, :2]
 
 
 @dataclass(frozen=True)
 class PolygonalLine:
     """Convex lattice path from the origin.
 
-    vertices are prefix sums of the slope-sorted edges; edges hold
-    (direction, multiplicity) pairs with strictly increasing slope.
+    edges is the configuration's support, (x1, x2, nu) rows in
+    increasing slope; vertices are their prefix sums.
     """
 
     vertices: np.ndarray
-    edges: tuple
+    edges: np.ndarray
     endpoint: np.ndarray
-
-
-def _edge_tau(x):
-    return x[1] / x[0] if x[0] else math.inf
 
 
 def assemble(config: Configuration) -> PolygonalLine:
     """Assemble the unique convex path realizing a configuration."""
-    items = sorted(config.support.items(), key=lambda kv: _edge_tau(kv[0]))
-    vertices = np.zeros((len(items) + 1, 2), dtype=np.int64)
-    for i, ((x1, x2), nu) in enumerate(items):
-        vertices[i + 1, 0] = vertices[i, 0] + x1 * nu
-        vertices[i + 1, 1] = vertices[i, 1] + x2 * nu
-    return PolygonalLine(vertices=vertices, edges=tuple(items),
-                         endpoint=vertices[-1].copy())
+    edges = config.support
+    vertices = np.zeros((len(edges) + 1, 2), dtype=np.int64)
+    np.cumsum(edges[:, :2] * edges[:, 2:], axis=0, out=vertices[1:])
+    return PolygonalLine(vertices=vertices, edges=edges, endpoint=vertices[-1].copy())
 
 
-def disassemble(line: PolygonalLine) -> Configuration:
-    """Inverse of assemble (the path <-> configuration bijection)."""
-    return Configuration(support=dict(line.edges))
+def _from_field(f, idx, nu) -> Configuration:
+    return Configuration(support=np.column_stack([f.x1[idx], f.x2[idx], nu]))
 
 
 def sample_configuration(params: MeasureParams, rng: np.random.Generator) -> Configuration:
     """One draw from the tilted measure: independent geometric nu per
     enumerated direction via inverse transform nu = floor(ln U / ln z)."""
     f = _field(params)
-    n = f.x1.size
-    if n == 0:
-        return Configuration(support={})
-    u = rng.random(n)
+    u = rng.random(f.x1.size)
     idx = np.nonzero(u < f.zpow)[0]
     # ln z = -neg_log_z up to the exp/log round trip
     nu = np.floor(np.log(u[idx]) / -f.neg_log_z[idx]).astype(np.int64)
     nu = np.maximum(nu, 1)  # guard the one-ulp boundary of the hit test
-    support = {(int(f.x1[i]), int(f.x2[i])): int(k) for i, k in zip(idx, nu)}
-    return Configuration(support=support)
+    return _from_field(f, idx, nu)
 
 
 def sample_endpoints(params: MeasureParams, count: int,
@@ -120,7 +116,9 @@ def sample_endpoints(params: MeasureParams, count: int,
     pos = np.zeros(count)  # consumed hazard per replicate
     while alive.size:
         pos_alive = pos[alive] + rng.standard_exponential(alive.size)
-        j = np.searchsorted(cum, pos_alive, side="left")
+        # direction j owns [cum[j-1], cum[j]); side="right" keeps j above
+        # the replicate's previous direction even when the step rounds to 0
+        j = np.searchsorted(cum, pos_alive, side="right")
         live = j < cum.size
         alive = alive[live]
         if not alive.size:
@@ -146,15 +144,10 @@ def sample_endpoints(params: MeasureParams, count: int,
 
 def support_of(params: MeasureParams, support, rep: int) -> Configuration:
     """Configuration of replicate rep from the (rep, dir_index, nu)
-    arrays of sample_endpoints; repeated directions add up."""
+    arrays of sample_endpoints, whose dir_index rises within a replicate."""
     reps, idx, nu = support
-    f = _field(params)
     mask = reps == rep
-    out: dict = {}
-    for i, k in zip(idx[mask], nu[mask]):
-        key = (int(f.x1[i]), int(f.x2[i]))
-        out[key] = out.get(key, 0) + int(k)
-    return Configuration(support=out)
+    return _from_field(_field(params), idx[mask], nu[mask])
 
 
 @dataclass(frozen=True)
@@ -221,16 +214,23 @@ def condition_on_endpoint(params: MeasureParams, n, max_attempts: int,
     return ConditionedSample(line=assemble(config), attempts=attempts)
 
 
+def _edge_lengths(edges) -> np.ndarray:
+    x1, x2, nu = edges.T
+    return np.sqrt(x1 * x1 + x2 * x2) * nu
+
+
 def profile_knots(line: PolygonalLine):
     """Step-profile knots (tau, before, after) of the line's length
     profile: its edges are already in increasing slope order."""
-    taus = np.array([_edge_tau(x) for x, _ in line.edges])
-    lens = np.array([math.hypot(*x) * nu for x, nu in line.edges])
-    return step_knots(taus, lens)
+    x1, x2 = line.edges[:, 0], line.edges[:, 1]
+    taus = np.where(x1 > 0, x2 / np.maximum(x1, 1), np.inf)
+    return step_knots(taus, _edge_lengths(line.edges))
 
 
 def total_length(line: PolygonalLine) -> float:
-    return float(sum(math.hypot(*x) * nu for x, nu in line.edges))
+    """Sum of the edge lengths, added in slope order."""
+    lengths = _edge_lengths(line.edges)
+    return float(np.cumsum(lengths)[-1]) if lengths.size else 0.0
 
 
 def scale(line: PolygonalLine, factor: float) -> np.ndarray:

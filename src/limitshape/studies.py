@@ -126,7 +126,7 @@ def _fraction_rows(n1: int, d_l: np.ndarray, epsilons, prefix: str) -> list:
                                    empirical=frac, theoretical=1.0, ratio=frac,
                                    stderr=stderr))
     med = float(np.median(d_l)) if n else math.nan
-    med_se = 1.2533 * float(np.std(d_l)) / math.sqrt(max(n, 1))
+    med_se = 1.2533 * float(np.std(d_l)) / math.sqrt(n) if n else math.nan
     rows.append(ConvergenceRow(n1=n1, statistic=f"{prefix}median_dL",
                                empirical=med, theoretical=0.0, ratio=math.nan,
                                stderr=med_se))

@@ -110,11 +110,19 @@ def brute_coprime(t_lo, t_hi, radius):
     return [(x1, x2) for _, x1, x2 in out]
 
 
+def edge_rows(support: dict) -> np.ndarray:
+    """A {direction: multiplicity} map as the package's path format: an
+    int64 (k, 3) array of (x1, x2, nu) rows sorted by exact slope."""
+    rows = sorted(((x1, x2, nu) for (x1, x2), nu in support.items()),
+                  key=lambda r: Fraction(r[1], r[0]) if r[0] else math.inf)
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
 def edge_length_profile(edges, t, side="right"):
-    """Length profile of a path given as (direction, multiplicity) pairs:
-    a plain sum over the edges with slope <= t, or < t for side="left"."""
+    """Length profile of a path given as (x1, x2, nu) rows: a plain sum
+    over the edges with slope <= t, or < t for side="left"."""
     total = 0.0
-    for (x1, x2), nu in edges:
+    for x1, x2, nu in edges.tolist():
         slope = x2 / x1 if x1 else math.inf
         counted = slope <= t if side == "right" else slope < t
         if counted:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,20 @@ def test_conditioned_study_accepts():
     assert acc[0].empirical == 6.0
 
 
+def test_conditioned_study_with_no_accepted_replicate():
+    # one attempt per replicate at n1 = 60 accepts none of them, so every
+    # statistic of the accepted paths is taken over an empty sample
+    cfg = _config(n1_list=[60], conditioned_n1=[60], accepted_target=4, max_attempts=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = stu.run_conditioned_study(cfg)
+    rows = {r.statistic: r for r in res.rows}
+    assert rows["cond_accepted"].empirical == 0.0
+    assert math.isnan(rows["cond_median_dL"].empirical)
+    assert math.isnan(rows["cond_median_dL"].stderr)
+    assert all(math.isnan(r.stderr) for s, r in rows.items() if s.startswith("cond_frac"))
+
+
 def test_lclt_insufficient_replicates():
     cfg = _config(mode="verify", n1_list=[200], lclt_replicates=1000)
     with pytest.raises(InsufficientReplicates):
@@ -456,6 +471,10 @@ def test_cli_oracle_attempt_budget(tmp_path, monkeypatch):
     ("verify", {"conditioned_n1": [0]}),
     ("verify", {"conditioned_n1": [-5]}),
     ("calibrate", {"workers": 0}),
+    ("verify", {"n2": 7}),
+    ("profile", {"n2": 7}),
+    ("oracle", {"n2": 7, "oracle_draws": 10,
+                "oracle_instances": [{"n": [1, 1], "cap_radius": 2, "nu_cap": 2}]}),
 ])
 def test_cli_malformed_config_is_typed_error(tmp_path, mode, bad):
     cfg = {"mode": mode, "curve": PARABOLA_SPEC, "n1_list": [20],

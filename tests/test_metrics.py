@@ -116,14 +116,18 @@ def test_discretize_output_is_monotone(request, name):
     assert mt.hausdorff(poly, poly) == 0.0
 
 
+def _line(support):
+    return sp.assemble(sp.Configuration(support=oracles.edge_rows(support)))
+
+
 def test_length_distance_empty_line(parabola1):
-    line = sp.assemble(sp.Configuration(support={}))
+    line = _line({})
     total = oracles.arc_length_profile(parabola1, math.inf)
     assert mt.length_distance(line, 1.0, parabola1) == pytest.approx(total, abs=1e-9)
 
 
 def test_length_distance_zero_scale(parabola1):
-    line = sp.assemble(sp.Configuration(support={(1, 0): 3, (1, 1): 2, (0, 1): 1}))
+    line = _line({(1, 0): 3, (1, 1): 2, (0, 1): 1})
     total = oracles.arc_length_profile(parabola1, math.inf)
     assert mt.length_distance(line, 0.0, parabola1) == pytest.approx(total, abs=1e-9)
 
@@ -131,7 +135,7 @@ def test_length_distance_zero_scale(parabola1):
 def _brute_length_sup(line, scale, curve):
     """sup of |scale * edge profile - l| over a fine angle grid, both
     sides of every knot slope and +inf, by plain edge sums."""
-    knots = [x[1] / x[0] if x[0] else math.inf for x, _ in line.edges]
+    knots = [x2 / x1 if x1 else math.inf for x1, x2, _ in line.edges.tolist()]
     ts = np.concatenate([cv.slope_grid(curve, 4096), knots, [math.inf]])
     best = 0.0
     for t in ts:
@@ -147,9 +151,9 @@ def test_grid_refinement_already_exact(parabola1, tabulated_mixed):
     drawn = sp.assemble(sp.sample_configuration(params, np.random.default_rng(2)))
     cases = [
         (drawn, 1.0 / 300, parabola1),
-        (sp.assemble(sp.Configuration(support={})), 1.0, parabola1),
-        (sp.assemble(sp.Configuration(support={(0, 1): 2})), 0.25, parabola1),
-        (sp.assemble(sp.Configuration(support={(1, 0): 3, (1, 1): 2})), 0.1, tabulated_mixed),
+        (_line({}), 1.0, parabola1),
+        (_line({(0, 1): 2}), 0.25, parabola1),
+        (_line({(1, 0): 3, (1, 1): 2}), 0.1, tabulated_mixed),
     ]
     for line, scale, curve in cases:
         rep = mt.distance_report(line, scale, curve)

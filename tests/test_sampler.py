@@ -17,6 +17,14 @@ def _params(curve, n1, n2=None):
     return ms.MeasureParams.for_endpoint(curve, n1, n2)
 
 
+def _config(support):
+    return sp.Configuration(support=oracles.edge_rows(support))
+
+
+def _taus(line):
+    return [x2 / x1 if x1 else math.inf for x1, x2, _ in line.edges.tolist()]
+
+
 # --- geometric inverse transform -----------------------------------------------
 
 def test_geometric_mean_at_half():
@@ -38,24 +46,16 @@ def test_geometric_pmf_at_half():
 # --- assembly -------------------------------------------------------------------
 
 def test_assemble_example():
-    config = sp.Configuration(support={(1, 0): 2, (1, 1): 1, (0, 1): 3})
+    config = _config({(1, 0): 2, (1, 1): 1, (0, 1): 3})
     line = sp.assemble(config)
     assert line.vertices.tolist() == [[0, 0], [2, 0], [3, 1], [3, 4]]
     assert line.endpoint.tolist() == [3, 4]
 
 
 def test_assemble_empty():
-    line = sp.assemble(sp.Configuration(support={}))
+    line = sp.assemble(_config({}))
     assert line.vertices.tolist() == [[0, 0]]
     assert line.endpoint.tolist() == [0, 0]
-
-
-def test_roundtrip_on_samples(parabola1):
-    params = _params(parabola1, 100)
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        config = sp.sample_configuration(params, rng)
-        assert sp.disassemble(sp.assemble(config)) == config
 
 
 @settings(deadline=None, max_examples=40)
@@ -63,13 +63,78 @@ def test_roundtrip_on_samples(parabola1):
     st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(
         lambda x: x != (0, 0) and math.gcd(*x) == 1),
     st.integers(1, 5), min_size=0, max_size=8))
-def test_roundtrip_random_configs(support):
-    config = sp.Configuration(support=support)
+def test_line_edges_are_the_support(support):
+    """A line's edges are its configuration's rows, and its vertices
+    are their prefix sums in slope order."""
+    config = _config(support)
     line = sp.assemble(config)
-    assert sp.disassemble(line) == config
-    taus = [x2 / x1 if x1 else math.inf for (x1, x2), _ in line.edges]
-    assert taus == sorted(taus)
-    assert np.array_equal(line.endpoint, config.endpoint())
+    assert line.edges is config.support
+    rows = line.edges.tolist()
+    assert {(x1, x2): nu for x1, x2, nu in rows} == support
+    taus = _taus(line)
+    assert all(b > a for a, b in zip(taus, taus[1:]))
+    vertex = [0, 0]
+    for i, (x1, x2, nu) in enumerate(rows):
+        vertex = [vertex[0] + x1 * nu, vertex[1] + x2 * nu]
+        assert line.vertices[i + 1].tolist() == vertex
+    end = [sum(x[0] * nu for x, nu in support.items()),
+           sum(x[1] * nu for x, nu in support.items())]
+    assert line.endpoint.tolist() == end == config.endpoint().tolist()
+    assert sp.total_length(line) == sum(math.hypot(x1, x2) * nu for x1, x2, nu in rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1, 1], [1, 0, 1]],  # slope out of order
+    [[1, 2, 1], [2, 1, 1]],  # slope out of order, both x1 > 0
+    [[1, 1, 1], [1, 1, 2]],  # repeated direction
+    [[1, 1, 1], [2, 2, 1]],  # same slope
+    [[1, 0, 0]],  # nu < 1
+    [[1, 0, 1], [0, 1, -2]],  # nu < 1
+    np.zeros((2, 2), dtype=np.int64),  # wrong shape
+    np.zeros(3, dtype=np.int64),  # wrong shape
+    np.array([[1.0, 0.0, 1.0]]),  # not integer
+], ids=["order", "order-interior", "repeat", "same-slope", "nu0", "nu-neg", "k2",
+        "flat", "float"])
+def test_configuration_rejects_malformed_support(rows):
+    with pytest.raises(ValueError):
+        sp.Configuration(support=np.asarray(rows))
+
+
+def test_support_of_rebuilds_every_endpoint(parabola1):
+    params = _params(parabola1, 100)
+    xi, support = sp.sample_endpoints(params, 2000, np.random.default_rng(13),
+                                      collect_support=True)
+    for r in range(xi.shape[0]):
+        config = sp.support_of(params, support, r)
+        assert config.endpoint().tolist() == xi[r].tolist()
+
+
+class _ZeroEveryOtherStep:
+    """Generator stand-in whose every second exponential step is 0.0."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self._calls = 0
+
+    def standard_exponential(self, size):
+        self._calls += 1
+        steps = self._rng.standard_exponential(size)
+        return steps * 0.0 if self._calls % 2 == 0 else steps
+
+    def random(self, size):
+        return self._rng.random(size)
+
+
+def test_skip_moves_on_after_a_zero_step(parabola1):
+    # a step of 0 leaves the consumed hazard at cum[j]; the next skip must
+    # still land on a later direction, or support_of would see a repeat
+    params = _params(parabola1, 100)
+    xi, (reps, idx, nu) = sp.sample_endpoints(params, 50, _ZeroEveryOtherStep(3),
+                                              collect_support=True)
+    for r in range(50):
+        assert np.all(np.diff(idx[reps == r]) > 0)
+        config = sp.support_of(params, (reps, idx, nu), r)
+        assert config.endpoint().tolist() == xi[r].tolist()
 
 
 # --- sampling invariants ----------------------------------------------------------
@@ -90,7 +155,7 @@ def test_convexity_and_endpoint_identity(parabola1):
     for _ in range(10_000):
         config = sp.sample_configuration(params, rng)
         line = sp.assemble(config)
-        taus = [x2 / x1 if x1 else math.inf for (x1, x2), _ in line.edges]
+        taus = _taus(line)
         assert all(b > a for a, b in zip(taus, taus[1:]))
         assert np.array_equal(line.endpoint, config.endpoint())
 
@@ -118,7 +183,7 @@ def test_skip_route_matches_direct_route(parabola1):
     for i in range(n_draws):
         config = sp.sample_configuration(params, rng)
         xi_direct[i] = config.endpoint()
-        for (x1, x2) in config.support:
+        for x1, x2, _ in config.support:
             j = int(np.nonzero((f.x1 == x1) & (f.x2 == x2))[0][0])
             active_direct[j] += 1
     xi_skip, (reps, idx, nus) = sp.sample_endpoints(
@@ -194,13 +259,13 @@ def _profile(line, t, side="right"):
 
 
 def test_length_profile_example():
-    line = sp.assemble(sp.Configuration(support={(1, 0): 2, (0, 1): 3}))
+    line = sp.assemble(_config({(1, 0): 2, (0, 1): 3}))
     assert _profile(line, [0.0, math.inf]).tolist() == [2.0, 5.0]
     assert _profile(line, [0.0, math.inf], "left").tolist() == [0.0, 2.0]
 
 
 def test_length_profile_empty():
-    line = sp.assemble(sp.Configuration(support={}))
+    line = sp.assemble(_config({}))
     assert _profile(line, [0.0, 1.0, math.inf]).tolist() == [0.0, 0.0, 0.0]
     assert _profile(line, [0.0, 1.0, math.inf], "left").tolist() == [0.0, 0.0, 0.0]
 
@@ -208,11 +273,11 @@ def test_length_profile_empty():
 def test_length_profile_matches_edge_sum_oracle(parabola1):
     params = _params(parabola1, 40)
     rng = np.random.default_rng(7)
-    lines = [sp.assemble(sp.Configuration(support={})),
-             sp.assemble(sp.Configuration(support={(1, 0): 3, (2, 1): 1, (0, 1): 2}))]
+    lines = [sp.assemble(_config({})),
+             sp.assemble(_config({(1, 0): 3, (2, 1): 1, (0, 1): 2}))]
     lines += [sp.assemble(sp.sample_configuration(params, rng)) for _ in range(20)]
     for line in lines:
-        taus = [x2 / x1 if x1 else math.inf for (x1, x2), _ in line.edges]
+        taus = _taus(line)
         grid = sorted(set(taus) | {0.0, 0.5, 1.0, 7.0, math.inf})
         for side in ("right", "left"):
             got = _profile(line, grid, side)
