@@ -86,8 +86,7 @@ def main():
 
     codes["oracle"] = run_cli([
         "oracle", "--config",
-        cfg_file("orc", {"mode": "oracle", "curve": PARABOLA, "n1_list": [2],
-                         "oracle_draws": 20_000, "seed": args.seed,
+        cfg_file("orc", {"mode": "oracle", "curve": PARABOLA, "seed": args.seed,
                          "out_dir": str(out / "oracle")})])
 
     print(f"\nexit codes: {codes}")

@@ -8,7 +8,6 @@ verify the calibration, moment and local-CLT asymptotics numerically.
 
 from .curve import (
     ConvexCurve,
-    curvature_at_slope,
     length_profile,
     make_preset,
     make_tabulated,
@@ -32,10 +31,8 @@ from .measure import (
     gaussian_density_at,
     moment_report,
     nu_moments,
-    z_of,
-    z_pow,
 )
-from .metrics import PathDistanceReport, distance_report, hausdorff, length_distance
+from .metrics import PathDistanceReport, distance_report, hausdorff
 from .oracle import OracleDistribution, configuration_key, exact_conditional_oracle
 from .sampler import (
     Configuration,
@@ -62,7 +59,6 @@ __all__ = [
     "condition_on_endpoint",
     "configuration_key",
     "covariance_matrix",
-    "curvature_at_slope",
     "delta",
     "distance_report",
     "exact_conditional_oracle",
@@ -70,7 +66,6 @@ __all__ = [
     "expected_length_profile",
     "gaussian_density_at",
     "hausdorff",
-    "length_distance",
     "length_profile",
     "make_preset",
     "make_tabulated",
@@ -83,6 +78,4 @@ __all__ = [
     "scale",
     "slope_grid",
     "slope_inverse",
-    "z_of",
-    "z_pow",
 ]

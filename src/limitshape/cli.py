@@ -22,7 +22,6 @@ from . import curve as _curve
 from . import measure as _measure
 from . import oracle as _oracle
 from . import report as _report
-from . import sampler as _sampler
 from . import studies as _studies
 from .config import ExperimentConfig, curve_from_spec
 from .errors import LimitShapeError
@@ -185,34 +184,17 @@ def _cmd_profile(cfg: ExperimentConfig, thresholds: dict) -> int:
 
 
 def _cmd_oracle(cfg: ExperimentConfig, thresholds: dict) -> int:
-    instances = cfg.oracle_instances or [
-        {"n": [1, 1], "cap_radius": 2, "nu_cap": 2},
-        {"n": [2, 1], "cap_radius": 3, "nu_cap": 3},
-        {"n": [1, 2], "cap_radius": 3, "nu_cap": 3},
-        {"n": [3, 1], "cap_radius": 4, "nu_cap": 3},
-        {"n": [2, 2], "cap_radius": 4, "nu_cap": 3},
-    ]
-    curve = curve_from_spec(cfg.curve_spec)
-    rows = []
-    worst_z = 0.0
-    for idx, inst in enumerate(instances):
-        n = tuple(inst["n"])
-        params = _measure.MeasureParams.for_endpoint(curve, n[0], n[1])
-        dist = _oracle.exact_conditional_oracle(params, inst["cap_radius"],
-                                                inst["nu_cap"], n)
-        rng = _studies._replicate_rng(cfg.seed, 4, n[0] * 1000 + n[1], idx)
-        configs, _ = _sampler.conditioned_configurations(
-            params, n, cfg.oracle_draws, cfg.oracle_draws, cfg.max_attempts, rng)
-        for key, p, obs, z in _oracle.z_scores(dist, configs):
-            worst_z = max(worst_z, z)
-            rows.append((f"{n}", "|".join(map(str, key)), p, obs / len(configs), z))
+    check = _oracle.check_sampler(curve_from_spec(cfg.curve_spec), cfg.oracle_instances,
+                                  cfg.oracle_draws, cfg.max_attempts, cfg.seed)
     _report.write_csv(os.path.join(cfg.out_dir, "oracle.csv"),
                       ["instance", "line", "exact_p", "observed_freq", "z_score"],
-                      rows)
+                      check.rows)
     ok = _report.write_markdown_summary(
         os.path.join(cfg.out_dir, "summary.md"), "oracle agreement",
-        [("all cells within sigma band", worst_z <= thresholds["oracle_sigma_band"],
-          f"worst z = {worst_z:.2f}")])
+        [("all cells within sigma band", check.worst_z <= thresholds["oracle_sigma_band"],
+          f"worst z = {check.worst_z:.2f}"),
+         ("every sampled line in the oracle's support", not check.missing,
+          f"{len(check.missing)} outside: {check.missing[:5]}")])
     return 0 if ok else 2
 
 

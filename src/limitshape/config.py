@@ -16,6 +16,16 @@ _INT_FIELDS = ("replicates", "seed", "workers", "accepted_target", "max_attempts
                "lclt_replicates", "lclt_batch", "oracle_draws")
 
 
+def _oracle_instances() -> list:
+    """Micro-lattice instances of the oracle mode and of the c09 check;
+    caps that do not bind (cap_radius >= n1 + n2, nu_cap >= max(n))."""
+    return [{"n": [1, 1], "cap_radius": 2, "nu_cap": 4},
+            {"n": [2, 1], "cap_radius": 3, "nu_cap": 4},
+            {"n": [1, 2], "cap_radius": 3, "nu_cap": 4},
+            {"n": [3, 1], "cap_radius": 4, "nu_cap": 4},
+            {"n": [2, 2], "cap_radius": 4, "nu_cap": 4}]
+
+
 def _require_int(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -51,11 +61,14 @@ def curve_from_spec(spec: dict) -> ConvexCurve:
 
 @dataclass
 class ExperimentConfig:
-    """One study run: curve, sizes, replication and output policy."""
+    """One study run: curve, sizes, replication and output policy.
+
+    Every mode but oracle needs n1_list; the oracle mode takes its
+    sizes from oracle_instances and rejects n1_list."""
 
     mode: str
     curve_spec: dict
-    n1_list: list
+    n1_list: list | None = None
     replicates: int = 200
     seed: int = 0
     out_dir: str = "out"
@@ -67,8 +80,8 @@ class ExperimentConfig:
     lclt_replicates: int = 10_000_000
     lclt_batch: int = 200_000
     n2: int | None = None
-    oracle_instances: list = field(default_factory=list)
-    oracle_draws: int = 200_000
+    oracle_instances: list = field(default_factory=_oracle_instances)
+    oracle_draws: int = 20_000
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -77,7 +90,10 @@ class ExperimentConfig:
             _require_int(name, getattr(self, name))
         if self.n2 is not None:
             _require_int("n2", self.n2)
-        for name in ("n1_list", "conditioned_n1"):
+        if (self.mode == "oracle") != (self.n1_list is None):
+            raise ValueError("n1_list is required by every mode but oracle, which takes "
+                             "its sizes from oracle_instances")
+        for name in ("conditioned_n1",) + (() if self.n1_list is None else ("n1_list",)):
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)):
                 raise ValueError(f"{name} must be a list of integers, got {values!r}")
@@ -90,11 +106,13 @@ class ExperimentConfig:
             raise ValueError("conditioned_n1 entries must be >= 1")
         if not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
-        n1s = list(self.n1_list)
-        if not n1s or n1s[0] < 1:
-            raise ValueError("n1 list must be non-empty and start at n1 >= 1")
-        if any(b <= a for a, b in zip(n1s, n1s[1:])):
-            raise ValueError("n1 list must be strictly increasing")
+        if self.n1_list is not None:
+            n1s = [int(v) for v in self.n1_list]
+            if not n1s or n1s[0] < 1:
+                raise ValueError("n1 list must be non-empty and start at n1 >= 1")
+            if any(b <= a for a, b in zip(n1s, n1s[1:])):
+                raise ValueError("n1 list must be strictly increasing")
+            self.n1_list = n1s
         if self.n2 is not None and self.n2 < 1:
             raise ValueError("n2 must be >= 1")
         if self.n2 is not None and self.mode not in _N2_MODES:
@@ -105,8 +123,9 @@ class ExperimentConfig:
         if not isinstance(self.epsilons, (list, tuple)) or any(
                 isinstance(e, bool) or not isinstance(e, Real) for e in self.epsilons):
             raise ValueError(f"epsilons must be a list of numbers, got {self.epsilons!r}")
-        if not isinstance(self.oracle_instances, (list, tuple)):
-            raise ValueError(f"oracle_instances must be a list, got {self.oracle_instances!r}")
+        if not isinstance(self.oracle_instances, (list, tuple)) or not self.oracle_instances:
+            raise ValueError(f"oracle_instances must be a non-empty list, "
+                             f"got {self.oracle_instances!r}")
         for inst in self.oracle_instances:
             if not isinstance(inst, dict):
                 raise ValueError(f"oracle instance must be an object, got {inst!r}")
@@ -126,7 +145,6 @@ class ExperimentConfig:
             if inst["cap_radius"] < n[0] + n[1] or inst["nu_cap"] < max(n):
                 raise ValueError(f"oracle instance {inst} needs cap_radius >= n1 + n2 "
                                  "and nu_cap >= max(n)")
-        self.n1_list = [int(v) for v in n1s]
         self.epsilons = tuple(float(e) for e in self.epsilons)
 
     @staticmethod

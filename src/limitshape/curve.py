@@ -4,7 +4,7 @@ A curve is the graph of a strictly increasing, strictly convex function
 g on [0, 1] with g(0) = 0.  Everything downstream works in the
 tangent-slope coordinate t = g'(u): the generalized inverse u(t), the
 arc-length profile l(t) (length of the sub-arc with tangent slope <= t)
-and the curvature kappa(t).  Presets supply closed forms; tabulated
+and the curvature kappa(u(t)) (curvature_profile).  Presets supply closed forms; tabulated
 data is fitted with a shape-verified quintic spline.
 
 l(t) has one route, length_profile: a cached antiderivative spline of
@@ -34,7 +34,6 @@ from .errors import (
     NonMonotoneDerivative,
     NotConvex,
     NotMonotone,
-    SlopeOutOfRange,
 )
 
 _VALIDATION_GRID = 513
@@ -190,14 +189,6 @@ def slope_inverse(curve: ConvexCurve, t):
     return float(out) if scalar else out
 
 
-def curvature_at_slope(curve: ConvexCurve, t) -> float:
-    """Curvature kappa(t) = g2(u(t)) / (1 + t^2)^(3/2) for t in [t0, t1]."""
-    t = float(t)
-    if t < curve.t0 or t > curve.t1:
-        raise SlopeOutOfRange(f"t={t} outside [{curve.t0}, {curve.t1}]")
-    return curvature_profile(curve, slope_inverse(curve, t))
-
-
 def _angle_grid(curve: ConvexCurve, n: int):
     """n tangent angles uniform on [atan t0, atan t1] and their slopes.
 
@@ -302,12 +293,6 @@ def _finish(g, g1, g2, c_gamma, *, curvature_u=None, inverse_slope=None,
     k0 = _validate(candidate, k0_floor)
     object.__setattr__(candidate, "K0", k0)
     return candidate
-
-
-def unchecked_curve(g, g1, g2, c_gamma, t0, t1, K0=0.0, name="unchecked") -> ConvexCurve:
-    """Bypass validation; for oracle/sanity inputs that break the invariants."""
-    return ConvexCurve(g=g, g1=g1, g2=g2, c_gamma=c_gamma, t0=t0, t1=t1,
-                       K0=K0, name=name)
 
 
 def _preset_param(kwargs: dict, key: str, default: float) -> float:

@@ -55,19 +55,26 @@ class EmptyPath(LimitShapeError):
 
 
 class Exhausted(LimitShapeError):
-    """Rejection sampling hit the attempt budget without an acceptance.
+    """Rejection sampling spent its attempt budget short of its target.
 
-    Carries the attempt count and closest-miss diagnostics.
+    Carries the attempt count, the accepted count next to the target
+    count, and closest-miss diagnostics.
     """
 
-    def __init__(self, attempts, diagnostics=None):
-        super().__init__(f"no acceptance within {attempts} attempts")
+    def __init__(self, attempts, accepted, count, diagnostics):
+        super().__init__(f"accepted {accepted} of {count} within {attempts} attempts")
         self.attempts = attempts
+        self.accepted = accepted
+        self.count = count
         self.diagnostics = diagnostics
 
 
 class StateSpaceTooLarge(LimitShapeError):
     """Exhaustive enumeration would exceed the state-space budget."""
+
+
+class UnreachableEndpoint(LimitShapeError):
+    """No configuration on the capped direction set ends at the endpoint."""
 
 
 class InsufficientReplicates(LimitShapeError):

@@ -311,35 +311,6 @@ def _field(params: MeasureParams) -> _DirectionField:
     return _DirectionField(params)
 
 
-def z_of(params: MeasureParams, x) -> tuple[float, float]:
-    """Per-direction parameter pair (z1, z2).
-
-    The aspect correction rho rides on the second component, so that
-    z1**x1 * z2**x2 equals z_pow(params, x) identically.
-    """
-    x1, x2 = _direction_tuple(x)
-    rho = params.rho_n
-    tt = rho * x2 / x1 if x1 else math.inf
-    d1, d2 = delta(params.curve, tt)
-    return (math.exp(-params.alpha_n * d1),
-            math.exp(-params.alpha_n * rho * d2))
-
-
-def z_pow(params: MeasureParams, x) -> float:
-    """Geometric parameter z^x in [0, 1); 0 when the direction is excluded."""
-    x1, x2 = _direction_tuple(x)
-    e = float(direction_exponent(params.curve, params.rho_n,
-                                 np.array([float(x1)]), np.array([float(x2)]))[0])
-    if math.isinf(e):
-        return 0.0
-    return math.exp(-params.alpha_n * e)
-
-
-def _direction_tuple(x):
-    x1, x2 = x
-    return int(x1), int(x2)
-
-
 def nu_moments(zp):
     """Exact mean and variance of a geometric multiplicity with parameter z."""
     z_arr, scalar = _curve._as_float_array(zp)
@@ -415,12 +386,6 @@ def covariance_matrix(params: MeasureParams) -> np.ndarray:
     k12 = float(np.sum(f.x1.astype(float) * f.x2.astype(float) * f.var_nu))
     k22 = float(np.sum(f.x2.astype(float) ** 2 * f.var_nu))
     return np.array([[k11, k12], [k12, k22]])
-
-
-def normalization_constant(params: MeasureParams) -> float:
-    """Product of (1 - z^x) over the truncated direction set."""
-    f = _field(params)
-    return float(np.exp(np.sum(np.log1p(-f.zpow))))
 
 
 def b_matrix(curve: ConvexCurve) -> np.ndarray:

@@ -123,28 +123,6 @@ def hausdorff(a, b) -> float:
     return max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))
 
 
-def length_distance(line: PolygonalLine, scale: float, curve: ConvexCurve) -> float:
-    return distance_report(line, scale, curve).d_length
-
-
-def profile_distance(line_a: PolygonalLine, scale_a: float,
-                     line_b: PolygonalLine, scale_b: float) -> float:
-    """Sup-distance between two scaled path length profiles.
-
-    Both profiles are step functions, so the sup sits on the union of
-    their jump slopes, evaluated from both sides.
-    """
-    taus_a, _, after_a = _sampler.profile_knots(line_a)
-    taus_b, _, after_b = _sampler.profile_knots(line_b)
-    all_taus = np.unique(np.concatenate([taus_a, taus_b]))
-    if not all_taus.size:
-        all_taus = np.array([0.0])
-    gaps = [np.abs(scale_a * _measure.step_at(taus_a, after_a, all_taus, side)
-                   - scale_b * _measure.step_at(taus_b, after_b, all_taus, side))
-            for side in ("right", "left")]
-    return float(np.maximum(*gaps).max())
-
-
 @lru_cache(maxsize=32)
 def _curve_polyline(curve: ConvexCurve) -> np.ndarray:
     """Read-only arc-length-uniform polyline of the curve, built once."""

@@ -6,6 +6,10 @@ giving the conditional law on {endpoint = n} in closed form.  When
 cap_radius >= n1 + n2 and nu_cap >= max(n), the caps are not binding
 for paths ending at n, so the enumeration equals the sampler's
 conditional law with no auxiliary conditioning.
+
+check_sampler is the one route that pairs the enumeration with
+conditioned draws: the CLI oracle mode and the c09 acceptance check
+both run it.
 """
 
 from __future__ import annotations
@@ -16,15 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StateSpaceTooLarge
+from . import sampler as _sampler
+from .curve import ConvexCurve
+from .errors import StateSpaceTooLarge, UnreachableEndpoint
 from .lattice import direction_arrays
 from .measure import MeasureParams, direction_exponent
-from .sampler import Configuration
 
 _STATE_BUDGET = 2_000_000
+_DRAW_BATCH = 100_000  # endpoint draws per batch of check_sampler
 
 
-def configuration_key(config: Configuration) -> tuple:
+def configuration_key(config: _sampler.Configuration) -> tuple:
     """Canonical hashable identity of a configuration (and its path)."""
     return tuple(sorted(map(tuple, config.support.tolist())))
 
@@ -35,7 +41,6 @@ class OracleDistribution:
 
     endpoint: tuple
     entries: tuple  # of (key, probability), probability descending
-    reachable: bool
 
     def as_dict(self) -> dict:
         return dict(self.entries)
@@ -44,7 +49,10 @@ class OracleDistribution:
 def exact_conditional_oracle(params: MeasureParams, cap_radius: int,
                              nu_cap: int, n) -> OracleDistribution:
     """Enumerate all capped configurations with endpoint n and weight
-    them by the tilted measure (common normalization cancels)."""
+    them by the tilted measure (common normalization cancels).
+
+    Raises UnreachableEndpoint when no capped configuration ends at n.
+    """
     n1, n2 = int(n[0]), int(n[1])
     curve = params.curve
     rho = params.rho_n
@@ -52,8 +60,6 @@ def exact_conditional_oracle(params: MeasureParams, cap_radius: int,
     t_hi = curve.t1 / rho if math.isfinite(curve.t1) else math.inf
     x1s, x2s = direction_arrays(t_lo, t_hi, cap_radius)
     dirs = list(zip(x1s.tolist(), x2s.tolist()))
-    if not dirs:
-        return OracleDistribution(endpoint=(n1, n2), entries=(), reachable=False)
     if (nu_cap + 1) ** len(dirs) > _STATE_BUDGET * 64:
         raise StateSpaceTooLarge(
             f"{len(dirs)} directions with nu <= {nu_cap} exceeds the budget")
@@ -83,25 +89,57 @@ def exact_conditional_oracle(params: MeasureParams, cap_radius: int,
 
     rec(0, n1, n2, 0.0, [])
     if not found:
-        return OracleDistribution(endpoint=(n1, n2), entries=(), reachable=False)
+        raise UnreachableEndpoint(f"no configuration with x1 + x2 <= {cap_radius} and "
+                                  f"nu <= {nu_cap} ends at {(n1, n2)} on this curve")
     log_ws = np.array([w for _, w in found])
     log_ws -= log_ws.max()
     ws = np.exp(log_ws)
     ws /= ws.sum()
     order = np.argsort(-ws, kind="stable")
     entries = tuple((found[i][0], float(ws[i])) for i in order)
-    return OracleDistribution(endpoint=(n1, n2), entries=entries, reachable=True)
+    return OracleDistribution(endpoint=(n1, n2), entries=entries)
 
 
-def z_scores(dist: OracleDistribution, configs) -> list:
-    """(key, exact p, observed count, |z|) for every oracle entry, where
-    z compares the count among the sampled configurations with its
-    binomial mean and standard deviation."""
-    counts = Counter(configuration_key(c) for c in configs)
-    total = len(configs)
-    rows = []
-    for key, p in dist.entries:
-        obs = counts[key]
-        se = math.sqrt(max(p * (1 - p) * total, 1e-300))
-        rows.append((key, p, obs, abs(obs - p * total) / se))
-    return rows
+@dataclass(frozen=True)
+class OracleCheck:
+    """Sampled frequencies against the exact law, over all instances.
+
+    rows holds (instance, line, exact p, observed frequency, |z|) for
+    every oracle entry, where z compares the line's count among the
+    draws with its binomial mean and standard deviation; missing holds
+    (instance, line) for every sampled line outside the oracle's support.
+    """
+
+    rows: list
+    worst_z: float
+    missing: list
+
+
+def check_sampler(curve: ConvexCurve, instances, draws: int, max_attempts: int,
+                  seed: int) -> OracleCheck:
+    """Enumerate each instance's exact conditional law and compare it
+    with draws endpoint-conditioned configurations.
+
+    instances are config-dict objects {"n", "cap_radius", "nu_cap"};
+    instance idx draws from SeedSequence(seed, spawn_key=(9, idx)) in
+    batches of 100 000 endpoints under max_attempts.  An unreachable
+    endpoint raises UnreachableEndpoint from the enumeration, before
+    any draw.
+    """
+    rows, missing = [], []
+    worst_z = 0.0
+    for idx, inst in enumerate(instances):
+        n = tuple(inst["n"])
+        params = MeasureParams.for_endpoint(curve, n[0], n[1])
+        dist = exact_conditional_oracle(params, inst["cap_radius"], inst["nu_cap"], n)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9, idx)))
+        configs, _ = _sampler.conditioned_configurations(params, n, draws, _DRAW_BATCH,
+                                                         max_attempts, rng)
+        counts = Counter(configuration_key(c) for c in configs)
+        missing.extend((n, key) for key in sorted(counts.keys() - dist.as_dict().keys()))
+        for key, p in dist.entries:
+            se = math.sqrt(max(p * (1 - p) * draws, 1e-300))
+            z = abs(counts[key] - p * draws) / se
+            worst_z = max(worst_z, z)
+            rows.append((f"{n}", "|".join(map(str, key)), p, counts[key] / draws, z))
+    return OracleCheck(rows=rows, worst_z=worst_z, missing=missing)

@@ -35,6 +35,8 @@ import numpy as np
 from .errors import Exhausted
 from .measure import MeasureParams, _field, covariance_matrix, step_knots
 
+_CONDITION_BATCH = 8192  # endpoint draws per batch of condition_on_endpoint
+
 
 @dataclass(frozen=True, eq=False)
 class Configuration:
@@ -153,9 +155,12 @@ def support_of(params: MeasureParams, support, rep: int) -> Configuration:
 @dataclass(frozen=True)
 class MissDiagnostics:
     """Closest-miss summary of a failed conditioning run, in the
-    covariance-adapted (Mahalanobis) norm."""
+    covariance-adapted (Mahalanobis) norm, with the accepted count
+    next to the target count."""
 
     attempts: int
+    accepted: int
+    count: int
     best_endpoint: tuple
     best_distance: float
     distance_quantiles: dict
@@ -194,9 +199,9 @@ def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
             best_d, best_xi = float(d2[i_best]), (int(xi[i_best, 0]), int(xi[i_best, 1]))
     pooled = np.sqrt(np.concatenate(sq_dists)) if sq_dists else np.empty(0)
     quantiles = {q: float(np.quantile(pooled, q)) for q in (0.01, 0.1, 0.5)} if pooled.size else {}
-    raise Exhausted(attempts, MissDiagnostics(
-        attempts=attempts, best_endpoint=best_xi, best_distance=math.sqrt(best_d),
-        distance_quantiles=quantiles))
+    raise Exhausted(attempts, len(out), count, MissDiagnostics(
+        attempts=attempts, accepted=len(out), count=count, best_endpoint=best_xi,
+        best_distance=math.sqrt(best_d), distance_quantiles=quantiles))
 
 
 @dataclass(frozen=True)
@@ -206,11 +211,11 @@ class ConditionedSample:
 
 
 def condition_on_endpoint(params: MeasureParams, n, max_attempts: int,
-                          rng: np.random.Generator,
-                          batch: int = 8192) -> ConditionedSample:
+                          rng: np.random.Generator) -> ConditionedSample:
     """Exact draw from the endpoint-conditioned law: the first hit of
     conditioned_configurations, assembled into its path."""
-    (config,), attempts = conditioned_configurations(params, n, 1, batch, max_attempts, rng)
+    (config,), attempts = conditioned_configurations(params, n, 1, _CONDITION_BATCH,
+                                                     max_attempts, rng)
     return ConditionedSample(line=assemble(config), attempts=attempts)
 
 

@@ -30,6 +30,13 @@ B_CIRCLE = np.array([[math.pi / 4.0, 0.5], [0.5, math.pi / 4.0]])
 COPRIME_COUNT_R1000 = 304193  # brute gcd sieve, reproduced in tests
 
 
+def z_pair(alpha: float, rho: float, delta1: float, delta2: float) -> tuple:
+    """Per-direction pair (z1, z2) from the tilt pair at t = rho*x2/x1,
+    with the aspect correction rho on the second component, so that
+    z1**x1 * z2**x2 = z^x = exp(-alpha * e(x))."""
+    return math.exp(-alpha * delta1), math.exp(-alpha * rho * delta2)
+
+
 def kappa_from_series(terms: int = 2_000_000) -> float:
     """kappa recomputed from the defining zeta series (independent of scipy)."""
     k = np.arange(1, terms + 1, dtype=float)

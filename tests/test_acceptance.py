@@ -13,7 +13,6 @@ from limitshape import curve as cv
 from limitshape import lattice as lt
 from limitshape import measure as ms
 from limitshape import oracle as oc
-from limitshape import sampler as sp
 from limitshape import studies as stu
 from limitshape.cli import load_thresholds, main as cli_main
 
@@ -252,28 +251,21 @@ def test_c08_limit_shape():
 
 
 def test_c09_oracle_equivalence():
+    # the route and defaults of `limitshape oracle`: five micro-lattice
+    # instances, 20 000 accepted draws each; seed 0 needs at most 6.4e5
+    # draws per instance
     t0 = time.monotonic()
-    curve = cv.make_preset("parabola", c=1.0)
-    instances = [((1, 1), 2), ((2, 1), 3), ((1, 2), 3), ((3, 1), 4), ((2, 2), 4)]
+    cfg = cfgmod.ExperimentConfig(mode="oracle", curve_spec=PARABOLA_SPEC, seed=SEED)
     sigma = TH["oracle_sigma_band"]
-    worst = 0.0
-    draws_target = 20_000
-    for idx, (n, cap) in enumerate(instances):
-        params = ms.MeasureParams.for_endpoint(curve, n[0], n[1])
-        dist = oc.exact_conditional_oracle(params, cap, 4, n)
-        assert dist.reachable
-        rng = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(9, idx)))
-        # batches of 1e5 draws; seed 0 needs at most 6.4e5 draws per instance
-        configs, _ = sp.conditioned_configurations(params, n, draws_target, 100_000,
-                                                   10 ** 7, rng)
-        missing = {oc.configuration_key(c) for c in configs} - set(dist.as_dict())
-        assert not missing, f"sampled lines {missing} missing from oracle"
-        worst = max(worst, max(z for _, _, _, z in oc.z_scores(dist, configs)))
+    check = oc.check_sampler(cfgmod.curve_from_spec(cfg.curve_spec), cfg.oracle_instances,
+                             cfg.oracle_draws, cfg.max_attempts, cfg.seed)
+    assert not check.missing, f"sampled lines {check.missing} missing from oracle"
+    worst = check.worst_z
     elapsed = time.monotonic() - t0
     ok = worst <= sigma and elapsed < 300
     _emit("c09 oracle equivalence", ok,
-          f"worst |z| = {worst:.2f} over {len(instances)} instances "
-          f"x {draws_target} accepted draws", elapsed)
+          f"worst |z| = {worst:.2f} over {len(cfg.oracle_instances)} instances "
+          f"x {cfg.oracle_draws} accepted draws", elapsed)
     assert worst <= sigma
     assert elapsed < 300
 

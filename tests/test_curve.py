@@ -65,19 +65,20 @@ def test_slope_inverse_tabulated_field_matches_bisection(tabulated_mixed):
 
 
 def test_slope_inverse_non_monotone_rejected():
-    bad = cv.unchecked_curve(g=lambda u: u, g1=lambda u: 1.0 - np.asarray(u, float),
-                             g2=lambda u: np.zeros_like(np.asarray(u, float)),
-                             c_gamma=1.0, t0=0.0, t1=1.0)
+    # built directly, without the validation of the curve factories
+    bad = cv.ConvexCurve(g=lambda u: u, g1=lambda u: 1.0 - np.asarray(u, float),
+                         g2=lambda u: np.zeros_like(np.asarray(u, float)),
+                         c_gamma=1.0, t0=0.0, t1=1.0, K0=0.0)
     with pytest.raises(NonMonotoneDerivative):
         cv.slope_inverse(bad, 0.5)
 
 
 def test_slope_inverse_unbracketed_slope_rejected():
     # g1 increases, but the claimed slope range outruns g1(1) = 1
-    short = cv.unchecked_curve(g=lambda u: 0.5 * np.asarray(u, float) ** 2,
-                               g1=lambda u: np.asarray(u, float),
-                               g2=lambda u: np.ones_like(np.asarray(u, float)),
-                               c_gamma=0.5, t0=0.0, t1=2.0)
+    short = cv.ConvexCurve(g=lambda u: 0.5 * np.asarray(u, float) ** 2,
+                           g1=lambda u: np.asarray(u, float),
+                           g2=lambda u: np.ones_like(np.asarray(u, float)),
+                           c_gamma=0.5, t0=0.0, t1=2.0, K0=0.0)
     assert cv.slope_inverse(short, 0.5) == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(NonMonotoneDerivative):
         cv.slope_inverse(short, 1.5)
@@ -111,21 +112,18 @@ def test_length_profile_table_matches_quadrature(parabola1, circle, tabulated_mi
 
 # --- curvature ---------------------------------------------------------------
 
+def _curvature_at_slope(curve, t):
+    return cv.curvature_profile(curve, cv.slope_inverse(curve, t))
+
+
 def test_curvature_parabola_values(parabola1):
-    assert cv.curvature_at_slope(parabola1, 0.0) == pytest.approx(0.5, abs=1e-12)
-    assert cv.curvature_at_slope(parabola1, 1.0) == pytest.approx(math.sqrt(2), abs=1e-12)
+    assert _curvature_at_slope(parabola1, 0.0) == pytest.approx(0.5, abs=1e-12)
+    assert _curvature_at_slope(parabola1, 1.0) == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
 def test_curvature_circle_constant(circle):
     for t in [0.0, 0.3, 1.0, 5.0, 100.0]:
-        assert cv.curvature_at_slope(circle, t) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_curvature_out_of_range(power2):
-    from limitshape.errors import SlopeOutOfRange
-
-    with pytest.raises(SlopeOutOfRange):
-        cv.curvature_at_slope(power2, 2.5)
+        assert _curvature_at_slope(circle, t) == pytest.approx(1.0, abs=1e-12)
 
 
 # --- presets -----------------------------------------------------------------
@@ -250,6 +248,6 @@ def test_curvature_slope_identity(parabola1, circle, power2):
     for curve in (parabola1, circle, power2):
         for t in cv.slope_grid(curve, 16):
             u = cv.slope_inverse(curve, t)
-            lhs = cv.curvature_at_slope(curve, t) * (1.0 + t * t) ** 1.5
+            lhs = _curvature_at_slope(curve, t) * (1.0 + t * t) ** 1.5
             rhs = float(curve.g2(u))
             assert lhs == pytest.approx(rhs, rel=1e-9)

@@ -23,6 +23,7 @@ from limitshape.errors import (
     IoFailure,
     LimitShapeError,
     StateSpaceTooLarge,
+    UnreachableEndpoint,
 )
 
 PARABOLA_SPEC = {"preset": {"name": "parabola", "c": 1.0}}
@@ -158,7 +159,6 @@ def test_cli_config_fuzz_exits_cleanly(tmp_path, capsys, cfg):
 def test_oracle_cap22_two_lines(parabola1):
     params = ms.MeasureParams.for_endpoint(parabola1, 1, 1)
     dist = oc.exact_conditional_oracle(params, 2, 2, (1, 1))
-    assert dist.reachable
     keys = {k for k, _ in dist.entries}
     single = ((1, 1, 1),)
     double = ((0, 1, 1), (1, 0, 1))
@@ -178,9 +178,8 @@ def test_oracle_cap22_two_lines(parabola1):
 def test_oracle_unreachable_flagged(power2):
     params = ms.MeasureParams.for_endpoint(power2, 3, 3)
     # at rho = 1 every route to (1,3) needs an edge steeper than t1 = 2
-    dist = oc.exact_conditional_oracle(params, 4, 4, (1, 3))
-    assert not dist.reachable
-    assert dist.entries == ()
+    with pytest.raises(UnreachableEndpoint):
+        oc.exact_conditional_oracle(params, 4, 4, (1, 3))
 
 
 def test_oracle_mass_sums_to_one(parabola1):
@@ -415,32 +414,51 @@ def test_cli_profile(tmp_path):
     assert "length_sup_gap" in rows and "cov_ratio_11" in rows
 
 
+_ORACLE_SMALL = {"mode": "oracle", "curve": PARABOLA_SPEC,
+                 "oracle_instances": [{"n": [1, 1], "cap_radius": 2, "nu_cap": 2}],
+                 "oracle_draws": 4000, "seed": 3}
+
+
+def _run_oracle(tmp_path, **kw):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(_ORACLE_SMALL, out_dir=str(tmp_path / "o"), **kw)))
+    return cli_main(["oracle", "--config", str(cfg_path)])
+
+
 def test_cli_oracle(tmp_path):
-    cfg = {"mode": "oracle", "curve": PARABOLA_SPEC, "n1_list": [2],
-           "oracle_instances": [{"n": [1, 1], "cap_radius": 2, "nu_cap": 2},
-                                 {"n": [2, 1], "cap_radius": 3, "nu_cap": 3}],
-           "oracle_draws": 4000, "seed": 3, "out_dir": str(tmp_path / "o")}
-    cfg_path = str(tmp_path / "cfg.json")
-    json.dump(cfg, open(cfg_path, "w"))
-    assert cli_main(["oracle", "--config", cfg_path]) == 0
+    instances = [{"n": [1, 1], "cap_radius": 2, "nu_cap": 2},
+                 {"n": [2, 1], "cap_radius": 3, "nu_cap": 3}]
+    assert _run_oracle(tmp_path, oracle_instances=instances) == 0
     table = open(os.path.join(str(tmp_path / "o"), "oracle.csv")).read()
     assert "exact_p" in table
 
 
-def test_cli_oracle_attempt_budget(tmp_path, monkeypatch):
+def test_cli_oracle_attempt_budget(tmp_path, monkeypatch, capsys):
     # a sampler that never hits n must end in Exhausted (exit 1), not spin
     def never_hits(params, count, rng, collect_support=False):
         empty = np.empty(0, np.int64)
         return np.zeros((count, 2), dtype=np.int64), (empty, empty, empty)
 
     monkeypatch.setattr(sp, "sample_endpoints", never_hits)
-    cfg = {"mode": "oracle", "curve": PARABOLA_SPEC, "n1_list": [2],
-           "oracle_instances": [{"n": [1, 1], "cap_radius": 2, "nu_cap": 2}],
-           "oracle_draws": 4000, "max_attempts": 10_000, "seed": 3,
-           "out_dir": str(tmp_path / "o")}
-    cfg_path = str(tmp_path / "cfg.json")
-    json.dump(cfg, open(cfg_path, "w"))
-    assert cli_main(["oracle", "--config", cfg_path]) == 1
+    assert _run_oracle(tmp_path, max_attempts=10_000) == 1
+    assert "accepted 0 of 4000 within 10000 attempts" in capsys.readouterr().err
+
+
+def test_cli_oracle_line_outside_support_fails(tmp_path, monkeypatch):
+    # one sampled line off the oracle's support fails the run (exit 2),
+    # though it moves no cell's z by much
+    draw = sp.conditioned_configurations
+
+    def one_stray(params, n, count, batch, max_attempts, rng):
+        configs, attempts = draw(params, n, count, batch, max_attempts, rng)
+        configs[0] = sp.Configuration(support=np.array([[2, 1, 1]], dtype=np.int64))
+        return configs, attempts
+
+    monkeypatch.setattr(sp, "conditioned_configurations", one_stray)
+    assert _run_oracle(tmp_path) == 2
+    summary = open(os.path.join(str(tmp_path / "o"), "summary.md")).read()
+    assert "| every sampled line in the oracle's support | FAIL |" in summary
+    assert "| all cells within sigma band | PASS |" in summary
 
 
 @pytest.mark.parametrize("mode, bad", [
@@ -475,10 +493,14 @@ def test_cli_oracle_attempt_budget(tmp_path, monkeypatch):
     ("profile", {"n2": 7}),
     ("oracle", {"n2": 7, "oracle_draws": 10,
                 "oracle_instances": [{"n": [1, 1], "cap_radius": 2, "nu_cap": 2}]}),
+    ("oracle", {"n1_list": [20]}),
+    ("oracle", {"oracle_instances": []}),
 ])
 def test_cli_malformed_config_is_typed_error(tmp_path, mode, bad):
-    cfg = {"mode": mode, "curve": PARABOLA_SPEC, "n1_list": [20],
-           "out_dir": str(tmp_path / "out")}
+    # the oracle mode takes its sizes from oracle_instances, not n1_list
+    cfg = {"mode": mode, "curve": PARABOLA_SPEC, "out_dir": str(tmp_path / "out")}
+    if mode != "oracle":
+        cfg["n1_list"] = [20]
     cfg.update(bad)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))

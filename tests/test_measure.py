@@ -95,22 +95,31 @@ def test_params_exact_aspect(parabola2):
     assert odd.rho_n == pytest.approx(oracles.rational_rho(2.0, 999, 1998), abs=0)
 
 
+def _zpow(params, x1, x2):
+    """z^x = exp(-alpha * e(x)) for directions given as arrays."""
+    e = ms.direction_exponent(params.curve, params.rho_n, np.asarray(x1, float),
+                              np.asarray(x2, float))
+    return np.exp(-params.alpha_n * e)
+
+
 def test_z_pow_worked_example(parabola1):
     params = ms.MeasureParams.for_endpoint(parabola1, 1000)
     assert params.alpha_n == pytest.approx(0.1, abs=1e-15)
-    assert ms.z_pow(params, (1, 1)) == pytest.approx(oracles.ZPOW_11_AT_N1000, abs=1e-12)
-    z1, z2 = ms.z_of(params, (1, 1))
-    assert z1 * z2 == pytest.approx(ms.z_pow(params, (1, 1)), rel=1e-15)
+    f = ms._field(params)
+    (row,) = np.nonzero((f.x1 == 1) & (f.x2 == 1))[0]
+    assert f.zpow[row] == pytest.approx(oracles.ZPOW_11_AT_N1000, abs=1e-12)
+    z1, z2 = oracles.z_pair(params.alpha_n, params.rho_n, *ms.delta(parabola1, params.rho_n))
+    assert z1 * z2 == pytest.approx(f.zpow[row], rel=1e-15)
 
 
 def test_z_pow_excluded_direction(power2):
     params = ms.MeasureParams.for_endpoint(power2, 500)
-    assert ms.z_pow(params, (1, 3)) == 0.0  # slope 3 > t1 = 2
-    assert ms.z_pow(params, (0, 1)) == 0.0  # vertical edge excluded too
+    # slope 3 > t1 = 2, and the vertical edge, are excluded
+    assert np.all(_zpow(params, [1, 0], [3, 1]) == 0.0)
 
 
 def test_z_pow_alpha_to_zero_limit(parabola1):
-    values = [ms.z_pow(ms.MeasureParams.for_endpoint(parabola1, n), (2, 1))
+    values = [float(_zpow(ms.MeasureParams.for_endpoint(parabola1, n), [2], [1])[0])
               for n in (10 ** 3, 10 ** 5, 10 ** 8)]
     assert values == sorted(values)
     assert values[-1] > 0.99
@@ -229,9 +238,9 @@ def test_covariance_ratio_to_asymptote(parabola1):
 
 def test_normalization_constant_in_unit_interval(parabola1):
     params = ms.MeasureParams.for_endpoint(parabola1, 400)
-    z_norm = ms.normalization_constant(params)
-    assert 0.0 < z_norm < 1.0
     f = ms._field(params)
+    z_norm = float(np.exp(np.sum(np.log1p(-f.zpow))))  # product of (1 - z^x)
+    assert 0.0 < z_norm < 1.0
     assert np.isfinite(np.sum(f.zpow))
     assert ms.certified_tail(parabola1, params.rho_n, params.alpha_n,
                              params.truncation_radius) <= params.tail_tolerance

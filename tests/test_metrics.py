@@ -123,13 +123,13 @@ def _line(support):
 def test_length_distance_empty_line(parabola1):
     line = _line({})
     total = oracles.arc_length_profile(parabola1, math.inf)
-    assert mt.length_distance(line, 1.0, parabola1) == pytest.approx(total, abs=1e-9)
+    assert mt.distance_report(line, 1.0, parabola1).d_length == pytest.approx(total, abs=1e-9)
 
 
 def test_length_distance_zero_scale(parabola1):
     line = _line({(1, 0): 3, (1, 1): 2, (0, 1): 1})
     total = oracles.arc_length_profile(parabola1, math.inf)
-    assert mt.length_distance(line, 0.0, parabola1) == pytest.approx(total, abs=1e-9)
+    assert mt.distance_report(line, 0.0, parabola1).d_length == pytest.approx(total, abs=1e-9)
 
 
 def _brute_length_sup(line, scale, curve):
@@ -160,23 +160,6 @@ def test_grid_refinement_already_exact(parabola1, tabulated_mixed):
         assert rep.d_length == pytest.approx(_brute_length_sup(line, scale, curve), abs=1e-12)
     # the last line ends at slope 1 < t1 = 2.5: the sup holds from there on
     assert rep.argmax_t == math.inf
-
-
-def test_profile_distance_axioms(parabola1):
-    params = ms.MeasureParams.for_endpoint(parabola1, 120)
-    rng = np.random.default_rng(8)
-    lines = [sp.assemble(sp.sample_configuration(params, rng)) for _ in range(30)]
-    s = 1.0 / 120
-    picked = np.random.default_rng(9).integers(0, len(lines), size=(100, 3))
-    for i, j, k in picked:
-        a, b, c = lines[i], lines[j], lines[k]
-        dab = mt.profile_distance(a, s, b, s)
-        dba = mt.profile_distance(b, s, a, s)
-        assert dab == pytest.approx(dba, rel=1e-12)
-        dac = mt.profile_distance(a, s, c, s)
-        dcb = mt.profile_distance(c, s, b, s)
-        assert dab <= dac + dcb + 1e-12
-        assert mt.profile_distance(a, s, a, s) == 0.0
 
 
 def test_distances_co_converge(parabola1):

@@ -247,8 +247,19 @@ def test_exhausted_carries_diagnostics(parabola1):
         sp.condition_on_endpoint(params, (200, 200), 16, np.random.default_rng(0))
     diag = err.value.diagnostics
     assert err.value.attempts == 16
+    assert (err.value.accepted, err.value.count) == (diag.accepted, diag.count) == (0, 1)
+    assert str(err.value) == "accepted 0 of 1 within 16 attempts"
     assert diag.best_distance >= 0.0
     assert diag.best_endpoint != (200, 200)
+    # a larger target accepts some draws before the budget runs out
+    params = _params(parabola1, 20)
+    with pytest.raises(Exhausted) as err:
+        sp.conditioned_configurations(params, (20, 20), 10_000, 4096, 20_000,
+                                      np.random.default_rng(0))
+    accepted = err.value.accepted
+    assert 0 < accepted < 10_000
+    assert err.value.diagnostics.accepted == accepted
+    assert str(err.value) == f"accepted {accepted} of 10000 within 20000 attempts"
 
 
 # --- profiles and scaling -----------------------------------------------------------
