@@ -1,10 +1,14 @@
 """Command line front end.
 
     limitshape <calibrate|sample|condition|verify|profile|oracle>
-               --config FILE [--seed N] [--out DIR] [--workers N]
+               [--config FILE] [flags]
 
-sample/condition also accept direct flags (--n1 --n2 --curve ...).
-Exit codes: 0 pass, 2 acceptance-threshold failure, 1 error.
+A mode reads the config keys that config.MODE_KEYS lists for it and
+takes the flag of each such key that has one: --curve (curve),
+--out (out_dir), --n1 (n1_list, one entry), --n2, --seed, --workers,
+--replicates, --max-attempts.  Flags override the file's keys, and a
+file's "mode" must be the subcommand.  Exit codes: 0 pass,
+2 acceptance-threshold failure, 1 error (bad input included).
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -23,7 +26,7 @@ from . import measure as _measure
 from . import oracle as _oracle
 from . import report as _report
 from . import studies as _studies
-from .config import ExperimentConfig, curve_from_spec
+from .config import MODE_KEYS, ExperimentConfig, curve_from_spec
 from .errors import LimitShapeError
 
 
@@ -46,39 +49,37 @@ def _parse_curve_arg(text: str) -> dict:
     return {"preset": spec}
 
 
+# the flag of each config key that has one, and its argument type
+_FLAGS = {"curve": ("--curve", str), "out_dir": ("--out", str), "n1_list": ("--n1", int),
+          "n2": ("--n2", int), "seed": ("--seed", int), "workers": ("--workers", int),
+          "replicates": ("--replicates", int), "max_attempts": ("--max-attempts", int)}
+
+
 def _build_config(args) -> ExperimentConfig:
+    """The config file's keys, if --config is given, with the flags laid over them."""
+    data = {"mode": args.mode}
     if args.config:
-        cfg = ExperimentConfig.from_file(args.config)
-    else:
-        if args.n1 is None or args.curve is None:
-            raise SystemExit("either --config or both --n1 and --curve are required")
-        cfg = ExperimentConfig(mode=args.mode, curve_spec=_parse_curve_arg(args.curve),
-                               n1_list=[args.n1])
-    cfg.mode = args.mode
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.workers is not None:
-        cfg.workers = args.workers
-    if getattr(args, "n1", None) is not None and not args.config:
-        cfg.n1_list = [args.n1]
-    if getattr(args, "n2", None) is not None:
-        cfg.n2 = args.n2
-    if getattr(args, "replicates", None) is not None:
-        cfg.replicates = args.replicates
-    if getattr(args, "max_attempts", None) is not None:
-        cfg.max_attempts = args.max_attempts
-    return replace(cfg)  # runs the range checks again on the command-line overrides
+        with open(args.config, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict) or data.setdefault("mode", args.mode) != args.mode:
+            raise ValueError(f"{args.config} must hold a JSON object whose mode, "
+                             f"if it has one, is {args.mode!r}")
+    flags = {key: value for key, value in vars(args).items()
+             if key in _FLAGS and value is not None}
+    if "n1_list" in flags:
+        flags["n1_list"] = [flags["n1_list"]]
+    if "curve" in flags:
+        flags["curve"] = _parse_curve_arg(flags["curve"])
+    return ExperimentConfig.from_dict({**data, **flags})
 
 
-def _params_from_config(cfg: ExperimentConfig, n1: int):
-    curve = curve_from_spec(cfg.curve_spec)
-    return _measure.MeasureParams.for_endpoint(curve, n1, cfg.n2)
+def _params_from_config(cfg: ExperimentConfig):
+    return _measure.MeasureParams.for_endpoint(curve_from_spec(cfg.curve_spec),
+                                               cfg.n1_list[0], cfg.n2)
 
 
 def _cmd_calibrate(cfg: ExperimentConfig, thresholds: dict) -> int:
-    params = _params_from_config(cfg, cfg.n1_list[0])
+    params = _params_from_config(cfg)
     curve = params.curve
     grid = _curve.slope_grid(curve, 64)
     d1, d2 = _measure.delta(curve, grid)
@@ -106,8 +107,9 @@ def _cmd_calibrate(cfg: ExperimentConfig, thresholds: dict) -> int:
     return 0 if ok else 2
 
 
-def _cmd_sample(cfg: ExperimentConfig, conditioned: bool) -> int:
-    params = _params_from_config(cfg, cfg.n1_list[0])
+def _cmd_sample(cfg: ExperimentConfig, thresholds: dict) -> int:
+    conditioned = cfg.mode == "condition"
+    params = _params_from_config(cfg)
     records = []
     overlay = [_curve.discretize(params.curve, 512) * params.n1]
     attempts_rows = []
@@ -148,10 +150,10 @@ def _cmd_verify(cfg: ExperimentConfig, thresholds: dict) -> int:
     fracs = [(r.n1, r.empirical) for r in result.rows if r.statistic == stat]
     monotone = all(b[1] >= a[1] - 1e-12 for a, b in zip(fracs, fracs[1:]))
     checks.append((f"fraction(d_L<={eps}) non-decreasing", monotone, f"{fracs}"))
-    if fracs:
-        checks.append((f"final fraction >= {thresholds['limit_shape_fraction_final']}",
-                       fracs[-1][1] >= thresholds["limit_shape_fraction_final"],
-                       f"final = {fracs[-1][1]:.3f}"))
+    bar = thresholds["limit_shape_fraction_final"]
+    checks.append((f"final fraction >= {bar}", bool(fracs) and fracs[-1][1] >= bar,
+                   f"final = {fracs[-1][1]:.3f}" if fracs
+                   else f"no {stat} row: epsilons {list(cfg.epsilons)} lack {eps:g}"))
     curve = curve_from_spec(cfg.curve_spec)
     overlay = [_curve.discretize(curve, 512)]
     for n1, lines in sorted(result.extras.get("overlay", {}).items()):
@@ -198,41 +200,30 @@ def _cmd_oracle(cfg: ExperimentConfig, thresholds: dict) -> int:
     return 0 if ok else 2
 
 
+_COMMANDS = {"calibrate": _cmd_calibrate, "sample": _cmd_sample, "condition": _cmd_sample,
+             "verify": _cmd_verify, "profile": _cmd_profile, "oracle": _cmd_oracle}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error ends like any other bad input: exit 1 and an error: line."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="limitshape", description=__doc__)
+    parser = _Parser(prog="limitshape", description=__doc__)
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in ("calibrate", "sample", "condition", "verify", "profile", "oracle"):
+    for mode, keys in MODE_KEYS.items():
         p = sub.add_parser(mode)
-        p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--workers", type=int, default=None)
-        if mode in ("sample", "condition"):
-            p.add_argument("--n1", type=int, default=None)
-            p.add_argument("--n2", type=int, default=None)
-            p.add_argument("--curve", default=None)
-            p.add_argument("--replicates", type=int, default=None)
-        if mode == "condition":
-            p.add_argument("--max-attempts", dest="max_attempts", type=int,
-                           default=None)
-    args = parser.parse_args(argv)
+        p.add_argument("--config")
+        for key, (flag, kind) in _FLAGS.items():
+            if key in keys:
+                p.add_argument(flag, dest=key, type=kind)
     try:
-        cfg = _build_config(args)
-        thresholds = load_thresholds()
-        if args.mode == "calibrate":
-            return _cmd_calibrate(cfg, thresholds)
-        if args.mode == "sample":
-            return _cmd_sample(cfg, conditioned=False)
-        if args.mode == "condition":
-            return _cmd_sample(cfg, conditioned=True)
-        if args.mode == "verify":
-            return _cmd_verify(cfg, thresholds)
-        if args.mode == "profile":
-            return _cmd_profile(cfg, thresholds)
-        if args.mode == "oracle":
-            return _cmd_oracle(cfg, thresholds)
-        return 1
-    except (LimitShapeError, ValueError, OSError, json.JSONDecodeError) as exc:
+        cfg = _build_config(parser.parse_args(argv))
+        return _COMMANDS[cfg.mode](cfg, load_thresholds())
+    except (LimitShapeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,17 +1,31 @@
-"""Experiment configuration: JSON schema and curve-spec parsing."""
+"""Experiment configuration: the keys each mode reads, and curve-spec parsing.
+
+from_dict parses all outside input (a config file, CLI flags or both) and
+rejects any key that MODE_KEYS does not list for its mode.  The constructor
+takes every field, the study-only ones (lclt_replicates, lclt_batch) too."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import MISSING, dataclass, field
+from dataclasses import dataclass, field
 from numbers import Real
 
 import numpy as np
 
 from .curve import ConvexCurve, make_preset, make_tabulated
 
-_MODES = ("calibrate", "sample", "condition", "verify", "profile", "oracle")
-_N2_MODES = ("calibrate", "sample", "condition")
+# The keys each mode reads besides "curve" and "out_dir".  The modes that read
+# n2 draw at one endpoint (n1, n2), so their n1_list holds one entry.
+_SAMPLE_KEYS = ("n1_list", "n2", "replicates", "seed")
+MODE_KEYS = {mode: ("curve", "out_dir") + keys for mode, keys in {
+    "calibrate": ("n1_list", "n2"),
+    "sample": _SAMPLE_KEYS,
+    "condition": _SAMPLE_KEYS + ("max_attempts",),
+    "verify": ("n1_list", "replicates", "seed", "workers", "epsilons", "conditioned_n1",
+               "accepted_target", "max_attempts"),
+    "profile": ("n1_list",),
+    "oracle": ("oracle_instances", "oracle_draws", "max_attempts", "seed"),
+}.items()}
+_MODES = tuple(MODE_KEYS)
 _INT_FIELDS = ("replicates", "seed", "workers", "accepted_target", "max_attempts",
                "lclt_replicates", "lclt_batch", "oracle_draws")
 
@@ -63,8 +77,8 @@ def curve_from_spec(spec: dict) -> ConvexCurve:
 class ExperimentConfig:
     """One study run: curve, sizes, replication and output policy.
 
-    Every mode but oracle needs n1_list; the oracle mode takes its
-    sizes from oracle_instances and rejects n1_list."""
+    The constructor checks each field's type and range; which fields a
+    mode reads is the business of from_dict."""
 
     mode: str
     curve_spec: dict
@@ -90,16 +104,14 @@ class ExperimentConfig:
             _require_int(name, getattr(self, name))
         if self.n2 is not None:
             _require_int("n2", self.n2)
-        if (self.mode == "oracle") != (self.n1_list is None):
-            raise ValueError("n1_list is required by every mode but oracle, which takes "
-                             "its sizes from oracle_instances")
         for name in ("conditioned_n1",) + (() if self.n1_list is None else ("n1_list",)):
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)):
                 raise ValueError(f"{name} must be a list of integers, got {values!r}")
             for v in values:
                 _require_int(f"{name} entry", v)
-        for name in ("replicates", "workers", "accepted_target", "max_attempts", "lclt_batch"):
+        for name in ("replicates", "workers", "accepted_target", "max_attempts", "lclt_batch",
+                     "oracle_draws"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if any(v < 1 for v in self.conditioned_n1):
@@ -115,11 +127,6 @@ class ExperimentConfig:
             self.n1_list = n1s
         if self.n2 is not None and self.n2 < 1:
             raise ValueError("n2 must be >= 1")
-        if self.n2 is not None and self.mode not in _N2_MODES:
-            raise ValueError(f"n2 is read only by the {', '.join(_N2_MODES)} modes, "
-                             f"not by {self.mode}")
-        if self.oracle_draws < 1:
-            raise ValueError("oracle_draws must be >= 1")
         if not isinstance(self.epsilons, (list, tuple)) or any(
                 isinstance(e, bool) or not isinstance(e, Real) for e in self.epsilons):
             raise ValueError(f"epsilons must be a list of numbers, got {self.epsilons!r}")
@@ -149,24 +156,25 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
-        """Build a config from its JSON form; "curve" is accepted as an
-        alias of "curve_spec"."""
+        """Build a config from its JSON form: "mode" and the keys of
+        MODE_KEYS[mode], where "curve" holds the curve spec.  "curve" and
+        the mode's n1_list are required; any other key is an error."""
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
-        if "curve_spec" not in data and "curve" in data:
-            data = dict(data)
-            data["curve_spec"] = data.pop("curve")
-        fields = ExperimentConfig.__dataclass_fields__.values()
-        extra = set(data) - {f.name for f in fields}
-        if extra:
-            raise ValueError(f"unknown config keys: {sorted(extra)}")
-        missing = {f.name for f in fields if f.default is MISSING
-                   and f.default_factory is MISSING} - set(data)
+        mode = data.get("mode")
+        if mode not in _MODES:
+            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+        keys = MODE_KEYS[mode]
+        unread = set(data) - {"mode", *keys}
+        if unread:
+            raise ValueError(f"the {mode} mode does not read {sorted(unread)}; "
+                             f"it reads {list(keys)}")
+        missing = {"curve", "n1_list"} & set(keys) - set(data)
         if missing:
             raise ValueError(f"config lacks required keys: {sorted(missing)}")
-        return ExperimentConfig(**data)
-
-    @staticmethod
-    def from_file(path: str) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return ExperimentConfig.from_dict(json.load(fh))
+        cfg = ExperimentConfig(curve_spec=data["curve"],
+                               **{k: v for k, v in data.items() if k != "curve"})
+        if "n2" in keys and len(cfg.n1_list) > 1:
+            raise ValueError(f"the {mode} mode draws at one endpoint and reads one n1, "
+                             f"got n1_list {cfg.n1_list}")
+        return cfg

@@ -273,7 +273,8 @@ def _validate(curve: ConvexCurve, k0_floor: float) -> float:
     finite = np.isfinite(g1_vals)
     if not np.all(np.diff(g1_vals[finite]) > 0.0):
         raise NotConvex("g1 is not strictly increasing (curve not strictly convex)")
-    kappa = curvature_profile(curve, grid)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        kappa = curvature_profile(curve, grid)
     kmin = float(np.nanmin(kappa))
     if not (kmin > 0.0) or kmin < k0_floor or kmin < _CURVATURE_REJECT_FLOOR:
         raise CurvatureFloorViolated(

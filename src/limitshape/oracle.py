@@ -39,7 +39,6 @@ def configuration_key(config: _sampler.Configuration) -> tuple:
 class OracleDistribution:
     """Exact conditional law over capped configurations with endpoint n."""
 
-    endpoint: tuple
     entries: tuple  # of (key, probability), probability descending
 
     def as_dict(self) -> dict:
@@ -97,7 +96,7 @@ def exact_conditional_oracle(params: MeasureParams, cap_radius: int,
     ws /= ws.sum()
     order = np.argsort(-ws, kind="stable")
     entries = tuple((found[i][0], float(ws[i])) for i in order)
-    return OracleDistribution(endpoint=(n1, n2), entries=entries)
+    return OracleDistribution(entries=entries)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from limitshape import config as cfgmod
@@ -45,9 +46,54 @@ def test_config_validation():
         _config(mode="bogus")
     with pytest.raises(ValueError):
         _config(replicates=0)
+    with pytest.raises(ValueError, match="lclt_batch"):
+        _config(lclt_batch=0)
     with pytest.raises(ValueError):
         cfgmod.ExperimentConfig.from_dict({"mode": "verify", "curve_spec": PARABOLA_SPEC,
                                            "n1_list": [10], "frobnicate": 1})
+
+
+# Every key a file may set, with a valid value; the table below says which
+# keys each mode reads besides "curve" and "out_dir".
+_VALID_KEYS = {"out_dir": "o", "n1_list": [20], "n2": 20, "replicates": 3, "seed": 1,
+               "workers": 1, "epsilons": [0.1], "conditioned_n1": [20],
+               "accepted_target": 2, "max_attempts": 10, "lclt_replicates": 10,
+               "lclt_batch": 10, "oracle_draws": 10,
+               "oracle_instances": [{"n": [1, 1], "cap_radius": 2, "nu_cap": 2}]}
+_SAMPLE_KEYS = {"n1_list", "n2", "replicates", "seed"}
+_READS = {"calibrate": {"n1_list", "n2"}, "sample": _SAMPLE_KEYS,
+          "condition": _SAMPLE_KEYS | {"max_attempts"},
+          "verify": {"n1_list", "replicates", "seed", "workers", "epsilons",
+                     "conditioned_n1", "accepted_target", "max_attempts"},
+          "profile": {"n1_list"},
+          "oracle": {"oracle_instances", "oracle_draws", "max_attempts", "seed"}}
+
+
+@pytest.mark.parametrize("mode", sorted(_READS))
+def test_config_keys_per_mode(mode, capsys):
+    # a file sets exactly the keys its mode reads, and the mode's flags are
+    # those of these keys; the six modes read 36 keys in all
+    reads = _READS[mode] | {"curve", "out_dir"}
+    assert set(cfgmod.MODE_KEYS[mode]) == reads
+    assert sum(map(len, cfgmod.MODE_KEYS.values())) == 36
+    base = {"mode": mode, "curve": PARABOLA_SPEC}
+    if "n1_list" in reads:
+        base["n1_list"] = [20]
+    for key, value in _VALID_KEYS.items():
+        if key in reads:
+            cfg = cfgmod.ExperimentConfig.from_dict(dict(base, **{key: value}))
+            assert getattr(cfg, key) == (tuple(value) if key == "epsilons" else value)
+        else:
+            with pytest.raises(ValueError, match=f"does not read \\['{key}'\\]"):
+                cfgmod.ExperimentConfig.from_dict(dict(base, **{key: value}))
+    with pytest.raises(SystemExit) as exc:
+        cli_main([mode, "--help"])
+    assert exc.value.code == 0
+    flags = {"curve": "--curve", "out_dir": "--out", "n1_list": "--n1", "n2": "--n2",
+             "seed": "--seed", "workers": "--workers", "replicates": "--replicates",
+             "max_attempts": "--max-attempts"}
+    shown = set(re.findall(r"(--[a-z0-9-]+)", capsys.readouterr().out)) - {"--help", "--config"}
+    assert shown == {flags[k] for k in reads if k in flags}
 
 
 def test_config_from_dict_curve_alias():
@@ -91,6 +137,8 @@ _CURVE_SPEC = (st.fixed_dictionaries({"preset": _PRESET})
 
 @settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 @given(spec=_CURVE_SPEC)
+@example(spec={"preset": {"name": "parabola", "c": 4.4794894843556084e+102}})
+@example(spec={"preset": {"name": "parabola", "c": 1e-300}})
 def test_curve_from_spec_fuzz_is_curve_or_typed_error(spec):
     # any JSON-shaped spec gives a curve or a typed error, which the CLI
     # turns into exit 1 and an error: line
@@ -113,22 +161,19 @@ _CLI_CURVE = st.fixed_dictionaries({"preset": st.one_of(
     st.fixed_dictionaries({"name": st.just("parabola"), "c": st.floats(0.2, 4.0)}),
     st.fixed_dictionaries({"name": st.just("power"), "p": st.floats(1.1, 4.0)}),
     st.just({"name": "circle_arc"}))})
-_CLI_VALID = {"replicates": st.integers(1, 60), "seed": st.integers(0, 60),
-              "workers": st.integers(1, 4), "n2": st.integers(1, 60),
-              "epsilons": st.lists(st.floats(0.01, 1.0), max_size=3)}
 
 
 @st.composite
 def _cli_configs(draw):
     """A valid calibrate config, then up to two keys dropped or set to
-    arbitrary JSON, an unknown key among them."""
+    arbitrary JSON, keys that calibrate does not read among them."""
     cfg = draw(st.fixed_dictionaries(
         {"mode": st.just("calibrate"), "curve": _CLI_CURVE,
-         "n1_list": st.lists(st.integers(1, 60), min_size=1, max_size=3,
-                             unique=True).map(sorted)},
-        optional=_CLI_VALID))
-    keys = ["mode", "curve", "n1_list", "accepted_target", "max_attempts",
-            "conditioned_n1", "oracle_instances", "oracle_draws", "extra", *_CLI_VALID]
+         "n1_list": st.lists(st.integers(1, 60), min_size=1, max_size=1)},
+        optional={"n2": st.integers(1, 60)}))
+    keys = ["mode", "curve", "n1_list", "n2", "replicates", "seed", "workers", "epsilons",
+            "accepted_target", "max_attempts", "conditioned_n1", "oracle_instances",
+            "oracle_draws", "extra"]
     for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
         if draw(st.booleans()):
             cfg.pop(key, None)
@@ -469,10 +514,10 @@ def test_cli_oracle_line_outside_support_fails(tmp_path, monkeypatch):
     ("oracle", {"oracle_instances": [{"n": [1, 1], "nu_cap": 2}]}),
     ("oracle", {"oracle_draws": 0}),
     ("calibrate", {"n1_list": ["20"]}),
-    ("calibrate", {"replicates": "5"}),
+    ("verify", {"replicates": "5"}),
     ("oracle", {"oracle_draws": "5"}),
-    ("calibrate", {"epsilons": 0.1}),
-    ("calibrate", {"epsilons": [[1]]}),
+    ("verify", {"epsilons": 0.1}),
+    ("verify", {"epsilons": [[1]]}),
     ("oracle", {"oracle_instances": [{"n": "ab", "cap_radius": 2, "nu_cap": 2}]}),
     ("oracle", {"oracle_instances": [5]}),
     ("calibrate", {"curve": 5}),
@@ -482,13 +527,13 @@ def test_cli_oracle_line_outside_support_fails(tmp_path, monkeypatch):
     ("calibrate", {"curve": {"tabulated": {"points": [[0, 0], [1, 1]], "k0": None}}}),
     ("calibrate", {"out_dir": 5}),
     ("verify", {"conditioned_n1": [20], "accepted_target": 0}),
-    ("verify", {"lclt_batch": 0}),
+    ("verify", {"lclt_batch": 200_000}),
     ("oracle", {"oracle_instances": [{"n": [1, 1], "cap_radius": -1, "nu_cap": 2}]}),
     ("oracle", {"oracle_instances": [{"n": [2, 1], "cap_radius": 3, "nu_cap": 1}]}),
     ("verify", {"conditioned_n1": [20], "max_attempts": 0}),
     ("verify", {"conditioned_n1": [0]}),
     ("verify", {"conditioned_n1": [-5]}),
-    ("calibrate", {"workers": 0}),
+    ("verify", {"workers": 0}),
     ("verify", {"n2": 7}),
     ("profile", {"n2": 7}),
     ("oracle", {"n2": 7, "oracle_draws": 10,
@@ -496,30 +541,88 @@ def test_cli_oracle_line_outside_support_fails(tmp_path, monkeypatch):
     ("oracle", {"n1_list": [20]}),
     ("oracle", {"oracle_instances": []}),
 ])
-def test_cli_malformed_config_is_typed_error(tmp_path, mode, bad):
-    # the oracle mode takes its sizes from oracle_instances, not n1_list
+def test_cli_malformed_config_is_typed_error(tmp_path, capsys, mode, bad):
+    # in-process: an uncaught exception would fail the test, so exit 1 with an
+    # error: line is the only way through; the oracle mode takes its sizes
+    # from oracle_instances, not n1_list
     cfg = {"mode": mode, "curve": PARABOLA_SPEC, "out_dir": str(tmp_path / "out")}
     if mode != "oracle":
         cfg["n1_list"] = [20]
     cfg.update(bad)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    proc = subprocess.run([sys.executable, "-m", "limitshape", mode, "--config",
-                           str(cfg_path)], capture_output=True, text=True)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error:")
-    assert "Traceback" not in proc.stderr
+    assert cli_main([mode, "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("flags", [["--workers", "0"], ["--replicates", "0"]])
-def test_cli_flag_out_of_range_is_typed_error(tmp_path, flags):
-    proc = subprocess.run(
-        [sys.executable, "-m", "limitshape", "condition", "--n1", "20",
-         "--curve", "parabola:1.0", "--out", str(tmp_path / "o")] + flags,
-        capture_output=True, text=True)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error:")
-    assert "Traceback" not in proc.stderr
+def test_cli_flag_out_of_range_is_typed_error(tmp_path, capsys, flags):
+    assert cli_main(["verify", "--n1", "20", "--curve", "parabola:1.0",
+                     "--out", str(tmp_path / "o")] + flags) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+_CALIBRATE = {"mode": "calibrate", "curve": PARABOLA_SPEC, "n1_list": [20]}
+_PROFILE = {"mode": "profile", "curve": PARABOLA_SPEC, "n1_list": [20, 40]}
+
+
+@pytest.mark.parametrize("argv, file, says", [
+    (["sample", "--n1", "abc", "--curve", "parabola"], None, "--n1: invalid int value"),
+    (["sample", "--n1", "20", "--curve", "parabola", "--max-attempts", "3"], None,
+     "unrecognized arguments: --max-attempts 3"),
+    (["sample", "--curve", "parabola"], None, "lacks required keys: ['n1_list']"),
+    (["sample", "--n1", "20"], None, "lacks required keys: ['curve']"),
+    (["bogus"], None, "invalid choice: 'bogus'"),
+    ([], None, "required: mode"),
+    (["calibrate"], dict(_CALIBRATE, oracle_draws=5, lclt_batch=7, accepted_target=3,
+                         workers=2, replicates=5, conditioned_n1=[20], epsilons=[0.1]),
+     "calibrate mode does not read ['accepted_target', 'conditioned_n1', 'epsilons', "
+     "'lclt_batch', 'oracle_draws', 'replicates', 'workers']"),
+    (["calibrate"], dict(_PROFILE, mode="verify"), "whose mode, if it has one, is 'calibrate'"),
+    (["calibrate"], dict(_CALIBRATE, n1_list=[100, 1000]), "reads one n1"),
+    (["profile", "--workers", "3", "--seed", "5"], _PROFILE,
+     "unrecognized arguments: --workers 3 --seed 5"),
+    (["calibrate"], [1, 2], "must hold a JSON object"),
+], ids=["bad-int", "unknown-flag", "no-n1", "no-curve", "no-such-mode", "no-mode",
+        "unread-keys", "other-mode", "two-n1", "unread-flags", "not-an-object"])
+def test_cli_usage_error_is_typed_error(tmp_path, capsys, argv, file, says):
+    # usage errors end like bad config values: exit 1 and an error: line
+    # (argparse alone would exit 2, the threshold-failure code)
+    if file is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(file))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    assert cli_main(argv + (["--out", str(tmp_path / "o")] if argv else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert says in err
+
+
+def test_cli_flags_override_the_file(tmp_path):
+    cfg = {"mode": "sample", "curve": PARABOLA_SPEC, "n1_list": [30], "replicates": 2,
+           "out_dir": str(tmp_path / "file")}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "flags"
+    assert cli_main(["sample", "--config", str(tmp_path / "cfg.json"), "--n1", "50",
+                     "--curve", "circle_arc", "--out", str(out)]) == 0
+    recs = [json.loads(line) for line in open(out / "lines.jsonl")]
+    assert [r["n1"] for r in recs] == [50, 50]
+    params = ms.MeasureParams.for_endpoint(cv.make_preset("circle_arc"), 50)
+    assert [r["endpoint"] for r in recs] == [
+        stu.draw_path(params, 0, i, None)[0].endpoint.tolist() for i in range(2)]
+    assert not (tmp_path / "file").exists()
+
+
+def test_cli_verify_without_the_main_epsilon_fails(tmp_path):
+    # the final-fraction check reads the frac_dL_le_0.1 row; without it the
+    # run fails rather than passing on the monotonicity check alone
+    cfg = {"mode": "verify", "curve": PARABOLA_SPEC, "n1_list": [20], "replicates": 2,
+           "epsilons": [0.9], "out_dir": str(tmp_path / "v")}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert cli_main(["verify", "--config", str(tmp_path / "cfg.json")]) == 2
+    summary = open(tmp_path / "v" / "summary.md").read()
+    assert "Overall: FAIL" in summary
+    assert "| final fraction >= 0.95 | FAIL | no frac_dL_le_0.1 row: epsilons [0.9] lack 0.1 |" \
+        in summary
 
 
 def test_cli_entry_point_subprocess(tmp_path):
