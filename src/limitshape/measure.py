@@ -305,6 +305,22 @@ class _DirectionField:
         events, the axis of the batched skip draws; built on first use."""
         return np.cumsum(-np.log1p(-self.zpow))
 
+    @cached_property
+    def hazard_guide(self) -> np.ndarray:
+        """Guide table of cum_hazard for the skip lookup; built on first
+        use, so a field that never skips does not pay for it."""
+        return _guide_table(self.cum_hazard)
+
+
+def _guide_table(cum) -> np.ndarray:
+    """Guide table (Chen & Asau 1974; Devroye 1986, III.2.4) of a
+    nondecreasing cum whose total cum[-1] is a positive normal float:
+    M = 4 * cum.size buckets of width h = cum[-1] / M and
+    g[b] = #{cum <= b*h}.  The last edge (M-1)*h lies below cum[-1], so
+    every g[b] is a valid index into cum."""
+    m = 4 * cum.size
+    return np.searchsorted(cum, np.arange(m) * (cum[-1] / m), side="right")
+
 
 @lru_cache(maxsize=2)
 def _field(params: MeasureParams) -> _DirectionField:

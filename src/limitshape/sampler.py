@@ -9,8 +9,9 @@ so assembly is a prefix sum, and the length profile is a step function
 (profile_knots, evaluated by measure.step_at).  Endpoint conditioning
 is exact rejection: resample until the path ends at the target.
 conditioned_configurations is the one rejection loop: it draws batched
-endpoints under an attempt budget, rebuilds each hit by support_of in
-replicate order, and raises Exhausted with closest-miss diagnostics
+endpoints under an attempt budget, rebuilds a batch's hits in
+replicate order by configurations_of (one stable sort of the hits'
+rows per batch), and raises Exhausted with closest-miss diagnostics
 once the budget is spent; condition_on_endpoint is its first hit,
 assembled into a path.
 
@@ -22,7 +23,15 @@ straight to the next active direction, which costs O(active) instead
 of O(enumerated) per replicate; the joint law is identical and the
 equivalence is pinned by tests against the direct route and against
 exhaustive enumeration.  Each skip lands on a later direction, so
-support_of reads a replicate's rows in order, with no repeats to merge.
+configurations_of reads a replicate's rows in order, with no repeats
+to merge.  A skip finds its direction through a guide table of the
+cumulative hazard (Chen & Asau 1974; Devroye 1986, III.2.4): 4 buckets
+per direction, each holding the count of cumulative hazards at or below
+its left edge.  The bucket's count is the answer for about 95% of the
+skips; the rest take a binary search, so the index is the one
+searchsorted(cum, pos, "right") returns, and no scan is unbounded.
+Lookups run in blocks of 32768 queries, so their temporaries stay
+small next to the batch's own arrays.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from .errors import Exhausted
 from .measure import MeasureParams, _field, covariance_matrix, step_knots
 
 _CONDITION_BATCH = 8192  # endpoint draws per batch of condition_on_endpoint
+_LOOKUP_BLOCK = 32768  # skip-lookup queries per block of _skip_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,11 +60,11 @@ class Configuration:
         if not (isinstance(s, np.ndarray) and s.dtype == np.int64 and s.ndim == 2
                 and s.shape[1] == 3):
             raise ValueError(f"support must be an int64 (k, 3) array, got {s!r}")
-        if np.any(s[:, 2] < 1):
+        if (s[:, 2] < 1).any():
             raise ValueError("multiplicities must be >= 1")
         x1, x2 = s[:, 0], s[:, 1]
         # tau_i < tau_{i+1}, exactly on the integers
-        if np.any(x2[:-1] * x1[1:] >= x2[1:] * x1[:-1]):
+        if (x2[:-1] * x1[1:] >= x2[1:] * x1[:-1]).any():
             raise ValueError("directions must be distinct and in increasing slope")
 
     def endpoint(self) -> np.ndarray:
@@ -83,7 +93,9 @@ def assemble(config: Configuration) -> PolygonalLine:
 
 
 def _from_field(f, idx, nu) -> Configuration:
-    return Configuration(support=np.column_stack([f.x1[idx], f.x2[idx], nu]))
+    support = np.empty((idx.size, 3), dtype=np.int64)
+    support[:, 0], support[:, 1], support[:, 2] = f.x1[idx], f.x2[idx], nu
+    return Configuration(support=support)
 
 
 def sample_configuration(params: MeasureParams, rng: np.random.Generator) -> Configuration:
@@ -98,29 +110,52 @@ def sample_configuration(params: MeasureParams, rng: np.random.Generator) -> Con
     return _from_field(f, idx, nu)
 
 
+def _skip_index(cum, guide, pos) -> np.ndarray:
+    """np.searchsorted(cum, pos, side="right") through the guide table of
+    cum (measure._guide_table), for queries pos >= 0.
+
+    A query's bucket is b = floor(pos / h), lowered by one where rounding
+    put b*h above pos, so that g[b] = #{cum <= b*h} is at most the
+    answer.  g[b] is the answer unless cum[g[b]] <= pos, and the few
+    queries where that holds take a binary search instead, so every
+    index equals the plain search's, ties included.  The queries run in
+    blocks of _LOOKUP_BLOCK, which bounds the temporaries.
+    """
+    m = guide.size
+    h = cum[-1] / m
+    out = np.empty(pos.size, dtype=np.int64)
+    for lo in range(0, pos.size, _LOOKUP_BLOCK):
+        p = pos[lo:lo + _LOOKUP_BLOCK]
+        b = np.minimum(p / h, m - 1).astype(np.int64)
+        b -= b * h > p
+        j = guide[b]  # guide values are below cum.size, so cum[j] is valid
+        short = np.flatnonzero(cum[j] <= p)
+        j[short] = np.searchsorted(cum, p[short], side="right")
+        out[lo:lo + p.size] = j
+    return out
+
+
 def sample_endpoints(params: MeasureParams, count: int,
                      rng: np.random.Generator,
                      collect_support: bool = False):
     """Batched endpoint draws (count, 2) via Poisson-embedding skips.
 
     When collect_support is set, also returns (rep, dir_index, nu)
-    arrays from which any replicate's configuration can be rebuilt.
+    arrays from which configurations_of rebuilds any replicate's
+    configuration.
     """
     f = _field(params)
     cum = f.cum_hazard
-    xi = np.zeros((count, 2), dtype=np.int64)
-    reps_out, idx_out, nu_out = [], [], []
-    if not cum.size or cum[-1] <= 0.0:
-        if collect_support:
-            return xi, (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64))
-        return xi
-    alive = np.arange(count)
-    pos = np.zeros(count)  # consumed hazard per replicate
+    x1, x2 = np.zeros(count, dtype=np.int64), np.zeros(count, dtype=np.int64)
+    collected = ([np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)])
+    # without hazard no direction is ever active
+    alive = np.arange(count) if cum.size and cum[-1] > 0.0 else np.empty(0, np.int64)
+    pos = np.zeros(alive.size)  # consumed hazard of each alive replicate
     while alive.size:
-        pos_alive = pos[alive] + rng.standard_exponential(alive.size)
+        pos = pos + rng.standard_exponential(alive.size)
         # direction j owns [cum[j-1], cum[j]); side="right" keeps j above
         # the replicate's previous direction even when the step rounds to 0
-        j = np.searchsorted(cum, pos_alive, side="right")
+        j = _skip_index(cum, f.hazard_guide, pos)
         live = j < cum.size
         alive = alive[live]
         if not alive.size:
@@ -129,27 +164,35 @@ def sample_endpoints(params: MeasureParams, count: int,
         # conditional on activity, multiplicity is 1 + geometric
         u = rng.random(alive.size)
         nu = 1 + np.floor(np.log(u) / -f.neg_log_z[j]).astype(np.int64)
-        xi[alive, 0] += f.x1[j] * nu  # alive indices are unique per round
-        xi[alive, 1] += f.x2[j] * nu
-        if collect_support:
-            reps_out.append(alive.copy())
-            idx_out.append(j.copy())
-            nu_out.append(nu)
-        pos[alive] = cum[j]
+        x1[alive] += f.x1[j] * nu  # alive indices are unique per round
+        x2[alive] += f.x2[j] * nu
+        if collect_support:  # alive, j and nu are fresh arrays every round
+            for out, new in zip(collected, (alive, j, nu)):
+                out.append(new)
+        pos = cum[j]
+    xi = np.column_stack([x1, x2])
     if collect_support:
-        cat = (np.concatenate(reps_out) if reps_out else np.empty(0, np.int64),
-               np.concatenate(idx_out) if idx_out else np.empty(0, np.int64),
-               np.concatenate(nu_out) if nu_out else np.empty(0, np.int64))
-        return xi, cat
+        return xi, tuple(np.concatenate(out) for out in collected)
     return xi
 
 
-def support_of(params: MeasureParams, support, rep: int) -> Configuration:
-    """Configuration of replicate rep from the (rep, dir_index, nu)
-    arrays of sample_endpoints, whose dir_index rises within a replicate."""
-    reps, idx, nu = support
-    mask = reps == rep
-    return _from_field(_field(params), idx[mask], nu[mask])
+def configurations_of(params: MeasureParams, support, reps) -> list:
+    """Configurations of replicates reps, in that order, from the
+    (rep, dir_index, nu) arrays of sample_endpoints.
+
+    One stable sort of the rows that belong to reps groups them by
+    replicate and keeps each replicate's rows in draw order, where
+    dir_index rises; each replicate is then one searchsorted slice.
+    """
+    rows_rep, idx, nu = support
+    reps = np.asarray(reps, dtype=np.int64)
+    rows = np.flatnonzero(np.isin(rows_rep, reps, kind="table"))
+    rows = rows[np.argsort(rows_rep[rows], kind="stable")]
+    keys = rows_rep[rows]
+    lo = np.searchsorted(keys, reps, side="left")
+    hi = np.searchsorted(keys, reps, side="right")
+    f = _field(params)
+    return [_from_field(f, idx[rows[a:b]], nu[rows[a:b]]) for a, b in zip(lo, hi)]
 
 
 @dataclass(frozen=True)
@@ -187,7 +230,8 @@ def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
         xi, support = sample_endpoints(params, size, rng, collect_support=True)
         hits = np.nonzero((xi[:, 0] == target[0]) & (xi[:, 1] == target[1]))[0]
         hits = hits[:count - len(out)]
-        out.extend(support_of(params, support, int(w)) for w in hits)
+        if hits.size:
+            out.extend(configurations_of(params, support, hits))
         if len(out) == count:
             return out, attempts + int(hits[-1]) + 1
         attempts += size

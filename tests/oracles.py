@@ -137,6 +137,41 @@ def edge_length_profile(edges, t, side="right"):
     return total
 
 
+def searchsorted_endpoints(field, count: int, rng, collect_support: bool = False):
+    """The skip draw of sampler.sample_endpoints with a plain binary search
+    for each skip's direction: the reference route of the guide-table
+    lookup, drawing the same random numbers in the same order.
+
+    field is the measure's direction field (x1, x2, neg_log_z,
+    cum_hazard); returns xi, or (xi, (rep, dir_index, nu)).
+    """
+    cum = field.cum_hazard
+    xi = np.zeros((count, 2), dtype=np.int64)
+    reps_out, idx_out, nu_out = [], [], []
+    alive = np.arange(count) if cum.size and cum[-1] > 0.0 else np.empty(0, np.int64)
+    pos = np.zeros(count)
+    while alive.size:
+        pos_alive = pos[alive] + rng.standard_exponential(alive.size)
+        j = np.searchsorted(cum, pos_alive, side="right")
+        live = j < cum.size
+        alive = alive[live]
+        if not alive.size:
+            break
+        j = j[live]
+        u = rng.random(alive.size)
+        nu = 1 + np.floor(np.log(u) / -field.neg_log_z[j]).astype(np.int64)
+        xi[alive, 0] += field.x1[j] * nu
+        xi[alive, 1] += field.x2[j] * nu
+        reps_out.append(alive)
+        idx_out.append(j)
+        nu_out.append(nu)
+        pos[alive] = cum[j]
+    if not collect_support:
+        return xi
+    empty = [np.empty(0, np.int64)]
+    return xi, tuple(np.concatenate(empty + out) for out in (reps_out, idx_out, nu_out))
+
+
 def brute_mobius(m: int) -> int:
     """mu(m) by trial-division factorization."""
     if m == 1:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from limitshape import curve as cv
@@ -104,8 +104,10 @@ def test_support_of_rebuilds_every_endpoint(parabola1):
     params = _params(parabola1, 100)
     xi, support = sp.sample_endpoints(params, 2000, np.random.default_rng(13),
                                       collect_support=True)
-    for r in range(xi.shape[0]):
-        config = sp.support_of(params, support, r)
+    # any order of replicates: the rebuild returns them in the order asked
+    reps = np.random.default_rng(3).permutation(xi.shape[0])
+    configs = sp.configurations_of(params, support, reps)
+    for r, config in zip(reps, configs):
         assert config.endpoint().tolist() == xi[r].tolist()
 
 
@@ -127,14 +129,73 @@ class _ZeroEveryOtherStep:
 
 def test_skip_moves_on_after_a_zero_step(parabola1):
     # a step of 0 leaves the consumed hazard at cum[j]; the next skip must
-    # still land on a later direction, or support_of would see a repeat
+    # still land on a later direction, or the rebuild would see a repeat
     params = _params(parabola1, 100)
     xi, (reps, idx, nu) = sp.sample_endpoints(params, 50, _ZeroEveryOtherStep(3),
                                               collect_support=True)
     for r in range(50):
         assert np.all(np.diff(idx[reps == r]) > 0)
-        config = sp.support_of(params, (reps, idx, nu), r)
+    for r, config in enumerate(sp.configurations_of(params, (reps, idx, nu), range(50))):
         assert config.endpoint().tolist() == xi[r].tolist()
+
+
+# --- guide-table skip lookup -----------------------------------------------------
+
+# per-direction hazards: exact zeros (an underflowed -log1p(-z)), tiny
+# values that tie in the cumulative sum, and ordinary ones
+_HAZARDS = st.one_of(st.sampled_from([0.0, 1e-300, 1e-17]),
+                     st.floats(1e-6, 10.0))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_HAZARDS, min_size=1, max_size=40),
+       st.lists(st.floats(0.0, 1.5), max_size=20))
+@example([3.0], [0.0, 0.5, 1.0])  # a single direction
+@example([0.0, 0.0, 2.0, 0.0, 0.0], [])  # zero-width intervals on both sides
+@example([1e-300, 1e-300, 1e-300], [0.5])  # every interval tiny
+# cum values on bucket edges where pos / h rounds up into the next bucket
+@example([1.0, 1.0, 0.0], [])
+@example([0.1, 0.1, 0.2], [])
+def test_skip_index_is_searchsorted_right(hazards, fractions):
+    """The guide-table lookup returns searchsorted(cum, pos, "right") on
+    every nondecreasing cum, at bucket edges, on each cum[j] and its
+    neighbours, and at and beyond cum[-1]."""
+    cum = np.cumsum(hazards)
+    assume(cum[-1] > 0.0)
+    guide = ms._guide_table(cum)
+    assert guide.size == 4 * cum.size
+    h = cum[-1] / guide.size
+    edges = np.arange(guide.size) * h
+    marks = np.concatenate([edges, cum, [0.0, 2.0 * cum[-1], cum[-1] + 50.0]])
+    pos = np.concatenate([marks, np.nextafter(marks, np.inf),
+                          np.nextafter(marks, 0.0), np.asarray(fractions) * cum[-1]])
+    # spread over several blocks, so block boundaries are crossed too
+    pos = np.tile(pos, 1 + 2 * sp._LOOKUP_BLOCK // pos.size)
+    assert np.array_equal(sp._skip_index(cum, guide, pos),
+                          np.searchsorted(cum, pos, side="right"))
+
+
+@pytest.mark.parametrize("n1", [20, 200])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_endpoints_matches_searchsorted_route(parabola1, n1, seed):
+    """Every endpoint and every collected support row is identical to
+    the binary-search reference route on the same random numbers."""
+    params = _params(parabola1, n1)
+    f = ms._field(params)
+    want = oracles.searchsorted_endpoints(f, 3000, np.random.default_rng(seed), True)
+    got = sp.sample_endpoints(params, 3000, np.random.default_rng(seed), collect_support=True)
+    assert np.array_equal(got[0], want[0])
+    for a, b in zip(got[1], want[1]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    plain = sp.sample_endpoints(params, 3000, np.random.default_rng(seed))
+    assert np.array_equal(plain, oracles.searchsorted_endpoints(
+        f, 3000, np.random.default_rng(seed)))
+
+
+def test_hazard_guide_is_built_on_first_use(parabola1):
+    f = ms._DirectionField(_params(parabola1, 50))
+    assert "hazard_guide" not in vars(f) and "cum_hazard" not in vars(f)
+    assert np.array_equal(f.hazard_guide, ms._guide_table(f.cum_hazard))
 
 
 # --- sampling invariants ----------------------------------------------------------
