@@ -137,13 +137,13 @@ def edge_length_profile(edges, t, side="right"):
     return total
 
 
-def searchsorted_endpoints(field, count: int, rng, collect_support: bool = False):
+def searchsorted_endpoints(field, count: int, rng):
     """The skip draw of sampler.sample_endpoints with a plain binary search
     for each skip's direction: the reference route of the guide-table
     lookup, drawing the same random numbers in the same order.
 
     field is the measure's direction field (x1, x2, neg_log_z,
-    cum_hazard); returns xi, or (xi, (rep, dir_index, nu)).
+    cum_hazard); returns (xi, (rep, dir_index, nu)).
     """
     cum = field.cum_hazard
     xi = np.zeros((count, 2), dtype=np.int64)
@@ -166,8 +166,6 @@ def searchsorted_endpoints(field, count: int, rng, collect_support: bool = False
         idx_out.append(j)
         nu_out.append(nu)
         pos[alive] = cum[j]
-    if not collect_support:
-        return xi
     empty = [np.empty(0, np.int64)]
     return xi, tuple(np.concatenate(empty + out) for out in (reps_out, idx_out, nu_out))
 
