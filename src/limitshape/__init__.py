@@ -33,7 +33,7 @@ from .measure import (
     nu_moments,
 )
 from .metrics import PathDistanceReport, distance_report, hausdorff
-from .oracle import OracleDistribution, configuration_key, exact_conditional_oracle
+from .oracle import OracleDistribution, exact_conditional_oracle
 from .sampler import (
     Configuration,
     PolygonalLine,
@@ -41,7 +41,6 @@ from .sampler import (
     condition_on_endpoint,
     sample_configuration,
     sample_endpoints,
-    scale,
 )
 
 __all__ = [
@@ -57,7 +56,6 @@ __all__ = [
     "b_matrix",
     "calibration_residual",
     "condition_on_endpoint",
-    "configuration_key",
     "covariance_matrix",
     "delta",
     "distance_report",
@@ -75,7 +73,6 @@ __all__ = [
     "nu_moments",
     "sample_configuration",
     "sample_endpoints",
-    "scale",
     "slope_grid",
     "slope_inverse",
 ]

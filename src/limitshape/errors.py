@@ -58,15 +58,17 @@ class Exhausted(LimitShapeError):
     """Rejection sampling spent its attempt budget short of its target.
 
     Carries the attempt count, the accepted count next to the target
-    count, and closest-miss diagnostics.
+    count, and the closest miss: the endpoint nearest the target and its
+    distance in the covariance-adapted (Mahalanobis) norm.
     """
 
-    def __init__(self, attempts, accepted, count, diagnostics):
+    def __init__(self, attempts, accepted, count, closest_endpoint, closest_distance):
         super().__init__(f"accepted {accepted} of {count} within {attempts} attempts")
         self.attempts = attempts
         self.accepted = accepted
         self.count = count
-        self.diagnostics = diagnostics
+        self.closest_endpoint = closest_endpoint
+        self.closest_distance = closest_distance
 
 
 class StateSpaceTooLarge(LimitShapeError):

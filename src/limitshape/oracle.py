@@ -9,7 +9,8 @@ conditional law with no auxiliary conditioning.
 
 check_sampler is the one route that pairs the enumeration with
 conditioned draws: the CLI oracle mode and the c09 acceptance check
-both run it.
+both run it.  It counts the edge arrays the rejection loop hands out
+directly, keyed like the enumeration by their sorted rows.
 """
 
 from __future__ import annotations
@@ -28,11 +29,6 @@ from .measure import MeasureParams, direction_exponent
 
 _STATE_BUDGET = 2_000_000
 _DRAW_BATCH = 100_000  # endpoint draws per batch of check_sampler
-
-
-def configuration_key(config: _sampler.Configuration) -> tuple:
-    """Canonical hashable identity of a configuration (and its path)."""
-    return tuple(sorted(map(tuple, config.support.tolist())))
 
 
 @dataclass(frozen=True)
@@ -117,7 +113,8 @@ class OracleCheck:
 def check_sampler(curve: ConvexCurve, instances, draws: int, max_attempts: int,
                   seed: int) -> OracleCheck:
     """Enumerate each instance's exact conditional law and compare it
-    with draws endpoint-conditioned configurations.
+    with draws endpoint-conditioned paths, counted by their sorted
+    (x1, x2, nu) rows, the key of the enumeration's entries.
 
     instances are config-dict objects {"n", "cap_radius", "nu_cap"};
     instance idx draws from SeedSequence(seed, spawn_key=(9, idx)) in
@@ -132,9 +129,9 @@ def check_sampler(curve: ConvexCurve, instances, draws: int, max_attempts: int,
         params = MeasureParams.for_endpoint(curve, n[0], n[1])
         dist = exact_conditional_oracle(params, inst["cap_radius"], inst["nu_cap"], n)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9, idx)))
-        configs, _ = _sampler.conditioned_configurations(params, n, draws, _DRAW_BATCH,
-                                                         max_attempts, rng)
-        counts = Counter(configuration_key(c) for c in configs)
+        paths, _ = _sampler.conditioned_configurations(params, n, draws, _DRAW_BATCH,
+                                                       max_attempts, rng)
+        counts = Counter(tuple(sorted(map(tuple, edges.tolist()))) for edges in paths)
         missing.extend((n, key) for key in sorted(counts.keys() - dist.as_dict().keys()))
         for key, p in dist.entries:
             se = math.sqrt(max(p * (1 - p) * draws, 1e-300))

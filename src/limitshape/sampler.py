@@ -9,11 +9,11 @@ so assembly is a prefix sum, and the length profile is a step function
 (profile_knots, evaluated by measure.step_at).  Endpoint conditioning
 is exact rejection: resample until the path ends at the target.
 conditioned_configurations is the one rejection loop: it draws batched
-endpoints under an attempt budget, rebuilds a batch's hits in
-replicate order by configurations_of (one stable sort of the hits'
-rows per batch), and raises Exhausted with closest-miss diagnostics
-once the budget is spent; condition_on_endpoint is its first hit,
-assembled into a path.
+endpoints under an attempt budget, hands out a batch's hits in
+replicate order as edge arrays by configurations_of (one stable sort
+of the hits' rows and one gather per batch), and raises Exhausted with
+the closest miss once the budget is spent; condition_on_endpoint is its
+first hit, validated as a Configuration and assembled into a path.
 
 Two equivalent sampling routes are provided.  sample_configuration
 draws one uniform per enumerated direction (inverse transform).  The
@@ -67,9 +67,6 @@ class Configuration:
         if (x2[:-1] * x1[1:] >= x2[1:] * x1[:-1]).any():
             raise ValueError("directions must be distinct and in increasing slope")
 
-    def endpoint(self) -> np.ndarray:
-        return self.support[:, 2] @ self.support[:, :2]
-
 
 @dataclass(frozen=True)
 class PolygonalLine:
@@ -92,10 +89,11 @@ def assemble(config: Configuration) -> PolygonalLine:
     return PolygonalLine(vertices=vertices, edges=edges, endpoint=vertices[-1].copy())
 
 
-def _from_field(f, idx, nu) -> Configuration:
-    support = np.empty((idx.size, 3), dtype=np.int64)
-    support[:, 0], support[:, 1], support[:, 2] = f.x1[idx], f.x2[idx], nu
-    return Configuration(support=support)
+def _rows(f, idx, nu) -> np.ndarray:
+    """The (x1, x2, nu) rows of field directions idx, one gather per column."""
+    rows = np.empty((idx.size, 3), dtype=np.int64)
+    rows[:, 0], rows[:, 1], rows[:, 2] = f.x1[idx], f.x2[idx], nu
+    return rows
 
 
 def sample_configuration(params: MeasureParams, rng: np.random.Generator) -> Configuration:
@@ -107,7 +105,7 @@ def sample_configuration(params: MeasureParams, rng: np.random.Generator) -> Con
     # ln z = -neg_log_z up to the exp/log round trip
     nu = np.floor(np.log(u[idx]) / -f.neg_log_z[idx]).astype(np.int64)
     nu = np.maximum(nu, 1)  # guard the one-ulp boundary of the hit test
-    return _from_field(f, idx, nu)
+    return Configuration(support=_rows(f, idx, nu))
 
 
 def _skip_index(cum, guide, pos) -> np.ndarray:
@@ -142,7 +140,7 @@ def sample_endpoints(params: MeasureParams, count: int,
 
     When collect_support is set, also returns (rep, dir_index, nu)
     arrays from which configurations_of rebuilds any replicate's
-    configuration.
+    edge array.
     """
     f = _field(params)
     cum = f.cum_hazard
@@ -177,12 +175,14 @@ def sample_endpoints(params: MeasureParams, count: int,
 
 
 def configurations_of(params: MeasureParams, support, reps) -> list:
-    """Configurations of replicates reps, in that order, from the
+    """Edge arrays of replicates reps, in that order, from the
     (rep, dir_index, nu) arrays of sample_endpoints.
 
     One stable sort of the rows that belong to reps groups them by
     replicate and keeps each replicate's rows in draw order, where
-    dir_index rises; each replicate is then one searchsorted slice.
+    dir_index rises; the rows are gathered into one (k, 3) array, and
+    each replicate is one searchsorted slice of it, in the format of
+    Configuration.support (not validated here).
     """
     rows_rep, idx, nu = support
     reps = np.asarray(reps, dtype=np.int64)
@@ -191,40 +191,26 @@ def configurations_of(params: MeasureParams, support, reps) -> list:
     keys = rows_rep[rows]
     lo = np.searchsorted(keys, reps, side="left")
     hi = np.searchsorted(keys, reps, side="right")
-    f = _field(params)
-    return [_from_field(f, idx[rows[a:b]], nu[rows[a:b]]) for a, b in zip(lo, hi)]
-
-
-@dataclass(frozen=True)
-class MissDiagnostics:
-    """Closest-miss summary of a failed conditioning run, in the
-    covariance-adapted (Mahalanobis) norm, with the accepted count
-    next to the target count."""
-
-    attempts: int
-    accepted: int
-    count: int
-    best_endpoint: tuple
-    best_distance: float
-    distance_quantiles: dict
+    edges = _rows(_field(params), idx[rows], nu[rows])
+    return [edges[a:b] for a, b in zip(lo, hi)]
 
 
 def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
                                max_attempts: int, rng: np.random.Generator):
-    """The first count configurations with endpoint n, in replicate order.
+    """The edge arrays of the first count configurations with endpoint
+    n, in replicate order.
 
     Draws batches of min(batch, max_attempts - attempts) endpoints and
-    returns (configs, attempts), where attempts counts the draws up to
-    and including the last accepted one.  Once max_attempts draws are
-    spent short of count, raises Exhausted with closest-miss
-    diagnostics over every draw.
+    returns (edge arrays, attempts), where attempts counts the draws up
+    to and including the last accepted one.  Once max_attempts draws
+    are spent short of count, raises Exhausted with the closest miss
+    over every draw in the covariance-adapted (Mahalanobis) norm.
     """
     target = np.asarray(n, dtype=np.int64)
     k_inv = np.linalg.inv(covariance_matrix(params))
     out: list = []
     attempts = 0
-    best_d, best_xi = math.inf, (0, 0)
-    sq_dists = []
+    best_d2, best_xi = math.inf, (0, 0)
     while attempts < max_attempts:
         size = min(batch, max_attempts - attempts)
         xi, support = sample_endpoints(params, size, rng, collect_support=True)
@@ -237,15 +223,10 @@ def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
         attempts += size
         diff = (xi - target).astype(float)
         d2 = np.einsum("ij,jk,ik->i", diff, k_inv, diff)
-        sq_dists.append(d2)
         i_best = int(np.argmin(d2))
-        if d2[i_best] < best_d:
-            best_d, best_xi = float(d2[i_best]), (int(xi[i_best, 0]), int(xi[i_best, 1]))
-    pooled = np.sqrt(np.concatenate(sq_dists)) if sq_dists else np.empty(0)
-    quantiles = {q: float(np.quantile(pooled, q)) for q in (0.01, 0.1, 0.5)} if pooled.size else {}
-    raise Exhausted(attempts, len(out), count, MissDiagnostics(
-        attempts=attempts, accepted=len(out), count=count, best_endpoint=best_xi,
-        best_distance=math.sqrt(best_d), distance_quantiles=quantiles))
+        if d2[i_best] < best_d2:
+            best_d2, best_xi = float(d2[i_best]), (int(xi[i_best, 0]), int(xi[i_best, 1]))
+    raise Exhausted(attempts, len(out), count, best_xi, math.sqrt(best_d2))
 
 
 @dataclass(frozen=True)
@@ -257,10 +238,10 @@ class ConditionedSample:
 def condition_on_endpoint(params: MeasureParams, n, max_attempts: int,
                           rng: np.random.Generator) -> ConditionedSample:
     """Exact draw from the endpoint-conditioned law: the first hit of
-    conditioned_configurations, assembled into its path."""
-    (config,), attempts = conditioned_configurations(params, n, 1, _CONDITION_BATCH,
-                                                     max_attempts, rng)
-    return ConditionedSample(line=assemble(config), attempts=attempts)
+    conditioned_configurations, validated and assembled into its path."""
+    (edges,), attempts = conditioned_configurations(params, n, 1, _CONDITION_BATCH,
+                                                    max_attempts, rng)
+    return ConditionedSample(line=assemble(Configuration(support=edges)), attempts=attempts)
 
 
 def _edge_lengths(edges) -> np.ndarray:
@@ -281,9 +262,3 @@ def total_length(line: PolygonalLine) -> float:
     lengths = _edge_lengths(line.edges)
     return float(np.cumsum(lengths)[-1]) if lengths.size else 0.0
 
-
-def scale(line: PolygonalLine, factor: float) -> np.ndarray:
-    """Scaled copy of the vertex chain as float coordinates."""
-    if factor <= 0.0:
-        raise ValueError("scale factor must be positive")
-    return line.vertices.astype(float) * factor

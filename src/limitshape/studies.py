@@ -181,7 +181,7 @@ def run_conditioned_study(config) -> StudyResult:
     """Same distances under exact endpoint conditioning (rejection)."""
     result = StudyResult()
     per = config.accepted_target
-    for n1 in config.conditioned_n1 or config.n1_list:
+    for n1 in config.conditioned_n1:
         attempts, d_l = _path_records(config, n1, per, config.max_attempts, result)
         accepted = d_l[np.isfinite(d_l)]
         result.rows.extend(_fraction_rows(n1, accepted, config.epsilons, "cond_"))

@@ -495,9 +495,9 @@ def test_cli_oracle_line_outside_support_fails(tmp_path, monkeypatch):
     draw = sp.conditioned_configurations
 
     def one_stray(params, n, count, batch, max_attempts, rng):
-        configs, attempts = draw(params, n, count, batch, max_attempts, rng)
-        configs[0] = sp.Configuration(support=np.array([[2, 1, 1]], dtype=np.int64))
-        return configs, attempts
+        paths, attempts = draw(params, n, count, batch, max_attempts, rng)
+        paths[0] = np.array([[2, 1, 1]], dtype=np.int64)
+        return paths, attempts
 
     monkeypatch.setattr(sp, "conditioned_configurations", one_stray)
     assert _run_oracle(tmp_path) == 2

@@ -21,6 +21,10 @@ def _config(support):
     return sp.Configuration(support=oracles.edge_rows(support))
 
 
+def _endpoint(edges):
+    return edges[:, 2] @ edges[:, :2]
+
+
 def _taus(line):
     return [x2 / x1 if x1 else math.inf for x1, x2, _ in line.edges.tolist()]
 
@@ -79,7 +83,7 @@ def test_line_edges_are_the_support(support):
         assert line.vertices[i + 1].tolist() == vertex
     end = [sum(x[0] * nu for x, nu in support.items()),
            sum(x[1] * nu for x, nu in support.items())]
-    assert line.endpoint.tolist() == end == config.endpoint().tolist()
+    assert line.endpoint.tolist() == end == _endpoint(config.support).tolist()
     assert sp.total_length(line) == sum(math.hypot(x1, x2) * nu for x1, x2, nu in rows)
 
 
@@ -101,14 +105,18 @@ def test_configuration_rejects_malformed_support(rows):
 
 
 def test_support_of_rebuilds_every_endpoint(parabola1):
+    """Every rebuilt edge array is a valid configuration (int64 (k, 3),
+    nu >= 1, strictly increasing slope) that ends at its endpoint."""
     params = _params(parabola1, 100)
     xi, support = sp.sample_endpoints(params, 2000, np.random.default_rng(13),
                                       collect_support=True)
     # any order of replicates: the rebuild returns them in the order asked
     reps = np.random.default_rng(3).permutation(xi.shape[0])
-    configs = sp.configurations_of(params, support, reps)
-    for r, config in zip(reps, configs):
-        assert config.endpoint().tolist() == xi[r].tolist()
+    paths = sp.configurations_of(params, support, reps)
+    assert len(paths) == reps.size
+    for r, edges in zip(reps, paths):
+        sp.Configuration(support=edges)  # raises ValueError on a malformed array
+        assert _endpoint(edges).tolist() == xi[r].tolist()
 
 
 class _ZeroEveryOtherStep:
@@ -135,8 +143,8 @@ def test_skip_moves_on_after_a_zero_step(parabola1):
                                               collect_support=True)
     for r in range(50):
         assert np.all(np.diff(idx[reps == r]) > 0)
-    for r, config in enumerate(sp.configurations_of(params, (reps, idx, nu), range(50))):
-        assert config.endpoint().tolist() == xi[r].tolist()
+    for r, edges in enumerate(sp.configurations_of(params, (reps, idx, nu), range(50))):
+        assert _endpoint(edges).tolist() == xi[r].tolist()
 
 
 # --- guide-table skip lookup -----------------------------------------------------
@@ -217,7 +225,7 @@ def test_convexity_and_endpoint_identity(parabola1):
         line = sp.assemble(config)
         taus = _taus(line)
         assert all(b > a for a, b in zip(taus, taus[1:]))
-        assert np.array_equal(line.endpoint, config.endpoint())
+        assert np.array_equal(line.endpoint, _endpoint(config.support))
 
 
 def test_empirical_mean_endpoint_matches_exact(parabola1):
@@ -242,7 +250,7 @@ def test_skip_route_matches_direct_route(parabola1):
     xi_direct = np.zeros((n_draws, 2))
     for i in range(n_draws):
         config = sp.sample_configuration(params, rng)
-        xi_direct[i] = config.endpoint()
+        xi_direct[i] = _endpoint(config.support)
         for x1, x2, _ in config.support:
             j = int(np.nonzero((f.x1 == x1) & (f.x2 == x2))[0][0])
             active_direct[j] += 1
@@ -305,12 +313,11 @@ def test_exhausted_carries_diagnostics(parabola1):
     params = _params(parabola1, 200)
     with pytest.raises(Exhausted) as err:
         sp.condition_on_endpoint(params, (200, 200), 16, np.random.default_rng(0))
-    diag = err.value.diagnostics
     assert err.value.attempts == 16
-    assert (err.value.accepted, err.value.count) == (diag.accepted, diag.count) == (0, 1)
+    assert (err.value.accepted, err.value.count) == (0, 1)
     assert str(err.value) == "accepted 0 of 1 within 16 attempts"
-    assert diag.best_distance >= 0.0
-    assert diag.best_endpoint != (200, 200)
+    assert err.value.closest_distance > 0.0
+    assert err.value.closest_endpoint != (200, 200)
     # a larger target accepts some draws before the budget runs out
     params = _params(parabola1, 20)
     with pytest.raises(Exhausted) as err:
@@ -318,8 +325,34 @@ def test_exhausted_carries_diagnostics(parabola1):
                                       np.random.default_rng(0))
     accepted = err.value.accepted
     assert 0 < accepted < 10_000
-    assert err.value.diagnostics.accepted == accepted
+    assert (err.value.closest_endpoint, err.value.closest_distance) == ((20, 20), 0.0)
     assert str(err.value) == f"accepted {accepted} of 10000 within 20000 attempts"
+
+
+def test_exhausted_closest_miss_is_the_minimum(parabola1):
+    """closest_endpoint and closest_distance are the argmin and the
+    minimum of the Mahalanobis distance over every draw of every batch,
+    recomputed from a same-seed replay of the loop's batches."""
+    params = _params(parabola1, 200)
+    target, batch, budget = (200, 200), 3000, 10_000  # four batches, the last short
+    with pytest.raises(Exhausted) as err:
+        sp.conditioned_configurations(params, target, 1, batch, budget,
+                                      np.random.default_rng(12))
+    rng = np.random.default_rng(12)
+    xi = np.concatenate([sp.sample_endpoints(params, min(batch, budget - a), rng,
+                                             collect_support=True)[0]
+                         for a in range(0, budget, batch)])
+    diff = (xi - target).astype(float)
+    d2 = np.einsum("ij,jk,ik->i", diff, np.linalg.inv(ms.covariance_matrix(params)), diff)
+    best = int(np.argmin(d2))
+    assert d2[best] > 0.0  # no draw hit the target
+    # on this seed the first minimum lies in a middle batch, and a later
+    # batch holds another endpoint at the same distance
+    ties = np.flatnonzero(d2 == d2[best])
+    assert batch <= best < 2 * batch and ties[-1] >= 2 * batch
+    assert xi[ties[-1]].tolist() != xi[best].tolist()
+    assert err.value.closest_endpoint == tuple(xi[best].tolist())
+    assert err.value.closest_distance == math.sqrt(d2[best])
 
 
 # --- profiles and scaling -----------------------------------------------------------
@@ -369,9 +402,7 @@ def test_length_profile_monotone_on_samples(parabola1):
 def test_scale_endpoint(parabola1):
     params = _params(parabola1, 70)
     line = sp.assemble(sp.sample_configuration(params, np.random.default_rng(1)))
-    scaled = sp.scale(line, 1.0 / 70)
-    assert scaled[-1][0] == pytest.approx(line.endpoint[0] / 70)
-    assert np.array_equal(sp.scale(line, 1.0), line.vertices.astype(float))
+    scaled = line.vertices / 70
     total = sp.total_length(line)
     scaled_total = np.sum(np.hypot(*np.diff(scaled, axis=0).T))
     assert scaled_total == pytest.approx(total / 70, rel=1e-12)
