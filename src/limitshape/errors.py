@@ -55,11 +55,12 @@ class EmptyPath(LimitShapeError):
 
 
 class Exhausted(LimitShapeError):
-    """Rejection sampling spent its attempt budget short of its target.
+    """Conditioned sampling spent its attempt budget short of its target.
 
     Carries the attempt count, the accepted count next to the target
-    count, and the closest miss: the endpoint nearest the target and its
-    distance in the covariance-adapted (Mahalanobis) norm.
+    count, and the closest miss: the free endpoint of any draw nearest
+    the target and its distance in the covariance-adapted (Mahalanobis)
+    norm.
     """
 
     def __init__(self, attempts, accepted, count, closest_endpoint, closest_distance):

@@ -60,6 +60,7 @@ assert abs(KAPPA - _KAPPA_PINNED) < 1e-12, "zeta-based kappa drifted from pinned
 _TAIL_BUDGET = 1e-9
 _MAX_RADIUS = 200_000
 _SECTOR_SAFETY = 0.9  # sector floor = 0.9 x the smaller tilt at its two ends
+_PAIR_POOL = 16  # likeliest directions searched for the completing pair
 
 
 def _tilt_base(curve: ConvexCurve, t: np.ndarray) -> np.ndarray:
@@ -311,6 +312,26 @@ class _DirectionField:
         use, so a field that never skips does not pay for it."""
         return _guide_table(self.cum_hazard)
 
+    @cached_property
+    def completing_pair(self) -> tuple[int, int]:
+        """Field indices (i, j), i < j, of the pair that completes each
+        conditioned draw; built on first use.
+
+        Among the _PAIR_POOL likeliest directions (largest z), the pair
+        with the largest 1/((1 - z_i)(1 - z_j)), taken among the pairs
+        with |det| = 1 when there is one.  Distinct coprime directions
+        in the quadrant are never parallel, so det != 0 always.
+        """
+        if self.zpow.size < 2:
+            raise ParameterOutOfRange(
+                f"endpoint conditioning needs two field directions, found {self.zpow.size}")
+        pool = np.sort(np.argsort(-self.zpow, kind="stable")[:_PAIR_POOL])
+        i, j = (pool[k] for k in np.triu_indices(pool.size, 1))
+        det = self.x1[i] * self.x2[j] - self.x2[i] * self.x1[j]
+        log_mass = np.log1p(-self.zpow[i]) + np.log1p(-self.zpow[j])
+        best = np.lexsort((log_mass, np.abs(det) != 1))[0]
+        return int(i[best]), int(j[best])
+
 
 def _guide_table(cum) -> np.ndarray:
     """Guide table (Chen & Asau 1974; Devroye 1986, III.2.4) of a
@@ -436,14 +457,26 @@ class MomentReport:
     density_at_n: float
 
 
+def _gaussian_density(a_z, K, detK: float, m) -> float:
+    if not (detK > 0.0) or not math.isfinite(detK):
+        raise SingularCovariance(f"det K = {detK!r}")
+    diff = np.asarray(m, dtype=float) - a_z
+    quad_form = float(diff @ np.linalg.solve(K, diff))
+    return float(np.exp(-0.5 * quad_form) / (2.0 * math.pi * math.sqrt(detK)))
+
+
 def gaussian_density_at(report: MomentReport, m) -> float:
     """Bivariate normal density with mean a_z and covariance K at the
     lattice point m, evaluated through the inverse covariance."""
-    if not (report.detK > 0.0) or not math.isfinite(report.detK):
-        raise SingularCovariance(f"det K = {report.detK!r}")
-    diff = np.asarray(m, dtype=float) - report.a_z
-    quad_form = float(diff @ np.linalg.solve(report.K, diff))
-    return float(np.exp(-0.5 * quad_form) / (2.0 * math.pi * math.sqrt(report.detK)))
+    return _gaussian_density(report.a_z, report.K, report.detK, m)
+
+
+def endpoint_density(params: MeasureParams, m) -> float:
+    """gaussian_density_at the lattice point m from the exact endpoint
+    mean and covariance sums alone: moment_report's density without the
+    quadrature of B."""
+    K = covariance_matrix(params)
+    return _gaussian_density(expected_endpoint(params), K, float(np.linalg.det(K)), m)
 
 
 def moment_report(params: MeasureParams) -> MomentReport:

@@ -9,8 +9,9 @@ conditional law with no auxiliary conditioning.
 
 check_sampler is the one route that pairs the enumeration with
 conditioned draws: the CLI oracle mode and the c09 acceptance check
-both run it.  It counts the edge arrays the rejection loop hands out
-directly, keyed like the enumeration by their sorted rows.
+both run it.  It counts the edge arrays the conditioned loop
+(sampler.conditioned_configurations) hands out directly, keyed like the
+enumeration by their sorted rows.
 """
 
 from __future__ import annotations

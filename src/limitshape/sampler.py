@@ -7,13 +7,18 @@ of (x1, x2, nu) rows, nu >= 1, in strictly increasing slope, the order
 of the direction field.  Draws take their rows straight from the field,
 so assembly is a prefix sum, and the length profile is a step function
 (profile_knots, evaluated by measure.step_at).  Endpoint conditioning
-is exact rejection: resample until the path ends at the target.
-conditioned_configurations is the one rejection loop: it draws batched
-endpoints under an attempt budget, hands out a batch's hits in
-replicate order as edge arrays by configurations_of (one stable sort
-of the hits' rows and one gather per batch), and raises Exhausted with
-the closest miss once the budget is spent; condition_on_endpoint is its
-first hit, validated as a Configuration and assembled into a path.
+is exact probabilistic divide-and-conquer (Arratia & DeSalvo 2016): a
+free draw has the rows of the field's completing pair {a, b} dropped,
+the pair is solved for exactly on the integers so that the path ends at
+the target, and the draw is kept with probability z_a^s * z_b^t, which
+leaves the conditioned law itself with no tolerance involved.
+conditioned_configurations is that one loop: it draws batched
+endpoints under an attempt budget, hands out a batch's accepted draws
+in replicate order as edge arrays by configurations_of (one sort of
+their rows and one gather per batch), and raises Exhausted with the
+closest miss once the budget is spent; condition_on_endpoint is its
+first accepted draw, validated as a Configuration and assembled into a
+path, in batches of the predicted draws per path (predicted_attempts).
 
 Two equivalent sampling routes are provided.  sample_configuration
 draws one uniform per enumerated direction (inverse transform).  The
@@ -22,9 +27,9 @@ a unit-rate Poisson process on the cumulative-hazard axis and skips
 straight to the next active direction, which costs O(active) instead
 of O(enumerated) per replicate; the joint law is identical and the
 equivalence is pinned by tests against the direct route and against
-exhaustive enumeration.  Each skip lands on a later direction, so
-configurations_of reads a replicate's rows in order, with no repeats
-to merge.  A skip finds its direction through a guide table of the
+exhaustive enumeration.  Each skip lands on a later direction, so a
+replicate holds at most one row per direction, with no repeats to
+merge.  A skip finds its direction through a guide table of the
 cumulative hazard (Chen & Asau 1974; Devroye 1986, III.2.4): 4 buckets
 per direction, each holding the count of cumulative hazards at or below
 its left edge.  The bucket's count is the answer for about 95% of the
@@ -38,11 +43,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import Exhausted
-from .measure import MeasureParams, _field, covariance_matrix, step_knots
+from .measure import MeasureParams, _field, covariance_matrix, endpoint_density, step_knots
 
 _CONDITION_BATCH = 8192  # endpoint draws per batch of condition_on_endpoint
 _LOOKUP_BLOCK = 32768  # skip-lookup queries per block of _skip_index
@@ -175,19 +181,19 @@ def sample_endpoints(params: MeasureParams, count: int,
 
 
 def configurations_of(params: MeasureParams, support, reps) -> list:
-    """Edge arrays of replicates reps, in that order, from the
-    (rep, dir_index, nu) arrays of sample_endpoints.
+    """Edge arrays of replicates reps, in that order, from
+    (rep, dir_index, nu) arrays such as sample_endpoints collects.
 
-    One stable sort of the rows that belong to reps groups them by
-    replicate and keeps each replicate's rows in draw order, where
-    dir_index rises; the rows are gathered into one (k, 3) array, and
-    each replicate is one searchsorted slice of it, in the format of
+    One sort of the rows that belong to reps, by replicate and then by
+    dir_index, puts each replicate's rows in slope order whatever order
+    they come in; the rows are gathered into one (k, 3) array, and each
+    replicate is one searchsorted slice of it, in the format of
     Configuration.support (not validated here).
     """
     rows_rep, idx, nu = support
     reps = np.asarray(reps, dtype=np.int64)
     rows = np.flatnonzero(np.isin(rows_rep, reps, kind="table"))
-    rows = rows[np.argsort(rows_rep[rows], kind="stable")]
+    rows = rows[np.lexsort((idx[rows], rows_rep[rows]))]
     keys = rows_rep[rows]
     lo = np.searchsorted(keys, reps, side="left")
     hi = np.searchsorted(keys, reps, side="right")
@@ -197,15 +203,33 @@ def configurations_of(params: MeasureParams, support, reps) -> list:
 
 def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
                                max_attempts: int, rng: np.random.Generator):
-    """The edge arrays of the first count configurations with endpoint
-    n, in replicate order.
+    """The edge arrays of the first count accepted draws, exact draws
+    of the configuration conditioned on endpoint n, in replicate order.
 
-    Draws batches of min(batch, max_attempts - attempts) endpoints and
-    returns (edge arrays, attempts), where attempts counts the draws up
-    to and including the last accepted one.  Once max_attempts draws
-    are spent short of count, raises Exhausted with the closest miss
-    over every draw in the covariance-adapted (Mahalanobis) norm.
+    Probabilistic divide-and-conquer with the field's completing pair
+    {a, b}: each draw is a free configuration (sample_endpoints) whose
+    pair rows are dropped, leaving xi_A, and then one uniform U (drawn
+    after the batch's endpoints, one per draw).  The draw is accepted
+    when n - xi_A = s*a + t*b has a solution in integers s, t >= 0
+    (exact, by the adjugate of (a, b)) and U < z_a^s * z_b^t; its edge
+    array is the draw's other rows with (a, s) and (b, t) in their
+    slope places.  The accepted law is proportional to
+    P(config_A) P(nu_a = s) P(nu_b = t) 1[xi = n], which is the
+    conditioned law itself, and a draw is accepted with probability
+    P(xi = n) / ((1 - z_a)(1 - z_b)).
+
+    Draws batches of min(batch, max_attempts - attempts) and returns
+    (edge arrays, attempts), where attempts counts the draws up to and
+    including the last accepted one.  Once max_attempts draws are spent
+    short of count, raises Exhausted with the closest miss: the free
+    endpoint of any draw nearest n in the covariance-adapted
+    (Mahalanobis) norm.
     """
+    f = _field(params)
+    ia, ib = f.completing_pair
+    a1, a2, b1, b2 = (int(v) for v in (f.x1[ia], f.x2[ia], f.x1[ib], f.x2[ib]))
+    det = a1 * b2 - a2 * b1
+    log_za, log_zb = -f.neg_log_z[ia], -f.neg_log_z[ib]
     target = np.asarray(n, dtype=np.int64)
     k_inv = np.linalg.inv(covariance_matrix(params))
     out: list = []
@@ -213,11 +237,27 @@ def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
     best_d2, best_xi = math.inf, (0, 0)
     while attempts < max_attempts:
         size = min(batch, max_attempts - attempts)
-        xi, support = sample_endpoints(params, size, rng, collect_support=True)
-        hits = np.nonzero((xi[:, 0] == target[0]) & (xi[:, 1] == target[1]))[0]
-        hits = hits[:count - len(out)]
+        xi, (rep, idx, nu) = sample_endpoints(params, size, rng, collect_support=True)
+        u = rng.random(size)
+        on_a, on_b = idx == ia, idx == ib
+        # n - xi_A = (n - xi) + nu_a*a + nu_b*b: solve n - xi by the
+        # adjugate, then add the pair's own multiplicities
+        r1, r2 = target[0] - xi[:, 0], target[1] - xi[:, 1]
+        s, s_rem = np.divmod(r1 * b2 - r2 * b1, det)
+        t, t_rem = np.divmod(a1 * r2 - a2 * r1, det)
+        s[rep[on_a]] += nu[on_a]
+        t[rep[on_b]] += nu[on_b]
+        ok = (s_rem == 0) & (t_rem == 0) & (s >= 0) & (t >= 0)
+        ok[ok] = u[ok] < np.exp(s[ok] * log_za + t[ok] * log_zb)
+        hits = np.flatnonzero(ok)[:count - len(out)]
         if hits.size:
-            out.extend(configurations_of(params, support, hits))
+            keep = np.isin(rep, hits, kind="table") & ~on_a & ~on_b
+            with_a, with_b = hits[s[hits] > 0], hits[t[hits] > 0]
+            rows = (np.concatenate([rep[keep], with_a, with_b]),
+                    np.concatenate([idx[keep], np.full(with_a.size, ia),
+                                    np.full(with_b.size, ib)]),
+                    np.concatenate([nu[keep], s[with_a], t[with_b]]))
+            out.extend(configurations_of(params, rows, hits))
         if len(out) == count:
             return out, attempts + int(hits[-1]) + 1
         attempts += size
@@ -229,6 +269,16 @@ def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
     raise Exhausted(attempts, len(out), count, best_xi, math.sqrt(best_d2))
 
 
+@lru_cache(maxsize=4)
+def predicted_attempts(params: MeasureParams, n: tuple) -> float:
+    """Predicted draws per path accepted by conditioned_configurations:
+    (1 - z_a)(1 - z_b) / p(n), with p(n) the Gaussian local-CLT density
+    of the endpoint at n (measure.endpoint_density, no quadrature)."""
+    f = _field(params)
+    ia, ib = f.completing_pair
+    return float((1.0 - f.zpow[ia]) * (1.0 - f.zpow[ib]) / endpoint_density(params, n))
+
+
 @dataclass(frozen=True)
 class ConditionedSample:
     line: PolygonalLine
@@ -237,10 +287,16 @@ class ConditionedSample:
 
 def condition_on_endpoint(params: MeasureParams, n, max_attempts: int,
                           rng: np.random.Generator) -> ConditionedSample:
-    """Exact draw from the endpoint-conditioned law: the first hit of
-    conditioned_configurations, validated and assembled into its path."""
-    (edges,), attempts = conditioned_configurations(params, n, 1, _CONDITION_BATCH,
-                                                    max_attempts, rng)
+    """Exact draw from the endpoint-conditioned law: the first accepted
+    draw of conditioned_configurations, validated and assembled into its
+    path.
+
+    Its batches hold the predicted draws per path (predicted_attempts,
+    rounded up), at most _CONDITION_BATCH.
+    """
+    n = (int(n[0]), int(n[1]))
+    batch = math.ceil(min(_CONDITION_BATCH, predicted_attempts(params, n)))
+    (edges,), attempts = conditioned_configurations(params, n, 1, batch, max_attempts, rng)
     return ConditionedSample(line=assemble(Configuration(support=edges)), attempts=attempts)
 
 

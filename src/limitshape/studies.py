@@ -77,8 +77,13 @@ def draw_path(params: _measure.MeasureParams, seed: int, rep: int,
 
 
 def _path_chunk(task):
+    """(predicted attempts per path, nan for free draws; the chunk's
+    records).  The prediction comes from the worker, which builds the
+    direction field anyway, so the parent process never does."""
     curve_key, n1, start, count, seed, max_attempts = task
     params = _params_for(curve_key, n1)
+    predicted = (math.nan if max_attempts is None
+                 else _sampler.predicted_attempts(params, (params.n1, params.n2)))
     out = []
     for rep in range(start, start + count):
         try:
@@ -90,7 +95,7 @@ def _path_chunk(task):
         verts = (line.vertices.astype(float) / n1).tolist() if rep < _KEEP_OVERLAY else None
         out.append((rep, attempts, report.d_hausdorff, report.d_length,
                     report.argmax_t, verts))
-    return out
+    return predicted, out
 
 
 def _lclt_chunk(task):
@@ -146,19 +151,20 @@ def _decay_exponent(n1s, medians):
 def _path_records(config, n1: int, count: int, max_attempts, result: StudyResult):
     """Replicates 0..count-1 of draw_path at size n1, fanned out over the
     pool; adds their details and overlay to result and returns the
-    (attempts, d_L) arrays in replicate order (d_L is nan when exhausted)."""
+    (attempts, d_L) arrays in replicate order (d_L is nan when exhausted)
+    and the predicted attempts per path (nan for free draws)."""
     curve_key = json.dumps(config.curve_spec, sort_keys=True)
     chunk = max(1, count // max(config.workers * 4, 1))
     tasks = [(curve_key, n1, s, c, config.seed, max_attempts)
              for s, c in _chunk_ranges(count, chunk)]
-    recs = sorted((r for out in _run_tasks(_path_chunk, tasks, config.workers) for r in out),
-                  key=lambda r: r[0])
+    chunks = _run_tasks(_path_chunk, tasks, config.workers)
+    recs = sorted((r for _, out in chunks for r in out), key=lambda r: r[0])
     for rep, _, d_h, d_l, argmax_t, verts in recs:
         result.details.append((rep, n1, d_h, d_l, argmax_t))
         if verts is not None:
             result.extras.setdefault("overlay", {}).setdefault(n1, []).append(verts)
     return (np.array([r[1] for r in recs], dtype=float),
-            np.array([r[3] for r in recs]))
+            np.array([r[3] for r in recs]), chunks[0][0])
 
 
 def run_limit_shape_study(config) -> StudyResult:
@@ -166,7 +172,7 @@ def run_limit_shape_study(config) -> StudyResult:
     result = StudyResult()
     medians = []
     for n1 in config.n1_list:
-        _, d_l = _path_records(config, n1, config.replicates, None, result)
+        _, d_l, _ = _path_records(config, n1, config.replicates, None, result)
         result.rows.extend(_fraction_rows(n1, d_l, config.epsilons, ""))
         medians.append(float(np.median(d_l)))
     if len(config.n1_list) >= 2:
@@ -178,11 +184,14 @@ def run_limit_shape_study(config) -> StudyResult:
 
 
 def run_conditioned_study(config) -> StudyResult:
-    """Same distances under exact endpoint conditioning (rejection)."""
+    """Same distances under exact endpoint conditioning.  The theoretical
+    value of cond_mean_attempts is sampler.predicted_attempts, the
+    number that sizes condition_on_endpoint's batches."""
     result = StudyResult()
     per = config.accepted_target
     for n1 in config.conditioned_n1:
-        attempts, d_l = _path_records(config, n1, per, config.max_attempts, result)
+        attempts, d_l, predicted = _path_records(config, n1, per, config.max_attempts,
+                                                 result)
         accepted = d_l[np.isfinite(d_l)]
         result.rows.extend(_fraction_rows(n1, accepted, config.epsilons, "cond_"))
         result.rows.append(ConvergenceRow(
@@ -192,7 +201,7 @@ def run_conditioned_study(config) -> StudyResult:
         mean_att = float(np.mean(attempts)) if attempts.size else math.nan
         result.rows.append(ConvergenceRow(
             n1=n1, statistic="cond_mean_attempts", empirical=mean_att,
-            theoretical=math.nan, ratio=math.nan,
+            theoretical=predicted, ratio=mean_att / predicted,
             stderr=float(np.std(attempts) / math.sqrt(max(attempts.size, 1)))))
     return result
 

@@ -337,15 +337,26 @@ def test_conditioned_study_accepts():
     assert acc[0].empirical == 6.0
 
 
-def test_conditioned_study_with_no_accepted_replicate():
-    # one attempt per replicate at n1 = 60 accepts none of them, so every
-    # statistic of the accepted paths is taken over an empty sample
-    cfg = _config(n1_list=[60], conditioned_n1=[60], accepted_target=4, max_attempts=1)
+def _endpoints_past(params, count, rng, collect_support=False):
+    """sample_endpoints stand-in whose every draw ends past the target in
+    both coordinates, with no rows: the completing pair, which only adds
+    steps, never brings such a draw back to the target."""
+    empty = np.empty(0, np.int64)
+    xi = np.tile(np.array([params.n1 + 1, params.n2 + 1], dtype=np.int64), (count, 1))
+    return (xi, (empty, empty, empty)) if collect_support else xi
+
+
+def test_conditioned_study_with_no_accepted_replicate(monkeypatch):
+    # no draw can be accepted, so every statistic of the accepted paths
+    # is taken over an empty sample
+    monkeypatch.setattr(sp, "sample_endpoints", _endpoints_past)
+    cfg = _config(n1_list=[60], conditioned_n1=[60], accepted_target=4, max_attempts=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = stu.run_conditioned_study(cfg)
     rows = {r.statistic: r for r in res.rows}
     assert rows["cond_accepted"].empirical == 0.0
+    assert rows["cond_mean_attempts"].empirical == 3.0
     assert math.isnan(rows["cond_median_dL"].empirical)
     assert math.isnan(rows["cond_median_dL"].stderr)
     assert all(math.isnan(r.stderr) for s, r in rows.items() if s.startswith("cond_frac"))
@@ -480,11 +491,7 @@ def test_cli_oracle(tmp_path):
 
 def test_cli_oracle_attempt_budget(tmp_path, monkeypatch, capsys):
     # a sampler that never hits n must end in Exhausted (exit 1), not spin
-    def never_hits(params, count, rng, collect_support=False):
-        empty = np.empty(0, np.int64)
-        return np.zeros((count, 2), dtype=np.int64), (empty, empty, empty)
-
-    monkeypatch.setattr(sp, "sample_endpoints", never_hits)
+    monkeypatch.setattr(sp, "sample_endpoints", _endpoints_past)
     assert _run_oracle(tmp_path, max_attempts=10_000) == 1
     assert "accepted 0 of 4000 within 10000 attempts" in capsys.readouterr().err
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from limitshape import curve as cv
 from limitshape import measure as ms
 from limitshape import sampler as sp
-from limitshape.errors import Exhausted
+from limitshape.errors import Exhausted, ParameterOutOfRange
 
 import oracles
 
@@ -217,6 +217,16 @@ def test_empty_slope_window_gives_trivial_line():
     assert line.endpoint.tolist() == [0, 0]
 
 
+def test_conditioning_needs_two_directions():
+    # the empty window above: no pair can complete a draw
+    u = np.linspace(0, 1, 16)
+    narrow = cv.make_tabulated(np.column_stack([u, 0.4 * u + 0.05 * u ** 2]), k0=0.01)
+    params = ms.MeasureParams(n1=30, n2=13, curve=narrow,
+                              truncation_radius=4, tail_tolerance=1e9)
+    with pytest.raises(ParameterOutOfRange, match="two field directions"):
+        sp.condition_on_endpoint(params, (30, 13), 100, np.random.default_rng(0))
+
+
 def test_convexity_and_endpoint_identity(parabola1):
     params = _params(parabola1, 60)
     rng = np.random.default_rng(5)
@@ -299,14 +309,95 @@ def test_conditioned_endpoint_exact(parabola1):
 
 
 def test_acceptance_rate_tracks_density(parabola1):
+    """A draw is accepted with probability P(xi = n) / ((1 - z_a)(1 - z_b)),
+    z_a and z_b the completing pair's; the Gaussian density stands in
+    for P(xi = n)."""
     params = _params(parabola1, 60)
     rep = ms.moment_report(params)
+    f = ms._field(params)
+    ia, ib = f.completing_pair
+    predicted = rep.density_at_n / ((1.0 - f.zpow[ia]) * (1.0 - f.zpow[ib]))
+    assert 1.0 / sp.predicted_attempts(params, (60, 60)) == pytest.approx(predicted,
+                                                                          rel=1e-12)
     rng = np.random.default_rng(101)
     attempts = [sp.condition_on_endpoint(params, (60, 60), 10 ** 7, rng).attempts
                 for _ in range(60)]
     rate = 1.0 / float(np.mean(attempts))
-    assert rate / rep.density_at_n < 3.0
-    assert rep.density_at_n / rate < 3.0
+    assert rate / predicted < 3.0
+    assert predicted / rate < 3.0
+
+
+def test_completing_pair(parabola1, power2):
+    """The likeliest unimodular pair: the two axes on parabola(1), and
+    (1, 0) with (1, 1) or (2, 1) on power(2), whose window excludes (0, 1)."""
+    f = ms._field(_params(parabola1, 100))
+    pair = [(int(f.x1[i]), int(f.x2[i])) for i in f.completing_pair]
+    assert pair == [(1, 0), (0, 1)]
+    f = ms._field(_params(power2, 100))
+    pair = [(int(f.x1[i]), int(f.x2[i])) for i in f.completing_pair]
+    assert pair[0] == (1, 0) and pair[1] in ((1, 1), (2, 1))
+
+
+def test_conditioned_draws_match_rejection(parabola1):
+    """Two-sample check at n1 = 100: 400 paths by the completing pair
+    against 400 by plain rejection (about 2.2e6 free draws), compared in
+    mean edge count and mean total length."""
+    params = _params(parabola1, 100)
+    n = (100, 100)
+    pdc, _ = sp.conditioned_configurations(params, n, 400, 8192, 10 ** 6,
+                                           np.random.default_rng(41))
+    ref, _ = oracles.rejection_configurations(params, n, 400, 50_000,
+                                              np.random.default_rng(43))
+    for edges in pdc:
+        sp.Configuration(support=edges)
+        assert _endpoint(edges).tolist() == list(n)
+
+    def stats(paths):
+        return (np.array([len(e) for e in paths], dtype=float),
+                np.array([sp.total_length(sp.assemble(sp.Configuration(support=e)))
+                          for e in paths]))
+
+    for a, b in zip(stats(pdc), stats(ref)):
+        z = (a.mean() - b.mean()) / math.sqrt(a.var() / a.size + b.var() / b.size)
+        assert abs(z) <= 4.0
+
+
+def test_conditioned_draws_exact_off_the_parabola(power2, monkeypatch):
+    """On power(2) the c09 oracle check holds with c09's instances, draws
+    and sigma band, and every edge array the loop hands out is a valid
+    Configuration: the oracle keys lines by sorted rows, so it would not
+    see pair rows out of slope order."""
+    from limitshape import config as cfgmod
+    from limitshape import oracle as oc
+    from limitshape.cli import load_thresholds
+
+    draw = sp.conditioned_configurations
+    checked = []
+
+    def validated(*args):
+        paths, attempts = draw(*args)
+        for edges in paths:
+            sp.Configuration(support=edges)
+        checked.append(len(paths))
+        return paths, attempts
+
+    monkeypatch.setattr(sp, "conditioned_configurations", validated)
+    cfg = cfgmod.ExperimentConfig(mode="oracle", curve_spec={"preset": {"name": "power",
+                                                                       "p": 2.0}})
+    check = oc.check_sampler(power2, cfg.oracle_instances, cfg.oracle_draws,
+                             cfg.max_attempts, cfg.seed)
+    assert checked == [cfg.oracle_draws] * len(cfg.oracle_instances)
+    assert not check.missing
+    assert check.worst_z <= load_thresholds()["oracle_sigma_band"]
+
+
+def test_condition_reaches_n1_1000(parabola1):
+    # about 900 draws per path are predicted; plain rejection would need
+    # about 1.2e5 and exhaust this budget about 85% of the time
+    params = _params(parabola1, 1000)
+    res = sp.condition_on_endpoint(params, (1000, 1000), 20_000, np.random.default_rng(0))
+    assert res.line.endpoint.tolist() == [1000, 1000]
+    assert res.attempts <= 20_000
 
 
 def test_exhausted_carries_diagnostics(parabola1):
@@ -331,21 +422,28 @@ def test_exhausted_carries_diagnostics(parabola1):
 
 def test_exhausted_closest_miss_is_the_minimum(parabola1):
     """closest_endpoint and closest_distance are the argmin and the
-    minimum of the Mahalanobis distance over every draw of every batch,
-    recomputed from a same-seed replay of the loop's batches."""
+    minimum of the Mahalanobis distance over the free endpoint of every
+    draw of every batch, recomputed from a same-seed replay of the
+    loop's batches (each batch's endpoints, then its uniforms)."""
     params = _params(parabola1, 200)
     target, batch, budget = (200, 200), 3000, 10_000  # four batches, the last short
+    # a target count the budget cannot reach: the loop accepts some draws
+    # and still scans every batch for the closest miss
     with pytest.raises(Exhausted) as err:
-        sp.conditioned_configurations(params, target, 1, batch, budget,
-                                      np.random.default_rng(12))
-    rng = np.random.default_rng(12)
-    xi = np.concatenate([sp.sample_endpoints(params, min(batch, budget - a), rng,
-                                             collect_support=True)[0]
-                         for a in range(0, budget, batch)])
+        sp.conditioned_configurations(params, target, budget, batch, budget,
+                                      np.random.default_rng(53))
+    assert 0 < err.value.accepted < budget
+    rng = np.random.default_rng(53)
+    xi = []
+    for a in range(0, budget, batch):
+        size = min(batch, budget - a)
+        xi.append(sp.sample_endpoints(params, size, rng, collect_support=True)[0])
+        rng.random(size)
+    xi = np.concatenate(xi)
     diff = (xi - target).astype(float)
     d2 = np.einsum("ij,jk,ik->i", diff, np.linalg.inv(ms.covariance_matrix(params)), diff)
     best = int(np.argmin(d2))
-    assert d2[best] > 0.0  # no draw hit the target
+    assert d2[best] > 0.0  # no free endpoint hit the target
     # on this seed the first minimum lies in a middle batch, and a later
     # batch holds another endpoint at the same distance
     ties = np.flatnonzero(d2 == d2[best])
