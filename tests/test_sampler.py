@@ -5,9 +5,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from limitshape import config as cfgmod
 from limitshape import curve as cv
 from limitshape import measure as ms
+from limitshape import oracle as oc
 from limitshape import sampler as sp
+from limitshape.cli import load_thresholds
 from limitshape.errors import Exhausted, ParameterOutOfRange
 
 import oracles
@@ -367,10 +370,6 @@ def test_conditioned_draws_exact_off_the_parabola(power2, monkeypatch):
     and sigma band, and every edge array the loop hands out is a valid
     Configuration: the oracle keys lines by sorted rows, so it would not
     see pair rows out of slope order."""
-    from limitshape import config as cfgmod
-    from limitshape import oracle as oc
-    from limitshape.cli import load_thresholds
-
     draw = sp.conditioned_configurations
     checked = []
 
