@@ -1,13 +1,18 @@
-"""Experiment configuration: the keys each mode reads, and curve-spec parsing.
+"""Experiment configuration: the keys each mode reads, curve-spec parsing
+and the acceptance thresholds.
 
 from_dict parses all outside input (a config file, CLI flags or both) and
 rejects any key that MODE_KEYS does not list for its mode.  The constructor
-takes every field, the study-only ones (lclt_replicates, lclt_batch) too."""
+takes every field, the study-only ones (lclt_replicates, lclt_batch) too.
+Settings fixed by the verification itself are no config keys: the distance
+levels are thresholds.json's limit_shape_epsilons (load_thresholds), and
+the oracle's micro-lattice instances are oracle.INSTANCES."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from numbers import Real
+from importlib import resources
 
 import numpy as np
 
@@ -20,24 +25,20 @@ MODE_KEYS = {mode: ("curve", "out_dir") + keys for mode, keys in {
     "calibrate": ("n1_list", "n2"),
     "sample": _SAMPLE_KEYS,
     "condition": _SAMPLE_KEYS + ("max_attempts",),
-    "verify": ("n1_list", "replicates", "seed", "workers", "epsilons", "conditioned_n1",
+    "verify": ("n1_list", "replicates", "seed", "workers", "conditioned_n1",
                "accepted_target", "max_attempts"),
     "profile": ("n1_list",),
-    "oracle": ("oracle_instances", "oracle_draws", "max_attempts", "seed"),
+    "oracle": ("oracle_draws", "max_attempts", "seed"),
 }.items()}
 _MODES = tuple(MODE_KEYS)
 _INT_FIELDS = ("replicates", "seed", "workers", "accepted_target", "max_attempts",
                "lclt_replicates", "lclt_batch", "oracle_draws")
 
 
-def _oracle_instances() -> list:
-    """Micro-lattice instances of the oracle mode and of the c09 check;
-    caps that do not bind (cap_radius >= n1 + n2, nu_cap >= max(n))."""
-    return [{"n": [1, 1], "cap_radius": 2, "nu_cap": 4},
-            {"n": [2, 1], "cap_radius": 3, "nu_cap": 4},
-            {"n": [1, 2], "cap_radius": 3, "nu_cap": 4},
-            {"n": [3, 1], "cap_radius": 4, "nu_cap": 4},
-            {"n": [2, 2], "cap_radius": 4, "nu_cap": 4}]
+def load_thresholds() -> dict:
+    """The acceptance thresholds and distance levels of thresholds.json."""
+    with resources.files("limitshape").joinpath("thresholds.json").open("r") as fh:
+        return json.load(fh)
 
 
 def _require_int(name: str, value) -> None:
@@ -87,14 +88,12 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "out"
     workers: int = 1
-    epsilons: tuple = (0.2, 0.1, 0.05)
     conditioned_n1: list = field(default_factory=list)
     accepted_target: int = 60
     max_attempts: int = 2_000_000
     lclt_replicates: int = 10_000_000
     lclt_batch: int = 200_000
     n2: int | None = None
-    oracle_instances: list = field(default_factory=_oracle_instances)
     oracle_draws: int = 20_000
 
     def __post_init__(self):
@@ -127,32 +126,6 @@ class ExperimentConfig:
             self.n1_list = n1s
         if self.n2 is not None and self.n2 < 1:
             raise ValueError("n2 must be >= 1")
-        if not isinstance(self.epsilons, (list, tuple)) or any(
-                isinstance(e, bool) or not isinstance(e, Real) for e in self.epsilons):
-            raise ValueError(f"epsilons must be a list of numbers, got {self.epsilons!r}")
-        if not isinstance(self.oracle_instances, (list, tuple)) or not self.oracle_instances:
-            raise ValueError(f"oracle_instances must be a non-empty list, "
-                             f"got {self.oracle_instances!r}")
-        for inst in self.oracle_instances:
-            if not isinstance(inst, dict):
-                raise ValueError(f"oracle instance must be an object, got {inst!r}")
-            missing = {"n", "cap_radius", "nu_cap"} - set(inst)
-            if missing:
-                raise ValueError(f"oracle instance {inst} lacks {sorted(missing)}")
-            n = inst["n"]
-            if not isinstance(n, (list, tuple)) or len(n) != 2:
-                raise ValueError(f"oracle instance n must be a pair of integers, got {n!r}")
-            for v in n:
-                _require_int("oracle instance n entry", v)
-                if v < 1:
-                    raise ValueError(f"oracle instance n entries must be >= 1, got {n!r}")
-            _require_int("cap_radius", inst["cap_radius"])
-            _require_int("nu_cap", inst["nu_cap"])
-            # only caps that do not bind give the sampler's conditional law
-            if inst["cap_radius"] < n[0] + n[1] or inst["nu_cap"] < max(n):
-                raise ValueError(f"oracle instance {inst} needs cap_radius >= n1 + n2 "
-                                 "and nu_cap >= max(n)")
-        self.epsilons = tuple(float(e) for e in self.epsilons)
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":

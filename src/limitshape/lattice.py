@@ -144,21 +144,20 @@ def coprime_sum(f, radius: int) -> float:
     return float(np.sum(f(x1.astype(float), x2.astype(float))))
 
 
-def mobius_inverted_sum(f, radius: float, *, table: np.ndarray | None = None) -> float:
+def mobius_inverted_sum(f, radius: float) -> float:
     """Sum of f(x) over coprime x with x1 + x2 <= radius, by Moebius inversion.
 
     Every nonzero lattice point is m*x for one m >= 1 and one coprime x,
     so the coprime sum is the sum over m of mu(m) times the full-lattice
     sum of f(m*y) over y with y1 + y2 <= radius/m.  This is exact for any
     f on the lattice and reproduces coprime_sum up to rounding.  f must
-    accept (x1, x2) float arrays; table is a mobius_sieve of at least
+    accept (x1, x2) float arrays; mu comes from a mobius_sieve to
     floor(radius).
     """
     r = int(math.floor(radius))
     if r < 1:
         return 0.0
-    if table is None or len(table) <= r:
-        table = mobius_sieve(r)
+    table = mobius_sieve(r)
     total = 0.0
     for m in range(1, r + 1):
         if table[m]:

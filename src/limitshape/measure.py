@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -130,10 +129,9 @@ def tilt_floor(curve: ConvexCurve) -> float:
 class MeasureParams:
     """Everything defining the tilted measure for one endpoint n.
 
-    alpha_n = (rho_n * n1)^(-1/3) with rho_n = c_gamma / c_n computed
-    from the exact rational c_n = n2/n1.  The direction field keeps
-    the coprime x with x1 + x2 <= truncation_radius and
-    alpha_n * e(x) <= neg_log_z_cap, the sublevel set of the tilt.
+    alpha_n = (rho_n * n1)^(-1/3) with rho_n = c_gamma * n1 / n2.  The
+    direction field keeps the coprime x with x1 + x2 <= truncation_radius
+    and alpha_n * e(x) <= neg_log_z_cap, the sublevel set of the tilt.
     tail_tolerance is the certified bound on the expected number of
     edges the truncation omits, in two halves: certified_tail covers
     the directions beyond the radius, and neg_log_z_cap = T is set so
@@ -147,7 +145,6 @@ class MeasureParams:
     curve: ConvexCurve
     truncation_radius: int
     tail_tolerance: float
-    c_n: float = field(init=False)
     rho_n: float = field(init=False)
     alpha_n: float = field(init=False)
     neg_log_z_cap: float = field(init=False)
@@ -157,9 +154,7 @@ class MeasureParams:
             raise ParameterOutOfRange("endpoint components must be positive")
         if not 0.0 < self.tail_tolerance < math.inf:
             raise ParameterOutOfRange("tail tolerance must be positive and finite")
-        c_n = Fraction(self.n2, self.n1)
         rho = self.curve.c_gamma * self.n1 / self.n2
-        object.__setattr__(self, "c_n", float(c_n))
         object.__setattr__(self, "rho_n", rho)
         object.__setattr__(self, "alpha_n", (rho * self.n1) ** (-1.0 / 3.0))
         # N / expm1(T) = tol/2 at T = log1p(2N/tol); the relative 1e-12 keeps
@@ -294,7 +289,6 @@ class _DirectionField:
         with np.errstate(divide="ignore"):
             self.tau = np.where(x1 > 0, x2 / np.maximum(x1, 1), np.inf)
         self.norm = np.hypot(x1.astype(float), x2.astype(float))
-        self.exponent = exponent[keep]
         self.neg_log_z = neg_log_z[keep]
         self.zpow = np.exp(-self.neg_log_z)
         self.mean_nu, self.var_nu = nu_moments(self.zpow)

@@ -8,10 +8,10 @@ for paths ending at n, so the enumeration equals the sampler's
 conditional law with no auxiliary conditioning.
 
 check_sampler is the one route that pairs the enumeration with
-conditioned draws: the CLI oracle mode and the c09 acceptance check
-both run it.  It counts the edge arrays the conditioned loop
-(sampler.conditioned_configurations) hands out directly, keyed like the
-enumeration by their sorted rows.
+conditioned draws, on the fixed INSTANCES: the CLI oracle mode and the
+c09 acceptance check both run it.  It counts the edge arrays the
+conditioned loop (sampler.conditioned_configurations) hands out
+directly, keyed like the enumeration by their sorted rows.
 """
 
 from __future__ import annotations
@@ -30,6 +30,14 @@ from .measure import MeasureParams, direction_exponent
 
 _STATE_BUDGET = 2_000_000
 _DRAW_BATCH = 100_000  # endpoint draws per batch of check_sampler
+
+# The micro-lattice instances (n, cap_radius, nu_cap) of check_sampler.
+# Each has cap_radius >= n1 + n2 and nu_cap >= max(n): no path ending at
+# n uses a direction with x1 + x2 > n1 + n2 or a multiplicity above
+# max(n), so the caps do not bind and the enumeration is the sampler's
+# conditional law itself.
+INSTANCES = (((1, 1), 2, 4), ((2, 1), 3, 4), ((1, 2), 3, 4), ((3, 1), 4, 4),
+             ((2, 2), 4, 4))
 
 
 @dataclass(frozen=True)
@@ -111,24 +119,22 @@ class OracleCheck:
     missing: list
 
 
-def check_sampler(curve: ConvexCurve, instances, draws: int, max_attempts: int,
+def check_sampler(curve: ConvexCurve, draws: int, max_attempts: int,
                   seed: int) -> OracleCheck:
-    """Enumerate each instance's exact conditional law and compare it
-    with draws endpoint-conditioned paths, counted by their sorted
-    (x1, x2, nu) rows, the key of the enumeration's entries.
+    """Enumerate the exact conditional law of each of INSTANCES and
+    compare it with draws endpoint-conditioned paths, counted by their
+    sorted (x1, x2, nu) rows, the key of the enumeration's entries.
 
-    instances are config-dict objects {"n", "cap_radius", "nu_cap"};
-    instance idx draws from SeedSequence(seed, spawn_key=(9, idx)) in
+    Instance idx draws from SeedSequence(seed, spawn_key=(9, idx)) in
     batches of 100 000 endpoints under max_attempts.  An unreachable
     endpoint raises UnreachableEndpoint from the enumeration, before
     any draw.
     """
     rows, missing = [], []
     worst_z = 0.0
-    for idx, inst in enumerate(instances):
-        n = tuple(inst["n"])
+    for idx, (n, cap_radius, nu_cap) in enumerate(INSTANCES):
         params = MeasureParams.for_endpoint(curve, n[0], n[1])
-        dist = exact_conditional_oracle(params, inst["cap_radius"], inst["nu_cap"], n)
+        dist = exact_conditional_oracle(params, cap_radius, nu_cap, n)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9, idx)))
         paths, _ = _sampler.conditioned_configurations(params, n, draws, _DRAW_BATCH,
                                                        max_attempts, rng)

@@ -24,7 +24,7 @@ from . import curve as _curve
 from . import measure as _measure
 from . import metrics as _metrics
 from . import sampler as _sampler
-from .config import curve_from_spec
+from .config import curve_from_spec, load_thresholds
 from .errors import Exhausted, InsufficientReplicates
 
 _DOMAIN_LIMIT_SHAPE = 1
@@ -121,10 +121,12 @@ def _chunk_ranges(total: int, chunk: int):
     return [(s, min(chunk, total - s)) for s in range(0, total, chunk)]
 
 
-def _fraction_rows(n1: int, d_l: np.ndarray, epsilons, prefix: str) -> list:
+def _fraction_rows(n1: int, d_l: np.ndarray, prefix: str) -> list:
+    """The fraction of d_L <= eps at each of thresholds.json's
+    limit_shape_epsilons, then the median d_L."""
     rows = []
     n = d_l.size
-    for eps in epsilons:
+    for eps in load_thresholds()["limit_shape_epsilons"]:
         frac = float(np.mean(d_l <= eps)) if n else math.nan
         stderr = math.sqrt(max(frac * (1 - frac), 1e-12) / n) if n else math.nan
         rows.append(ConvergenceRow(n1=n1, statistic=f"{prefix}frac_dL_le_{eps:g}",
@@ -173,7 +175,7 @@ def run_limit_shape_study(config) -> StudyResult:
     medians = []
     for n1 in config.n1_list:
         _, d_l, _ = _path_records(config, n1, config.replicates, None, result)
-        result.rows.extend(_fraction_rows(n1, d_l, config.epsilons, ""))
+        result.rows.extend(_fraction_rows(n1, d_l, ""))
         medians.append(float(np.median(d_l)))
     if len(config.n1_list) >= 2:
         slope, se = _decay_exponent(config.n1_list, medians)
@@ -193,7 +195,7 @@ def run_conditioned_study(config) -> StudyResult:
         attempts, d_l, predicted = _path_records(config, n1, per, config.max_attempts,
                                                  result)
         accepted = d_l[np.isfinite(d_l)]
-        result.rows.extend(_fraction_rows(n1, accepted, config.epsilons, "cond_"))
+        result.rows.extend(_fraction_rows(n1, accepted, "cond_"))
         result.rows.append(ConvergenceRow(
             n1=n1, statistic="cond_accepted", empirical=float(accepted.size),
             theoretical=float(per), ratio=accepted.size / per,

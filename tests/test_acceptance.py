@@ -81,10 +81,9 @@ def test_c03_mobius_machinery():
     tests.append(lambda x1, x2: np.exp(-(x1 + 0.5 * x2)) * np.cos(0.3 * x1))
     assert len(tests) == 10
     worst = 0.0
-    table = lt.mobius_sieve(64)
     for f in tests:
         direct = lt.coprime_sum(f, 64)
-        inverted = lt.mobius_inverted_sum(f, 64, table=table)
+        inverted = lt.mobius_inverted_sum(f, 64)
         worst = max(worst, abs(inverted - direct) / max(abs(direct), 1e-300))
 
     big = lt.mobius_sieve(10 ** 6)
@@ -257,14 +256,14 @@ def test_c09_oracle_equivalence():
     t0 = time.monotonic()
     cfg = cfgmod.ExperimentConfig(mode="oracle", curve_spec=PARABOLA_SPEC, seed=SEED)
     sigma = TH["oracle_sigma_band"]
-    check = oc.check_sampler(cfgmod.curve_from_spec(cfg.curve_spec), cfg.oracle_instances,
-                             cfg.oracle_draws, cfg.max_attempts, cfg.seed)
+    check = oc.check_sampler(cfgmod.curve_from_spec(cfg.curve_spec), cfg.oracle_draws,
+                             cfg.max_attempts, cfg.seed)
     assert not check.missing, f"sampled lines {check.missing} missing from oracle"
     worst = check.worst_z
     elapsed = time.monotonic() - t0
     ok = worst <= sigma and elapsed < 300
     _emit("c09 oracle equivalence", ok,
-          f"worst |z| = {worst:.2f} over {len(cfg.oracle_instances)} instances "
+          f"worst |z| = {worst:.2f} over {len(oc.INSTANCES)} instances "
           f"x {cfg.oracle_draws} accepted draws", elapsed)
     assert worst <= sigma
     assert elapsed < 300

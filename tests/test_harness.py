@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import json
 import math
 import os
@@ -5,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,36 +59,40 @@ def test_config_validation():
 # Every key a file may set, with a valid value; the table below says which
 # keys each mode reads besides "curve" and "out_dir".
 _VALID_KEYS = {"out_dir": "o", "n1_list": [20], "n2": 20, "replicates": 3, "seed": 1,
-               "workers": 1, "epsilons": [0.1], "conditioned_n1": [20],
-               "accepted_target": 2, "max_attempts": 10, "lclt_replicates": 10,
-               "lclt_batch": 10, "oracle_draws": 10,
-               "oracle_instances": [{"n": [1, 1], "cap_radius": 2, "nu_cap": 2}]}
+               "workers": 1, "conditioned_n1": [20], "accepted_target": 2,
+               "max_attempts": 10, "lclt_replicates": 10, "lclt_batch": 10,
+               "oracle_draws": 10}
 _SAMPLE_KEYS = {"n1_list", "n2", "replicates", "seed"}
 _READS = {"calibrate": {"n1_list", "n2"}, "sample": _SAMPLE_KEYS,
           "condition": _SAMPLE_KEYS | {"max_attempts"},
-          "verify": {"n1_list", "replicates", "seed", "workers", "epsilons",
-                     "conditioned_n1", "accepted_target", "max_attempts"},
+          "verify": {"n1_list", "replicates", "seed", "workers", "conditioned_n1",
+                     "accepted_target", "max_attempts"},
           "profile": {"n1_list"},
-          "oracle": {"oracle_instances", "oracle_draws", "max_attempts", "seed"}}
+          "oracle": {"oracle_draws", "max_attempts", "seed"}}
 
 
 @pytest.mark.parametrize("mode", sorted(_READS))
 def test_config_keys_per_mode(mode, capsys):
     # a file sets exactly the keys its mode reads, and the mode's flags are
-    # those of these keys; the six modes read 36 keys in all
+    # those of these keys; the six modes read 34 keys in all.  The distance
+    # levels and the oracle instances are fixed, so no mode reads them.
     reads = _READS[mode] | {"curve", "out_dir"}
     assert set(cfgmod.MODE_KEYS[mode]) == reads
-    assert sum(map(len, cfgmod.MODE_KEYS.values())) == 36
+    assert sum(map(len, cfgmod.MODE_KEYS.values())) == 34
     base = {"mode": mode, "curve": PARABOLA_SPEC}
     if "n1_list" in reads:
         base["n1_list"] = [20]
     for key, value in _VALID_KEYS.items():
         if key in reads:
             cfg = cfgmod.ExperimentConfig.from_dict(dict(base, **{key: value}))
-            assert getattr(cfg, key) == (tuple(value) if key == "epsilons" else value)
+            assert getattr(cfg, key) == value
         else:
             with pytest.raises(ValueError, match=f"does not read \\['{key}'\\]"):
                 cfgmod.ExperimentConfig.from_dict(dict(base, **{key: value}))
+    for key, value in (("epsilons", [0.1]),
+                       ("oracle_instances", [{"n": [1, 1], "cap_radius": 2, "nu_cap": 2}])):
+        with pytest.raises(ValueError, match=f"does not read \\['{key}'\\]"):
+            cfgmod.ExperimentConfig.from_dict(dict(base, **{key: value}))
     with pytest.raises(SystemExit) as exc:
         cli_main([mode, "--help"])
     assert exc.value.code == 0
@@ -171,9 +178,8 @@ def _cli_configs(draw):
         {"mode": st.just("calibrate"), "curve": _CLI_CURVE,
          "n1_list": st.lists(st.integers(1, 60), min_size=1, max_size=1)},
         optional={"n2": st.integers(1, 60)}))
-    keys = ["mode", "curve", "n1_list", "n2", "replicates", "seed", "workers", "epsilons",
-            "accepted_target", "max_attempts", "conditioned_n1", "oracle_instances",
-            "oracle_draws", "extra"]
+    keys = ["mode", "curve", "n1_list", "n2", "replicates", "seed", "workers",
+            "accepted_target", "max_attempts", "conditioned_n1", "oracle_draws", "extra"]
     for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
         if draw(st.booleans()):
             cfg.pop(key, None)
@@ -200,6 +206,13 @@ def test_cli_config_fuzz_exits_cleanly(tmp_path, capsys, cfg):
 
 
 # --- exact conditional oracle -------------------------------------------------------
+
+def test_oracle_instance_caps_do_not_bind():
+    # only caps that do not bind give the sampler's conditional law
+    for n, cap_radius, nu_cap in oc.INSTANCES:
+        assert cap_radius >= n[0] + n[1]
+        assert nu_cap >= max(n)
+
 
 def test_oracle_cap22_two_lines(parabola1):
     params = ms.MeasureParams.for_endpoint(parabola1, 1, 1)
@@ -296,15 +309,28 @@ def test_jsonl_lines(tmp_path, parabola1):
 # --- studies ----------------------------------------------------------------------------
 
 def test_limit_shape_study_rows_and_determinism():
-    cfg = _config(epsilons=(10.0, 0.1))
+    cfg = _config()
     r1 = stu.run_limit_shape_study(cfg)
     r2 = stu.run_limit_shape_study(cfg)
     assert r1.rows == r2.rows
     assert r1.details == r2.details
-    huge = [r for r in r1.rows if r.statistic == "frac_dL_le_10"]
-    assert all(r.empirical == 1.0 for r in huge)
     med = [r for r in r1.rows if r.statistic == "median_dL"]
     assert all(r.stderr > 0 for r in med)
+
+
+def test_limit_shape_rows_carry_the_threshold_levels():
+    # the verify rows hold one fraction per level of limit_shape_epsilons,
+    # the main level among them, and a larger level never holds fewer paths
+    th = cfgmod.load_thresholds()
+    levels = th["limit_shape_epsilons"]
+    assert th["limit_shape_eps_main"] in levels
+    rows = stu.run_limit_shape_study(_config()).rows
+    for n1 in (50, 120):
+        fracs = {r.statistic: r.empirical for r in rows
+                 if r.n1 == n1 and r.statistic.startswith("frac_dL_le_")}
+        assert list(fracs) == [f"frac_dL_le_{eps:g}" for eps in levels]
+        by_eps = [fracs[f"frac_dL_le_{eps:g}"] for eps in sorted(levels)]
+        assert all(a <= b for a, b in zip(by_eps, by_eps[1:]))
 
 
 @pytest.mark.parametrize("study, kw", [
@@ -470,30 +496,26 @@ def test_cli_profile(tmp_path):
     assert "length_sup_gap" in rows and "cov_ratio_11" in rows
 
 
-_ORACLE_SMALL = {"mode": "oracle", "curve": PARABOLA_SPEC,
-                 "oracle_instances": [{"n": [1, 1], "cap_radius": 2, "nu_cap": 2}],
-                 "oracle_draws": 4000, "seed": 3}
-
-
 def _run_oracle(tmp_path, **kw):
+    # c09's defaults: seed 0 and 20 000 draws on each of oracle.INSTANCES
+    cfg = {"mode": "oracle", "curve": PARABOLA_SPEC, "out_dir": str(tmp_path / "o"), **kw}
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(dict(_ORACLE_SMALL, out_dir=str(tmp_path / "o"), **kw)))
+    cfg_path.write_text(json.dumps(cfg))
     return cli_main(["oracle", "--config", str(cfg_path)])
 
 
 def test_cli_oracle(tmp_path):
-    instances = [{"n": [1, 1], "cap_radius": 2, "nu_cap": 2},
-                 {"n": [2, 1], "cap_radius": 3, "nu_cap": 3}]
-    assert _run_oracle(tmp_path, oracle_instances=instances) == 0
+    assert _run_oracle(tmp_path) == 0
     table = open(os.path.join(str(tmp_path / "o"), "oracle.csv")).read()
     assert "exact_p" in table
+    assert all(f'"{n}"' in table for n, _, _ in oc.INSTANCES)
 
 
 def test_cli_oracle_attempt_budget(tmp_path, monkeypatch, capsys):
     # a sampler that never hits n must end in Exhausted (exit 1), not spin
     monkeypatch.setattr(sp, "sample_endpoints", _endpoints_past)
     assert _run_oracle(tmp_path, max_attempts=10_000) == 1
-    assert "accepted 0 of 4000 within 10000 attempts" in capsys.readouterr().err
+    assert "accepted 0 of 20000 within 10000 attempts" in capsys.readouterr().err
 
 
 def test_cli_oracle_line_outside_support_fails(tmp_path, monkeypatch):
@@ -551,7 +573,8 @@ def test_cli_oracle_line_outside_support_fails(tmp_path, monkeypatch):
 def test_cli_malformed_config_is_typed_error(tmp_path, capsys, mode, bad):
     # in-process: an uncaught exception would fail the test, so exit 1 with an
     # error: line is the only way through; the oracle mode takes its sizes
-    # from oracle_instances, not n1_list
+    # from oracle.INSTANCES, not n1_list, and a file that sets the fixed
+    # epsilons or oracle_instances fails on the unread key
     cfg = {"mode": mode, "curve": PARABOLA_SPEC, "out_dir": str(tmp_path / "out")}
     if mode != "oracle":
         cfg["n1_list"] = [20]
@@ -619,19 +642,6 @@ def test_cli_flags_override_the_file(tmp_path):
     assert not (tmp_path / "file").exists()
 
 
-def test_cli_verify_without_the_main_epsilon_fails(tmp_path):
-    # the final-fraction check reads the frac_dL_le_0.1 row; without it the
-    # run fails rather than passing on the monotonicity check alone
-    cfg = {"mode": "verify", "curve": PARABOLA_SPEC, "n1_list": [20], "replicates": 2,
-           "epsilons": [0.9], "out_dir": str(tmp_path / "v")}
-    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-    assert cli_main(["verify", "--config", str(tmp_path / "cfg.json")]) == 2
-    summary = open(tmp_path / "v" / "summary.md").read()
-    assert "Overall: FAIL" in summary
-    assert "| final fraction >= 0.95 | FAIL | no frac_dL_le_0.1 row: epsilons [0.9] lack 0.1 |" \
-        in summary
-
-
 def test_cli_entry_point_subprocess(tmp_path):
     out = str(tmp_path / "ep")
     proc = subprocess.run(
@@ -641,3 +651,30 @@ def test_cli_entry_point_subprocess(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert os.path.exists(os.path.join(out, "lines.jsonl"))
+
+
+# --- benchmark harness ------------------------------------------------------------------
+
+def test_perfbench_wrappers_find_their_targets(monkeypatch):
+    # perfbench/call.py wraps package functions by name in a traced run; a
+    # renamed or removed one fails here rather than in the benchmark
+    from limitshape import lattice, metrics
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    call = importlib.import_module("call")
+    targets = [(ms.MeasureParams, "for_endpoint"), (ms, "expected_endpoint"),
+               (lattice, "direction_arrays"), (ms, "direction_exponent"),
+               (ms, "slope_inverse"), (sp, "sample_configuration"), (sp, "assemble"),
+               (sp, "sample_endpoints"), (sp, "condition_on_endpoint"),
+               (metrics, "distance_report"), (metrics, "hausdorff")]
+    originals = [inspect.getattr_static(owner, attr) for owner, attr in targets]
+    tracer = call.Tracer("test")
+    call._install_study_wrappers(tracer)
+    try:
+        assert len(tracer._patches) == len(targets) == 11
+        assert all(inspect.getattr_static(owner, attr) is not orig
+                   for (owner, attr), orig in zip(targets, originals))
+    finally:
+        tracer.restore()
+    assert all(inspect.getattr_static(owner, attr) is orig
+               for (owner, attr), orig in zip(targets, originals))

@@ -202,8 +202,8 @@ def test_self_dual_curves_give_symmetric_fields(parabola1, circle):
         for n1 in (100, 1000):
             params = ms.MeasureParams.for_endpoint(curve, n1)
             f = ms._field(params)
-            swapped = ms.direction_exponent(curve, params.rho_n, f.x2, f.x1)
-            assert np.max(np.abs(swapped - f.exponent) / f.exponent) < 1e-12
+            swapped = params.alpha_n * ms.direction_exponent(curve, params.rho_n, f.x2, f.x1)
+            assert np.max(np.abs(swapped - f.neg_log_z) / f.neg_log_z) < 1e-12
             a = ms.expected_endpoint(params)
             K = ms.covariance_matrix(params)
             assert a[1] == pytest.approx(a[0], rel=1e-13)

@@ -10,7 +10,7 @@ from limitshape import curve as cv
 from limitshape import measure as ms
 from limitshape import oracle as oc
 from limitshape import sampler as sp
-from limitshape.cli import load_thresholds
+from limitshape.config import load_thresholds
 from limitshape.errors import Exhausted, ParameterOutOfRange
 
 import oracles
@@ -383,9 +383,8 @@ def test_conditioned_draws_exact_off_the_parabola(power2, monkeypatch):
     monkeypatch.setattr(sp, "conditioned_configurations", validated)
     cfg = cfgmod.ExperimentConfig(mode="oracle", curve_spec={"preset": {"name": "power",
                                                                        "p": 2.0}})
-    check = oc.check_sampler(power2, cfg.oracle_instances, cfg.oracle_draws,
-                             cfg.max_attempts, cfg.seed)
-    assert checked == [cfg.oracle_draws] * len(cfg.oracle_instances)
+    check = oc.check_sampler(power2, cfg.oracle_draws, cfg.max_attempts, cfg.seed)
+    assert checked == [cfg.oracle_draws] * len(oc.INSTANCES)
     assert not check.missing
     assert check.worst_z <= load_thresholds()["oracle_sigma_band"]
 
