@@ -107,14 +107,15 @@ def _cmd_sample(cfg: ExperimentConfig, thresholds: dict) -> int:
     records = []
     overlay = [_curve.discretize(params.curve, 512) * params.n1]
     attempts_rows = []
-    for rep_idx in range(cfg.replicates):
-        line, attempts = _studies.draw_path(params, cfg.seed, rep_idx,
-                                            cfg.max_attempts if conditioned else None)
-        if conditioned:
-            attempts_rows.append((rep_idx, attempts, 1.0 / attempts))
-        records.append(_report.line_record(line, params.n1, rep_idx))
-        if len(overlay) < 9:
-            overlay.append(line.vertices.astype(float))
+    for first, size in _studies.blocks(0, cfg.replicates):
+        drawn = _studies.draw_block(params, cfg.seed, first, size,
+                                    cfg.max_attempts if conditioned else None)
+        for rep_idx, (line, attempts) in enumerate(drawn, first):
+            if conditioned:
+                attempts_rows.append((rep_idx, attempts, 1.0 / attempts))
+            records.append(_report.line_record(line, params.n1, rep_idx))
+            if len(overlay) < 9:
+                overlay.append(line.vertices.astype(float))
     _report.write_lines_jsonl(os.path.join(cfg.out_dir, "lines.jsonl"), records)
     _report.write_svg(os.path.join(cfg.out_dir, "overlay.svg"), overlay)
     if attempts_rows:

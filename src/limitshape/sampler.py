@@ -15,10 +15,12 @@ leaves the conditioned law itself with no tolerance involved.
 conditioned_configurations is that one loop: it draws batched
 endpoints under an attempt budget, hands out a batch's accepted draws
 in replicate order as edge arrays by configurations_of (one sort of
-their rows and one gather per batch), and raises Exhausted with the
-closest miss once the budget is spent; condition_on_endpoint is its
-first accepted draw, validated as a Configuration and assembled into a
-path, in batches of the predicted draws per path (predicted_attempts).
+their rows and one gather per batch) with each path's own attempts,
+and raises Exhausted with the closest miss once the budget is spent.
+Its batches hold the predicted draws (predicted_attempts) of the paths
+a call is for (condition_batch): studies.draw_block asks it for a
+block of paths in one call, and condition_on_endpoint is its first
+accepted draw, validated as a Configuration and assembled into a path.
 
 Two equivalent sampling routes are provided.  sample_configuration
 draws one uniform per enumerated direction (inverse transform).  The
@@ -50,7 +52,7 @@ import numpy as np
 from .errors import Exhausted
 from .measure import MeasureParams, _field, covariance_matrix, endpoint_density, step_knots
 
-_CONDITION_BATCH = 8192  # endpoint draws per batch of condition_on_endpoint
+_CONDITION_BATCH = 8192  # the largest batch condition_batch gives
 _LOOKUP_BLOCK = 32768  # skip-lookup queries per block of _skip_index
 
 
@@ -219,11 +221,13 @@ def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
     P(xi = n) / ((1 - z_a)(1 - z_b)).
 
     Draws batches of min(batch, max_attempts - attempts) and returns
-    (edge arrays, attempts), where attempts counts the draws up to and
-    including the last accepted one.  Once max_attempts draws are spent
-    short of count, raises Exhausted with the closest miss: the free
-    endpoint of any draw nearest n in the covariance-adapted
-    (Mahalanobis) norm.
+    (edge arrays, attempts), where attempts is an int64 array with one
+    entry per path: the draws after the previous accepted one, up to and
+    including its own, so they sum to the draws up to the last accepted
+    one.  The first k paths depend on count only through the budget.
+    Once max_attempts draws are spent short of count, raises Exhausted
+    with the closest miss: the free endpoint of any draw nearest n in
+    the covariance-adapted (Mahalanobis) norm.
     """
     f = _field(params)
     ia, ib = f.completing_pair
@@ -233,6 +237,7 @@ def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
     target = np.asarray(n, dtype=np.int64)
     k_inv = np.linalg.inv(covariance_matrix(params))
     out: list = []
+    accepted_at = []  # the index of each accepted draw among all draws
     attempts = 0
     best_d2, best_xi = math.inf, (0, 0)
     while attempts < max_attempts:
@@ -258,8 +263,9 @@ def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
                                     np.full(with_b.size, ib)]),
                     np.concatenate([nu[keep], s[with_a], t[with_b]]))
             out.extend(configurations_of(params, rows, hits))
+            accepted_at.append(attempts + hits)
         if len(out) == count:
-            return out, attempts + int(hits[-1]) + 1
+            return out, np.diff(np.concatenate(accepted_at), prepend=-1)
         attempts += size
         diff = (xi - target).astype(float)
         d2 = np.einsum("ij,jk,ik->i", diff, k_inv, diff)
@@ -285,19 +291,23 @@ class ConditionedSample:
     attempts: int
 
 
+def condition_batch(params: MeasureParams, n: tuple, paths: int) -> int:
+    """Draws per batch of conditioned_configurations when it is asked
+    for paths paths: their predicted draws (predicted_attempts), rounded
+    up, at most _CONDITION_BATCH."""
+    return math.ceil(min(_CONDITION_BATCH, paths * predicted_attempts(params, n)))
+
+
 def condition_on_endpoint(params: MeasureParams, n, max_attempts: int,
                           rng: np.random.Generator) -> ConditionedSample:
     """Exact draw from the endpoint-conditioned law: the first accepted
-    draw of conditioned_configurations, validated and assembled into its
-    path.
-
-    Its batches hold the predicted draws per path (predicted_attempts,
-    rounded up), at most _CONDITION_BATCH.
-    """
+    draw of conditioned_configurations, in batches sized for one path,
+    validated and assembled into its path."""
     n = (int(n[0]), int(n[1]))
-    batch = math.ceil(min(_CONDITION_BATCH, predicted_attempts(params, n)))
-    (edges,), attempts = conditioned_configurations(params, n, 1, batch, max_attempts, rng)
-    return ConditionedSample(line=assemble(Configuration(support=edges)), attempts=attempts)
+    (edges,), attempts = conditioned_configurations(params, n, 1, condition_batch(params, n, 1),
+                                                    max_attempts, rng)
+    return ConditionedSample(line=assemble(Configuration(support=edges)),
+                             attempts=int(attempts[0]))
 
 
 def _edge_lengths(edges) -> np.ndarray:

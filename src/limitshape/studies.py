@@ -1,13 +1,18 @@
 """Convergence studies: limit shape, moment calibration, local CLT.
 
 Each study fans replicates out over a process pool in fixed-size
-chunks; every replicate (or batch) owns an RNG stream derived from the
-master seed and its index, so results are bit-identical for any worker
-count.  draw_path is the one per-replicate path draw, free or
-endpoint-conditioned; the limit-shape and conditioned studies share its
-chunk worker and fan-out (_path_records), and the CLI sample and
-condition modes call it too.  Exact-sum studies need no replication
-and run in-process.
+chunks; every free replicate, conditioned block and endpoint batch owns
+an RNG stream derived from the master seed and its index, so results
+are bit-identical for any worker count.  Path replicates come in
+blocks of BLOCK, replicate r in block r // BLOCK: draw_block is the one
+path draw, free (one stream and one sample_configuration draw per
+replicate) or endpoint-conditioned (one stream and one batched
+conditioned loop per block, under the block's pooled budget).  The
+limit-shape and conditioned studies share its chunk worker and fan-out
+(_path_records), whose conditioned chunks are whole blocks, and the CLI
+sample and condition modes call it too, so the CLI's replicate i is the
+study's for any total.  Exact-sum studies need no replication and run
+in-process.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ _DOMAIN_CONDITION = 2
 _DOMAIN_LCLT = 3
 
 _KEEP_OVERLAY = 6
+BLOCK = 32  # replicates per block of draw_block, whatever the worker count
 
 
 @dataclass(frozen=True)
@@ -60,41 +66,69 @@ def _params_for(curve_key: str, n1: int) -> _measure.MeasureParams:
     return _measure.MeasureParams.for_endpoint(curve_from_spec(json.loads(curve_key)), n1)
 
 
-def draw_path(params: _measure.MeasureParams, seed: int, rep: int,
-              max_attempts: int | None = None):
-    """Replicate rep of a path study: a free draw when max_attempts is
-    None, else an endpoint-conditioned draw under that attempt budget.
+def blocks(start: int, count: int) -> list:
+    """(first, size) of each run of replicates start .. start + count - 1
+    that lies in one block, in order."""
+    end = start + count
+    cuts = [start, *range((start // BLOCK + 1) * BLOCK, end, BLOCK), end]
+    return [(a, b - a) for a, b in zip(cuts, cuts[1:])]
 
-    Returns (line, attempts); a free draw is one attempt.  The RNG
-    stream depends only on the seed, the route, params.n1 and rep.
+
+def draw_block(params: _measure.MeasureParams, seed: int, first: int, count: int,
+               max_attempts: int | None = None) -> list:
+    """Replicates first .. first + count - 1 of a path study as (line,
+    attempts) pairs in replicate order: free draws when max_attempts is
+    None, else the endpoint-conditioned draws of block first // BLOCK,
+    which the replicates must start (count <= BLOCK), under a budget of
+    count * max_attempts for the block.
+
+    A free replicate is one draw, and one attempt, on its own RNG stream
+    (seed, route, params.n1, replicate).  A conditioned block is one
+    sampler.conditioned_configurations call on the block's stream
+    (seed, route, params.n1, block), in batches sized for BLOCK paths
+    whatever count is, so a replicate's path does not depend on how many
+    the caller asks for; its attempts are the draws since the block's
+    previous path.  Exhausted propagates once the block's budget is
+    spent.  Every conditioned path is validated as a Configuration.
     """
     if max_attempts is None:
-        rng = _replicate_rng(seed, _DOMAIN_LIMIT_SHAPE, params.n1, rep)
-        return _sampler.assemble(_sampler.sample_configuration(params, rng)), 1
-    rng = _replicate_rng(seed, _DOMAIN_CONDITION, params.n1, rep)
-    res = _sampler.condition_on_endpoint(params, (params.n1, params.n2), max_attempts, rng)
-    return res.line, res.attempts
+        return [(_sampler.assemble(_sampler.sample_configuration(
+                    params, _replicate_rng(seed, _DOMAIN_LIMIT_SHAPE, params.n1, rep))), 1)
+                for rep in range(first, first + count)]
+    if first % BLOCK or not 0 < count <= BLOCK:
+        raise ValueError(f"conditioned replicates {first}..{first + count - 1} "
+                         f"are not the start of one block of {BLOCK}")
+    n = (params.n1, params.n2)
+    rng = _replicate_rng(seed, _DOMAIN_CONDITION, params.n1, first // BLOCK)
+    paths, attempts = _sampler.conditioned_configurations(
+        params, n, count, _sampler.condition_batch(params, n, BLOCK), count * max_attempts, rng)
+    return [(_sampler.assemble(_sampler.Configuration(support=edges)), int(a))
+            for edges, a in zip(paths, attempts)]
 
 
 def _path_chunk(task):
     """(predicted attempts per path, nan for free draws; the chunk's
-    records).  The prediction comes from the worker, which builds the
+    records).  A conditioned chunk is whole blocks, and every replicate
+    of an exhausted block is recorded with max_attempts attempts and nan
+    distances.  The prediction comes from the worker, which builds the
     direction field anyway, so the parent process never does."""
     curve_key, n1, start, count, seed, max_attempts = task
     params = _params_for(curve_key, n1)
     predicted = (math.nan if max_attempts is None
                  else _sampler.predicted_attempts(params, (params.n1, params.n2)))
     out = []
-    for rep in range(start, start + count):
+    for first, size in blocks(start, count):
         try:
-            line, attempts = draw_path(params, seed, rep, max_attempts)
-        except Exhausted as exc:
-            out.append((rep, exc.attempts, math.nan, math.nan, math.nan, None))
+            drawn = draw_block(params, seed, first, size, max_attempts)
+        except Exhausted:
+            out.extend((rep, max_attempts, math.nan, math.nan, math.nan, None)
+                       for rep in range(first, first + size))
             continue
-        report = _metrics.distance_report(line, 1.0 / n1, params.curve)
-        verts = (line.vertices.astype(float) / n1).tolist() if rep < _KEEP_OVERLAY else None
-        out.append((rep, attempts, report.d_hausdorff, report.d_length,
-                    report.argmax_t, verts))
+        for rep, (line, attempts) in enumerate(drawn, first):
+            report = _metrics.distance_report(line, 1.0 / n1, params.curve)
+            verts = (line.vertices.astype(float) / n1).tolist() if rep < _KEEP_OVERLAY else None
+            out.append((rep, attempts, report.d_hausdorff, report.d_length,
+                        report.argmax_t, verts))
     return predicted, out
 
 
@@ -151,12 +185,14 @@ def _decay_exponent(n1s, medians):
 
 
 def _path_records(config, n1: int, count: int, max_attempts, result: StudyResult):
-    """Replicates 0..count-1 of draw_path at size n1, fanned out over the
+    """Replicates 0..count-1 of draw_block at size n1, fanned out over the
     pool; adds their details and overlay to result and returns the
     (attempts, d_L) arrays in replicate order (d_L is nan when exhausted)
     and the predicted attempts per path (nan for free draws)."""
     curve_key = json.dumps(config.curve_spec, sort_keys=True)
-    chunk = max(1, count // max(config.workers * 4, 1))
+    chunk = max(1, count // (config.workers * 4))
+    if max_attempts is not None:  # conditioned chunks are whole blocks
+        chunk = BLOCK * math.ceil(chunk / BLOCK)
     tasks = [(curve_key, n1, s, c, config.seed, max_attempts)
              for s, c in _chunk_ranges(count, chunk)]
     chunks = _run_tasks(_path_chunk, tasks, config.workers)
@@ -188,7 +224,7 @@ def run_limit_shape_study(config) -> StudyResult:
 def run_conditioned_study(config) -> StudyResult:
     """Same distances under exact endpoint conditioning.  The theoretical
     value of cond_mean_attempts is sampler.predicted_attempts, the
-    number that sizes condition_on_endpoint's batches."""
+    number that sizes the blocks' batches."""
     result = StudyResult()
     per = config.accepted_target
     for n1 in config.conditioned_n1:

@@ -174,20 +174,22 @@ def rejection_configurations(params, n, count: int, batch: int, rng):
     """Plain rejection, the reference route of the conditioned draws:
     free endpoint batches of sampler.sample_endpoints, keeping the draws
     that end at n, until count are kept.  Returns (edge arrays,
-    attempts) like sampler.conditioned_configurations, with attempts
-    counting the draws up to and including the last kept one; it has
-    no budget, so call it only where 1/P(xi = n) is known to be small.
+    attempts) like sampler.conditioned_configurations, with each path's
+    attempts counting the draws after the previous kept one, up to and
+    including its own; it has no budget, so call it only where
+    1/P(xi = n) is known to be small.
     """
     from limitshape import sampler
 
-    out, attempts = [], 0
+    out, kept_at, attempts = [], [], 0
     while True:
         xi, support = sampler.sample_endpoints(params, batch, rng, collect_support=True)
         hits = np.flatnonzero((xi[:, 0] == n[0]) & (xi[:, 1] == n[1]))[:count - len(out)]
         if hits.size:
             out.extend(sampler.configurations_of(params, support, hits))
+            kept_at.append(attempts + hits)
         if len(out) == count:
-            return out, attempts + int(hits[-1]) + 1
+            return out, np.diff(np.concatenate(kept_at), prepend=-1)
         attempts += batch
 
 

@@ -363,6 +363,74 @@ def test_conditioned_study_accepts():
     assert acc[0].empirical == 6.0
 
 
+def _conditioned(**kw):
+    base = dict(mode="condition", n1_list=[30], conditioned_n1=[30], max_attempts=10 ** 6)
+    return _config(**{**base, **kw})
+
+
+def test_conditioned_blocks_do_not_depend_on_the_total():
+    """A replicate's path is the same whatever the study's total: the
+    first three of 3 and of 40 (block 0), replicates 32 and 33 of 34 and
+    of 64 (block 1); and 70 replicates, which end in a short block, give
+    the same rows and details on one worker and on two."""
+    def study(total, workers=1):
+        return stu.run_conditioned_study(_conditioned(accepted_target=total, workers=workers))
+
+    small, large = study(3), study(40)
+    assert small.extras["overlay"][30] == large.extras["overlay"][30][:3]
+    assert small.details == large.details[:3]
+    assert study(34).details[32:] == study(64).details[32:34]
+    one, two = study(70), study(70, workers=2)
+    assert [d[0] for d in one.details] == list(range(70))
+    assert one.rows == two.rows
+    assert one.details == two.details
+    # a conditioned draw is the start of one block, or none
+    params = ms.MeasureParams.for_endpoint(cv.make_preset("parabola"), 30)
+    for first, count in ((5, 3), (32, 0), (0, 33)):
+        with pytest.raises(ValueError, match="start of one block"):
+            stu.draw_block(params, 5, first, count, 100)
+
+
+def test_conditioned_mean_attempts_tracks_the_prediction():
+    # per-path attempts are geometric with mean 1 / (acceptance rate), so
+    # 256 paths give a standard error of about 6%; the prediction takes
+    # P(xi = n) from the Gaussian density, about 3% below the exact pmf at
+    # n1 = 100
+    res = stu.run_conditioned_study(_conditioned(n1_list=[100], conditioned_n1=[100],
+                                                 accepted_target=256))
+    row = next(r for r in res.rows if r.statistic == "cond_mean_attempts")
+    assert row.stderr > 0
+    assert abs(row.empirical - row.theoretical) <= 4 * row.stderr
+
+
+def test_conditioned_study_exhausted_block(monkeypatch):
+    """A block whose budget runs out records all its replicates as
+    exhausted, with nan distances and max_attempts attempts each; the
+    other blocks keep their paths and attempts."""
+    cfg = _conditioned(accepted_target=70, max_attempts=2000)
+
+    def records():
+        res = stu.StudyResult()
+        attempts, _, _ = stu._path_records(cfg, 30, 70, cfg.max_attempts, res)
+        return attempts.tolist(), res.details
+
+    clean_attempts, clean = records()
+    draw = sp.sample_endpoints
+
+    def block_one_misses(params, count, rng, collect_support=False):
+        if rng.bit_generator.seed_seq.spawn_key == (stu._DOMAIN_CONDITION, 30, 1):
+            return _endpoints_past(params, count, rng, collect_support)
+        return draw(params, count, rng, collect_support)
+
+    monkeypatch.setattr(sp, "sample_endpoints", block_one_misses)
+    attempts, details = records()
+    assert attempts[32:64] == [2000.0] * 32
+    assert all(math.isnan(v) for d in details[32:64] for v in d[2:])
+    assert attempts[:32] + attempts[64:] == clean_attempts[:32] + clean_attempts[64:]
+    assert details[:32] + details[64:] == clean[:32] + clean[64:]
+    assert all(math.isfinite(d[3]) for d in clean)
+
+
 def _endpoints_past(params, count, rng, collect_support=False):
     """sample_endpoints stand-in whose every draw ends past the target in
     both coordinates, with no rows: the completing pair, which only adds
@@ -437,13 +505,14 @@ def test_cli_sample_and_condition(tmp_path):
 
 
 @pytest.mark.parametrize("mode, study, kw", [
-    ("sample", stu.run_limit_shape_study, dict(n1_list=[40], replicates=3)),
+    ("sample", stu.run_limit_shape_study, dict(n1_list=[40], replicates=40)),
     ("condition", stu.run_conditioned_study,
-     dict(mode="condition", n1_list=[25], conditioned_n1=[25], accepted_target=3,
+     dict(mode="condition", n1_list=[25], conditioned_n1=[25], accepted_target=40,
           max_attempts=500_000)),
 ], ids=["sample", "condition"])
 def test_cli_and_study_draw_the_same_paths(tmp_path, mode, study, kw):
-    # both go through studies.draw_path, so replicate i is the same path
+    # both go through studies.draw_block, so replicate i is the same path
+    # whatever the total: 3 from the CLI, 40 (two blocks) in the study
     n1 = kw["n1_list"][0]
     out = str(tmp_path / mode)
     argv = [mode, "--n1", str(n1), "--curve", "parabola:1.0", "--replicates", "3",
@@ -454,7 +523,17 @@ def test_cli_and_study_draw_the_same_paths(tmp_path, mode, study, kw):
     cli_verts = [(np.array(json.loads(line)["vertices"], dtype=float) / n1).tolist()
                  for line in open(os.path.join(out, "lines.jsonl"))]
     overlay = study(_config(seed=4, **kw)).extras["overlay"][n1]
-    assert cli_verts == overlay
+    assert cli_verts == overlay[:3]
+
+
+def test_cli_condition_exhausted_block_is_error(tmp_path, monkeypatch, capsys):
+    # the three replicates share one block and its budget of 3 * 100 draws
+    monkeypatch.setattr(sp, "sample_endpoints", _endpoints_past)
+    assert cli_main(["condition", "--n1", "25", "--curve", "parabola:1.0",
+                     "--replicates", "3", "--max-attempts", "100",
+                     "--out", str(tmp_path / "c")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: accepted 0 of 3 within 300 attempts")
 
 
 def test_cli_calibrate(tmp_path):
@@ -535,46 +614,43 @@ def test_cli_oracle_line_outside_support_fails(tmp_path, monkeypatch):
     assert "| all cells within sigma band | PASS |" in summary
 
 
-@pytest.mark.parametrize("mode, bad", [
-    ("calibrate", {"n1_list": []}),
-    ("calibrate", {"n1_list": [0]}),
-    ("calibrate", {"n2": 0}),
-    ("calibrate", {"curve": {"preset": {"c": 1.0}}}),
-    ("oracle", {"oracle_instances": [{"n": [1, 1], "nu_cap": 2}]}),
-    ("oracle", {"oracle_draws": 0}),
-    ("calibrate", {"n1_list": ["20"]}),
-    ("verify", {"replicates": "5"}),
-    ("oracle", {"oracle_draws": "5"}),
-    ("verify", {"epsilons": 0.1}),
-    ("verify", {"epsilons": [[1]]}),
-    ("oracle", {"oracle_instances": [{"n": "ab", "cap_radius": 2, "nu_cap": 2}]}),
-    ("oracle", {"oracle_instances": [5]}),
-    ("calibrate", {"curve": 5}),
-    ("verify", {"curve": {"preset": 5}}),
-    ("calibrate", {"curve": {"preset": {"name": "parabola", "c": [1]}}}),
-    ("verify", {"curve": {"tabulated": {}}}),
-    ("calibrate", {"curve": {"tabulated": {"points": [[0, 0], [1, 1]], "k0": None}}}),
-    ("calibrate", {"out_dir": 5}),
-    ("verify", {"conditioned_n1": [20], "accepted_target": 0}),
-    ("verify", {"lclt_batch": 200_000}),
-    ("oracle", {"oracle_instances": [{"n": [1, 1], "cap_radius": -1, "nu_cap": 2}]}),
-    ("oracle", {"oracle_instances": [{"n": [2, 1], "cap_radius": 3, "nu_cap": 1}]}),
-    ("verify", {"conditioned_n1": [20], "max_attempts": 0}),
-    ("verify", {"conditioned_n1": [0]}),
-    ("verify", {"conditioned_n1": [-5]}),
-    ("verify", {"workers": 0}),
-    ("verify", {"n2": 7}),
-    ("profile", {"n2": 7}),
-    ("oracle", {"n2": 7, "oracle_draws": 10,
-                "oracle_instances": [{"n": [1, 1], "cap_radius": 2, "nu_cap": 2}]}),
-    ("oracle", {"n1_list": [20]}),
-    ("oracle", {"oracle_instances": []}),
-])
+# Each case keeps its number, and so its test id, when cases are cut.
+_MALFORMED = {
+    0: ("calibrate", {"n1_list": []}),
+    1: ("calibrate", {"n1_list": [0]}),
+    2: ("calibrate", {"n2": 0}),
+    3: ("calibrate", {"curve": {"preset": {"c": 1.0}}}),
+    4: ("oracle", {"oracle_instances": [{"n": [1, 1], "nu_cap": 2}]}),
+    5: ("oracle", {"oracle_draws": 0}),
+    6: ("calibrate", {"n1_list": ["20"]}),
+    7: ("verify", {"replicates": "5"}),
+    8: ("oracle", {"oracle_draws": "5"}),
+    9: ("verify", {"epsilons": 0.1}),
+    13: ("calibrate", {"curve": 5}),
+    14: ("verify", {"curve": {"preset": 5}}),
+    15: ("calibrate", {"curve": {"preset": {"name": "parabola", "c": [1]}}}),
+    16: ("verify", {"curve": {"tabulated": {}}}),
+    17: ("calibrate", {"curve": {"tabulated": {"points": [[0, 0], [1, 1]], "k0": None}}}),
+    18: ("calibrate", {"out_dir": 5}),
+    19: ("verify", {"conditioned_n1": [20], "accepted_target": 0}),
+    20: ("verify", {"lclt_batch": 200_000}),
+    23: ("verify", {"conditioned_n1": [20], "max_attempts": 0}),
+    24: ("verify", {"conditioned_n1": [0]}),
+    25: ("verify", {"conditioned_n1": [-5]}),
+    26: ("verify", {"workers": 0}),
+    27: ("verify", {"n2": 7}),
+    28: ("profile", {"n2": 7}),
+    30: ("oracle", {"n1_list": [20]}),
+}
+
+
+@pytest.mark.parametrize("mode, bad", list(_MALFORMED.values()),
+                         ids=[f"{mode}-bad{i}" for i, (mode, _) in _MALFORMED.items()])
 def test_cli_malformed_config_is_typed_error(tmp_path, capsys, mode, bad):
     # in-process: an uncaught exception would fail the test, so exit 1 with an
     # error: line is the only way through; the oracle mode takes its sizes
     # from oracle.INSTANCES, not n1_list, and a file that sets the fixed
-    # epsilons or oracle_instances fails on the unread key
+    # epsilons or oracle_instances fails on the unread key, whatever its value
     cfg = {"mode": mode, "curve": PARABOLA_SPEC, "out_dir": str(tmp_path / "out")}
     if mode != "oracle":
         cfg["n1_list"] = [20]
@@ -638,7 +714,7 @@ def test_cli_flags_override_the_file(tmp_path):
     assert [r["n1"] for r in recs] == [50, 50]
     params = ms.MeasureParams.for_endpoint(cv.make_preset("circle_arc"), 50)
     assert [r["endpoint"] for r in recs] == [
-        stu.draw_path(params, 0, i, None)[0].endpoint.tolist() for i in range(2)]
+        line.endpoint.tolist() for line, _ in stu.draw_block(params, 0, 0, 2)]
     assert not (tmp_path / "file").exists()
 
 

@@ -389,6 +389,29 @@ def test_conditioned_draws_exact_off_the_parabola(power2, monkeypatch):
     assert check.worst_z <= load_thresholds()["oracle_sigma_band"]
 
 
+def test_attempts_are_per_path(parabola1):
+    """attempts[j] counts the draws after path j - 1 was accepted, up to
+    and including path j: with one draw per batch the stream does not
+    depend on the budget, so the loop finds its first j paths within
+    sum(attempts[:j]) draws and not within one draw fewer."""
+    params = _params(parabola1, 20)
+    n = (20, 20)
+    paths, attempts = sp.conditioned_configurations(params, n, 4, 1, 10 ** 5,
+                                                    np.random.default_rng(7))
+    assert attempts.dtype == np.int64 and attempts.shape == (4,)
+    assert attempts.min() >= 1
+    for j in range(1, 5):
+        spent = int(attempts[:j].sum())
+        got, got_attempts = sp.conditioned_configurations(params, n, j, 1, spent,
+                                                          np.random.default_rng(7))
+        assert all(np.array_equal(a, b) for a, b in zip(got, paths[:j]))
+        assert got_attempts.tolist() == attempts[:j].tolist()
+        with pytest.raises(Exhausted) as err:
+            sp.conditioned_configurations(params, n, j, 1, spent - 1,
+                                          np.random.default_rng(7))
+        assert err.value.accepted == j - 1
+
+
 def test_condition_reaches_n1_1000(parabola1):
     # about 900 draws per path are predicted; plain rejection would need
     # about 1.2e5 and exhaust this budget about 85% of the time
