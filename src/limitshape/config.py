@@ -131,7 +131,7 @@ class ExperimentConfig:
     def from_dict(data: dict) -> "ExperimentConfig":
         """Build a config from its JSON form: "mode" and the keys of
         MODE_KEYS[mode], where "curve" holds the curve spec.  "curve" and
-        the mode's n1_list are required; any other key is an error."""
+        the mode's n1_list are required and not null; any other key is an error."""
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         mode = data.get("mode")
@@ -142,9 +142,9 @@ class ExperimentConfig:
         if unread:
             raise ValueError(f"the {mode} mode does not read {sorted(unread)}; "
                              f"it reads {list(keys)}")
-        missing = {"curve", "n1_list"} & set(keys) - set(data)
+        missing = [k for k in ("curve", "n1_list") if k in keys and data.get(k) is None]
         if missing:
-            raise ValueError(f"config lacks required keys: {sorted(missing)}")
+            raise ValueError(f"config lacks required keys: {missing}")
         cfg = ExperimentConfig(curve_spec=data["curve"],
                                **{k: v for k, v in data.items() if k != "curve"})
         if "n2" in keys and len(cfg.n1_list) > 1:

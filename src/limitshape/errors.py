@@ -54,6 +54,11 @@ class EmptyPath(LimitShapeError):
     """A path metric received an empty polyline."""
 
 
+class InvalidPolyline(LimitShapeError):
+    """A path metric received a polyline that is not a (k, 2) array of
+    vertices with coordinates in [-1e150, 1e150]."""
+
+
 class Exhausted(LimitShapeError):
     """Conditioned sampling spent its attempt budget short of its target.
 

@@ -2,14 +2,27 @@
 
 Two metrics: the Hausdorff distance between point sets, and the
 sup-distance between arc-length profiles in the tangent-slope
-coordinate.  The path profile is a step function and the curve
-profile is continuous and monotone between knots, so the profile
-distance is exact on both sides of the jump slopes plus +inf; it comes
-from measure.profile_gap, which also serves the expected profile.
+coordinate.
+
+The Hausdorff kernel takes polylines non-decreasing in x and y.  Per
+direction it bounds each vertex's distance to the other polyline by
+three seed segments, then takes the exact minimum only of the vertices
+whose bound exceeds the largest exact minimum so far, largest bound
+first, in rounds of growing size; a vertex left out cannot raise the
+maximum.  An exact minimum scans only the one index range of segments
+whose bounding box meets a square around the vertex, sized by its
+padded bound.  The result is bit-identical to a scan of every
+(vertex, segment) pair.
+
+The path profile is a step function and the curve profile is
+continuous and monotone between knots, so the profile distance is
+exact on both sides of the jump slopes plus +inf; it comes from
+measure.profile_gap, which also serves the expected profile.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,7 +32,7 @@ from . import curve as _curve
 from . import measure as _measure
 from . import sampler as _sampler
 from .curve import ConvexCurve
-from .errors import EmptyPath, NotMonotone
+from .errors import EmptyPath, InvalidPolyline, NotMonotone, ParameterOutOfRange
 from .sampler import PolygonalLine
 
 # (point, segment) pairs evaluated per block: bounds the memory of a far-off
@@ -33,6 +46,12 @@ _PAIR_CHUNK = 1 << 18
 _REL_PAD = 1e-9
 _ABS_PAD = 1e-14
 _CURVE_POINTS = 2048  # vertices of the target polyline for Hausdorff
+# Coordinates up to this magnitude keep every squared distance finite; a
+# nan one would end the early break too soon without a sign
+_MAX_COORD = 1e150
+# points given the exact window scan in the first round of the early
+# break; each later round takes four times as many
+_FIRST_ROUND = 16
 
 
 @dataclass(frozen=True)
@@ -42,73 +61,108 @@ class PathDistanceReport:
     argmax_t: float
 
 
-def _directed_hausdorff(points: np.ndarray, poly: np.ndarray) -> float:
-    """max over points of the distance to the monotone polyline poly.
+def _directed_hausdorff(points: np.ndarray, poly: np.ndarray, floor: float = 0.0) -> float:
+    """max(floor, max over points of the distance to the monotone polyline poly).
 
     Each (point, segment) pair gets the point-to-segment formula
-    t = clip(w.v / v.v, 0, 1), d2 = |w - t v|^2, but only on the pairs
-    whose segment box meets the square [p - d, p + d]^2 around the
-    point.  d bounds the point's distance from above (three seed
-    segments, padded against rounding), and a segment whose box misses
-    that square lies farther than d, so the minimum over the window is
-    the minimum over all segments.  Both polylines are non-decreasing
-    in x and y, so segment starts and ends are sorted in each
-    coordinate and each window is one index range [lo, hi).
+    t = min(max(w.v / v.v, 0), 1), d2 = |w - t v|^2, on x and y columns.
+    Three seed segments per point (the ones at its x and its y among the
+    sorted segment ends) bound its distance from above.  A point's exact
+    minimum is over its seeds and the window of segments whose box meets
+    the square [p - d, p + d]^2, d the bound padded against rounding: a
+    segment whose box misses that square lies farther than d.  Both
+    polylines are non-decreasing in x and y, so segment starts and ends
+    are sorted in each coordinate and each window is one index range
+    [lo, hi).  Only points whose bound exceeds the running maximum,
+    which starts at floor, get their exact minimum, largest bound
+    first, in rounds of _FIRST_ROUND points, four times as many the
+    next round, and so on.  A point left out lies no farther than its
+    bound, which is no larger than the maximum, so the result is
+    bit-identical to taking every point's exact minimum.
     """
     if poly.shape[0] == 1:
         d = np.hypot(points[:, 0] - poly[0, 0], points[:, 1] - poly[0, 1])
-        return float(d.max())
-    a = poly[:-1]
-    b = poly[1:]
-    v = b - a
-    vv = np.maximum(np.einsum("ij,ij->i", v, v), 1e-300)
-    last = a.shape[0] - 1
+        return max(floor, float(d.max()))
+    qx = np.ascontiguousarray(poly[:, 0])
+    qy = np.ascontiguousarray(poly[:, 1])
+    ax, ay, bx, by = qx[:-1], qy[:-1], qx[1:], qy[1:]
+    vx = bx - ax
+    vy = by - ay
+    vv = np.maximum(vx * vx + vy * vy, 1e-300)
+    last = ax.shape[0] - 1
 
-    def pair_d2(pt: np.ndarray, seg: np.ndarray) -> np.ndarray:
-        w = points[pt] - a[seg]
-        vs = v[seg]
-        t = np.clip(np.einsum("ij,ij->i", w, vs) / vv[seg], 0.0, 1.0)
-        r = w - t[:, None] * vs
-        return np.einsum("ij,ij->i", r, r)
+    def pair_d2(x: np.ndarray, y: np.ndarray, seg: np.ndarray) -> np.ndarray:
+        wx = x - ax[seg]
+        wy = y - ay[seg]
+        sx = vx[seg]
+        sy = vy[seg]
+        t = np.minimum(np.maximum((wx * sx + wy * sy) / vv[seg], 0.0), 1.0)
+        rx = wx - t * sx
+        ry = wy - t * sy
+        return rx * rx + ry * ry
 
-    every = np.arange(points.shape[0])
-    near_x = np.minimum(np.searchsorted(b[:, 0], points[:, 0]), last)
-    near_y = np.minimum(np.searchsorted(b[:, 1], points[:, 1]), last)
-    best = np.minimum.reduce([pair_d2(every, seg) for seg in
-                              (near_x, np.minimum(near_x + 1, last), near_y)])
-    scale = 1.0 + max(np.abs(points).max(), np.abs(poly).max())
-    d = np.sqrt(best) * (1.0 + _REL_PAD) + _ABS_PAD * scale
-    lo = np.maximum(np.searchsorted(b[:, 0], points[:, 0] - d),
-                    np.searchsorted(b[:, 1], points[:, 1] - d))
-    hi = np.minimum(np.searchsorted(a[:, 0], points[:, 0] + d, "right"),
-                    np.searchsorted(a[:, 1], points[:, 1] + d, "right"))
-    counts = np.maximum(hi - lo, 0)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    # pairs are numbered point by point; block [k0, k1) holds a run of
-    # each point p0 <= p < p1
-    for k0 in range(0, int(ends[-1]), _PAIR_CHUNK):
-        k1 = min(k0 + _PAIR_CHUNK, int(ends[-1]))
-        p0 = int(np.searchsorted(ends, k0, "right"))
-        p1 = int(np.searchsorted(ends, k1 - 1, "right")) + 1
-        run = np.minimum(ends[p0:p1], k1) - np.maximum(starts[p0:p1], k0)
-        pt = np.repeat(every[p0:p1], run)
-        seg = np.arange(k0, k1) - np.repeat(starts[p0:p1] - lo[p0:p1], run)
-        np.minimum.at(best, pt, pair_d2(pt, seg))
-    return float(np.sqrt(best).max())
+    px = np.ascontiguousarray(points[:, 0])
+    py = np.ascontiguousarray(points[:, 1])
+    near_x = np.minimum(np.searchsorted(bx, px), last)
+    near_y = np.minimum(np.searchsorted(by, py), last)
+    seed = np.minimum(np.minimum(pair_d2(px, py, near_x),
+                                 pair_d2(px, py, np.minimum(near_x + 1, last))),
+                      pair_d2(px, py, near_y))
+    bound = np.sqrt(seed)
+    pad = _ABS_PAD * (1.0 + max(np.abs(points).max(), np.abs(poly).max()))
+
+    def exact_d2(pick: np.ndarray) -> np.ndarray:
+        x = px[pick]
+        y = py[pick]
+        best = seed[pick]
+        d = bound[pick] * (1.0 + _REL_PAD) + pad
+        lo = np.maximum(np.searchsorted(bx, x - d), np.searchsorted(by, y - d))
+        hi = np.minimum(np.searchsorted(ax, x + d, "right"),
+                        np.searchsorted(ay, y + d, "right"))
+        counts = np.maximum(hi - lo, 0)
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        # pairs are numbered point by point; block [k0, k1) holds a run of
+        # each point p0 <= p < p1
+        for k0 in range(0, int(ends[-1]), _PAIR_CHUNK):
+            k1 = min(k0 + _PAIR_CHUNK, int(ends[-1]))
+            p0 = int(np.searchsorted(ends, k0, "right"))
+            p1 = int(np.searchsorted(ends, k1 - 1, "right")) + 1
+            run = np.minimum(ends[p0:p1], k1) - np.maximum(starts[p0:p1], k0)
+            pt = np.repeat(np.arange(p0, p1), run)
+            seg = np.arange(k0, k1) - np.repeat(starts[p0:p1] - lo[p0:p1], run)
+            np.minimum.at(best, pt, pair_d2(x[pt], y[pt], seg))
+        return best
+
+    order = np.flatnonzero(bound > floor)
+    order = order[np.argsort(bound[order])[::-1]]
+    top = floor
+    done, size = 0, _FIRST_ROUND
+    # each round takes at least one point, so there are at most len(points)
+    while done < order.size and bound[order[done]] > top:
+        pick = order[done:done + size]
+        top = max(top, math.sqrt(exact_d2(pick[bound[pick] > top]).max()))
+        done += size
+        size *= 4
+    return top
 
 
 def hausdorff(a, b) -> float:
     """Symmetric Hausdorff distance between two monotone polylines.
 
-    Both polylines must be non-decreasing in x and in y, as lattice
-    paths and curve.discretize output are; NotMonotone is raised
-    otherwise.  Vertices of each path are tested against the segments
-    of the other, so the result is exact whenever the directed maxima
-    sit at vertices; densify beforehand when mid-segment excursions
-    matter.  Each vertex is checked only against the window of
-    segments that can lie within its padded seed distance, which
-    leaves the result bit-identical to checking every segment.
+    Both polylines must be (k, 2) arrays of vertices with coordinates in
+    [-1e150, 1e150] (InvalidPolyline otherwise), non-empty (EmptyPath) and
+    non-decreasing in x and in y, as lattice paths and curve.discretize
+    output are (NotMonotone).  Vertices of each path are tested against
+    the segments of the other, so the result is exact whenever the
+    directed maxima sit at vertices; densify beforehand when mid-segment
+    excursions matter.  Each direction bounds every vertex's distance by
+    three seed segments, then scans exactly only the vertices whose
+    bound exceeds the largest exact distance found so far, largest
+    bound first, and each of those only against the window of segments
+    that can lie within its padded bound.  The second direction starts
+    from the first one's maximum.  The result is bit-identical to
+    checking every vertex against every segment.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -117,10 +171,16 @@ def hausdorff(a, b) -> float:
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
     for name, poly in (("first", a), ("second", b)):
+        if poly.ndim != 2 or poly.shape[1] != 2:
+            raise InvalidPolyline(f"hausdorff needs (k, 2) vertex arrays; "
+                                  f"the {name} one has shape {poly.shape}")
+        if not np.all(np.abs(poly) <= _MAX_COORD):
+            raise InvalidPolyline(f"hausdorff needs vertices within +-{_MAX_COORD:g}; the "
+                                  f"{name} polyline has a nan, infinite or larger one")
         if not np.all(np.diff(poly, axis=0) >= 0.0):
             raise NotMonotone(f"hausdorff needs polylines non-decreasing in x and y; "
                               f"the {name} one is not")
-    return max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))
+    return _directed_hausdorff(b, a, floor=_directed_hausdorff(a, b))
 
 
 @lru_cache(maxsize=32)
@@ -141,8 +201,8 @@ def distance_report(line: PolygonalLine, scale: float,
     +inf; argmax_t is the slope of its first occurrence, +inf when the
     sup holds from the last knot on.
     """
-    if scale < 0.0:
-        raise ValueError("scale must be nonnegative")
+    if not 0.0 <= scale < math.inf:
+        raise ParameterOutOfRange(f"scale must be finite and nonnegative, got {scale!r}")
     taus, before, after = _sampler.profile_knots(line)
     d_length, argmax_t = _measure.profile_gap(curve, taus, scale * before, scale * after)
     d_h = hausdorff(line.vertices.astype(float) * scale, _curve_polyline(curve))

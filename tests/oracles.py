@@ -227,7 +227,7 @@ def exact_aspect(n1: int, n2: int) -> Fraction:
 _POINT_CHUNK = 1024
 
 
-def _dense_directed_hausdorff(points: np.ndarray, poly: np.ndarray) -> float:
+def dense_directed_hausdorff(points: np.ndarray, poly: np.ndarray) -> float:
     """max over points of the distance to the polyline poly."""
     if poly.shape[0] == 1:
         d = np.hypot(points[:, 0] - poly[0, 0], points[:, 1] - poly[0, 1])
@@ -252,4 +252,4 @@ def dense_hausdorff(a, b) -> float:
     reference for the windowed kernel in metrics.hausdorff."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    return max(_dense_directed_hausdorff(a, b), _dense_directed_hausdorff(b, a))
+    return max(dense_directed_hausdorff(a, b), dense_directed_hausdorff(b, a))

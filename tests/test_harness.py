@@ -686,11 +686,12 @@ _PROFILE = {"mode": "profile", "curve": PARABOLA_SPEC, "n1_list": [20, 40]}
      "'lclt_batch', 'oracle_draws', 'replicates', 'workers']"),
     (["calibrate"], dict(_PROFILE, mode="verify"), "whose mode, if it has one, is 'calibrate'"),
     (["calibrate"], dict(_CALIBRATE, n1_list=[100, 1000]), "reads one n1"),
+    (["calibrate"], dict(_CALIBRATE, n1_list=None), "lacks required keys: ['n1_list']"),
     (["profile", "--workers", "3", "--seed", "5"], _PROFILE,
      "unrecognized arguments: --workers 3 --seed 5"),
     (["calibrate"], [1, 2], "must hold a JSON object"),
 ], ids=["bad-int", "unknown-flag", "no-n1", "no-curve", "no-such-mode", "no-mode",
-        "unread-keys", "other-mode", "two-n1", "unread-flags", "not-an-object"])
+        "unread-keys", "other-mode", "two-n1", "null-n1", "unread-flags", "not-an-object"])
 def test_cli_usage_error_is_typed_error(tmp_path, capsys, argv, file, says):
     # usage errors end like bad config values: exit 1 and an error: line
     # (argparse alone would exit 2, the threshold-failure code)

@@ -9,7 +9,8 @@ from limitshape import curve as cv
 from limitshape import measure as ms
 from limitshape import metrics as mt
 from limitshape import sampler as sp
-from limitshape.errors import EmptyPath, NotMonotone
+from limitshape import studies as stu
+from limitshape.errors import EmptyPath, InvalidPolyline, NotMonotone, ParameterOutOfRange
 
 import oracles
 
@@ -31,6 +32,29 @@ def test_hausdorff_parallel_offset():
 def test_hausdorff_empty_path():
     with pytest.raises(EmptyPath):
         mt.hausdorff([], [[0, 0]])
+
+
+@pytest.mark.parametrize("bad", [
+    [[0.0, 0.0], [0.5, math.inf]],
+    [[0.0, 0.0], [math.nan, 1.0]],
+    [[0.0, 0.0], [1e200, 1e200]],
+    [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]],
+    [0.0, 0.5, 1.0],
+    [[[0.0, 0.0]], [[1.0, 1.0]]],
+], ids=["inf", "nan", "huge", "k-by-3", "three-vector", "3-d"])
+@pytest.mark.parametrize("which", [0, 1])
+def test_hausdorff_rejects_malformed_polyline(bad, which):
+    args = [[[0.0, 0.0], [1.0, 1.0]]] * 2
+    args[which] = bad
+    with pytest.raises(InvalidPolyline):
+        mt.hausdorff(*args)
+
+
+@pytest.mark.parametrize("scale", [-0.5, math.nan, math.inf])
+def test_distance_report_rejects_bad_scale(parabola1, scale):
+    line = sp.assemble(sp.Configuration(support=oracles.edge_rows({(1, 0): 1, (0, 1): 1})))
+    with pytest.raises(ParameterOutOfRange):
+        mt.distance_report(line, scale, parabola1)
 
 
 _RUN_STEP = st.one_of(st.tuples(st.integers(0, 4), st.just(0)),
@@ -60,13 +84,56 @@ def monotone_polylines(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(monotone_polylines(), monotone_polylines(), st.sampled_from([1, 7, 64, None]))
-def test_hausdorff_equals_dense_oracle(a, b, chunk):
-    # small pair chunks make the block loop run on small inputs
+@given(monotone_polylines(), monotone_polylines(), st.sampled_from([1, 7, 64, None]),
+       st.sampled_from([1, 2, None]))
+def test_hausdorff_equals_dense_oracle(a, b, chunk, first_round):
+    # small pair chunks make the block loop, and small first rounds the
+    # early-break loop, run several times on small inputs
     with pytest.MonkeyPatch.context() as mp:
         if chunk is not None:
             mp.setattr(mt, "_PAIR_CHUNK", chunk)
+        if first_round is not None:
+            mp.setattr(mt, "_FIRST_ROUND", first_round)
         assert mt.hausdorff(a, b) == oracles.dense_hausdorff(a, b)
+        assert mt._directed_hausdorff(a, b) == oracles.dense_directed_hausdorff(a, b)
+
+
+def _parallel_offset(parabola1):
+    # every vertex of each line lies 0.25 from the other line, up to rounding
+    a = np.column_stack([np.linspace(0.0, 2.0, 101), np.linspace(0.0, 1.0, 101)])
+    return a, a + [0.0, 0.25]
+
+
+def _steep_segment(parabola1):
+    # a long steep path edge beside the curve: the y-seed of most curve
+    # vertices, and the x-seed of those left of it
+    path = np.array([[0.0, 0.0], [0.05, 0.01], [0.3, 0.05], [0.32, 0.9], [1.0, 1.1]])
+    return path, mt._curve_polyline(parabola1)
+
+
+def _loose_seeds(parabola1):
+    # the staircase's nearest corner to (0.9, 0.1) is neither at its x nor
+    # at its y, so that vertex has the largest seed (0.8) but a smaller
+    # distance (0.4 * sqrt(2)) than (-0.7, 0), whose seed 0.7 is exact: the
+    # first round of one vertex does not hold the maximum
+    stair = np.repeat(np.arange(11) / 10.0, 2)
+    return np.array([[-0.7, 0.0], [0.9, 0.1]]), np.column_stack([stair[:-1], stair[1:]])
+
+
+def _one_point(parabola1):
+    return np.array([[0.4, 0.3]]), mt._curve_polyline(parabola1)
+
+
+@pytest.mark.parametrize("case", [_parallel_offset, _steep_segment, _loose_seeds, _one_point],
+                         ids=["ties", "steep-segment", "loose-seeds", "one-point"])
+@pytest.mark.parametrize("first_round", [1, 2, None])
+def test_hausdorff_early_break_cases(parabola1, case, first_round, monkeypatch):
+    if first_round is not None:
+        monkeypatch.setattr(mt, "_FIRST_ROUND", first_round)
+    pair = case(parabola1)
+    for a, b in (pair, pair[::-1]):
+        assert mt.hausdorff(a, b) == oracles.dense_hausdorff(a, b)
+        assert mt._directed_hausdorff(a, b) == oracles.dense_directed_hausdorff(a, b)
 
 
 @pytest.mark.parametrize("curve_name", ["tabulated_mixed", "parabola1"])
@@ -80,6 +147,16 @@ def test_hausdorff_bit_identical_on_sampled_paths(request, curve_name, n1):
         x = line.vertices.astype(float) * (1.0 / n1)
         # shifted three units right, every window spans the whole curve,
         # which at n1 = 1e4 takes more than one pair chunk
+        for y in (x, x + [3.0, 0.0]):
+            assert mt.hausdorff(y, poly) == oracles.dense_hausdorff(y, poly)
+
+
+@pytest.mark.parametrize("n1", [100, 200])
+def test_hausdorff_bit_identical_on_conditioned_paths(parabola1, n1):
+    params = ms.MeasureParams.for_endpoint(parabola1, n1)
+    poly = mt._curve_polyline(parabola1)
+    for line, _ in stu.draw_block(params, 3, 0, 32, 10 ** 6):
+        x = line.vertices.astype(float) * (1.0 / n1)
         for y in (x, x + [3.0, 0.0]):
             assert mt.hausdorff(y, poly) == oracles.dense_hausdorff(y, poly)
 
