@@ -5,7 +5,9 @@ g on [0, 1] with g(0) = 0.  Everything downstream works in the
 tangent-slope coordinate t = g'(u): the generalized inverse u(t), the
 arc-length profile l(t) (length of the sub-arc with tangent slope <= t)
 and the curvature kappa(u(t)) (curvature_profile).  Presets supply closed forms; tabulated
-data is fitted with a shape-verified quintic spline.
+data is fitted with a shape-verified quintic interpolating spline, kept
+in piecewise-polynomial form (scipy PPoly) so that g, g1 and g2 are
+evaluated by Horner's rule on one interval each.
 
 l(t) has one route, length_profile: a cached antiderivative spline of
 1/kappa over the tangent angle, which maps t = +inf to the total
@@ -26,7 +28,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline, make_interp_spline
+from scipy.interpolate import CubicSpline, PPoly, make_interp_spline
 
 from .errors import (
     CurvatureFloorViolated,
@@ -393,10 +395,15 @@ def make_tabulated(samples, k0: float) -> ConvexCurve:
     """Fit a shape-verified C2 interpolant through (u, g(u)) samples.
 
     Needs at least 8 samples with u strictly increasing from 0 to 1 and
-    strictly convex, strictly increasing values.  The interpolant is a
-    quintic spline (smooth g2 for the tilt functions); convexity and
-    the caller's curvature floor k0 are verified on a dense grid and
-    violations are rejected rather than silently smoothed.
+    strictly convex, strictly increasing values.  The interpolant is the
+    quintic not-a-knot interpolating spline (smooth g2 for the tilt
+    functions), converted once to piecewise-polynomial form: g, g1 and
+    g2 are a PPoly and its first two derivatives, each evaluated by one
+    interval search and Horner's rule, which is several times cheaper
+    than B-spline evaluation on the many slopes of a direction field
+    and agrees with it to a few ulps.  Convexity and the caller's
+    curvature floor k0 are verified on a dense grid and violations are
+    rejected rather than silently smoothed.
     """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 8:
@@ -412,12 +419,12 @@ def make_tabulated(samples, k0: float) -> ConvexCurve:
     if not np.all(np.diff(slopes) > 0):
         raise NotConvex("sample chords are not strictly convex")
 
-    spline = make_interp_spline(u, y, k=5)
-    d1 = spline.derivative(1)
-    d2 = spline.derivative(2)
+    poly = PPoly.from_spline(make_interp_spline(u, y, k=5))
+    d1 = poly.derivative(1)
+    d2 = poly.derivative(2)
 
     def g(x):
-        return spline(np.asarray(x, float))
+        return poly(np.asarray(x, float))
 
     def g1(x):
         return d1(np.asarray(x, float))

@@ -4,7 +4,10 @@ Every possible edge direction of a convex lattice path is a coprime
 pair x = (x1, x2) in Z+^2 with slope tau = x2/x1.  direction_arrays is
 the one enumeration route: a vectorized gcd sieve over a slope window
 of the ball, optionally capped by a linear form per slope sector, sorted
-by slope.  mobius_inverted_sum is the independent
+by slope.  It walks the columns x1 in passes sized so that both the
+candidate pairs (_DIRECTION_CHUNK) and the per-(column, sector) range
+tables (_SECTOR_CELLS) stay bounded; the pass size does not change the
+output.  mobius_inverted_sum is the independent
 route for sums over the coprime set: it combines full-lattice sums with
 mu weights, which is exact for any function on the lattice, and
 coprime_sum is the direct sum it is checked against.
@@ -20,6 +23,11 @@ from .errors import LimitTooLarge
 
 _SIEVE_BUDGET = 1 << 27  # int8 table, ~134 MB
 _DIRECTION_CHUNK = 1 << 21  # candidate pairs per pass of direction_arrays
+# (column, sector) range-table cells per pass of direction_arrays: 64 columns
+# at 256 sectors.  Of 2^10 to 2^16 and unbounded, 2^14 enumerated the c08
+# and parabola(1) fields fastest (n1 = 1e2 to 1e4, 2-vCPU Xeon) and cut the
+# parabola(1) field build's peak at n1 = 100 from 3.5 to 1.2 MB.
+_SECTOR_CELLS = 1 << 14
 _LATTICE_CHUNK = 1 << 18  # lattice points per call of f in _full_lattice_sum
 
 
@@ -30,7 +38,13 @@ def direction_arrays(t_lo: float, t_hi: float, radius: float, *,
     Returns (x1, x2) int64 arrays in strictly increasing slope, each
     direction once: (1, 0) opens them when t_lo <= 0 and (0, 1) closes
     them when t_hi is infinite.  A vectorized gcd sieve over the ball,
-    in chunks of about _DIRECTION_CHUNK candidate pairs.
+    in passes over consecutive columns x1: a pass holds at most
+    _DIRECTION_CHUNK // radius columns, so at most about _DIRECTION_CHUNK
+    (2^21) candidate pairs, and at most _SECTOR_CELLS // (len(cuts) + 1)
+    columns, so its (column, sector) range tables hold at most
+    _SECTOR_CELLS (2^14) cells and stay in cache.  Passes are
+    concatenated in column order before the stable slope sort, so the
+    output does not depend on the pass size.
 
     cuts (increasing) split the slope window into len(cuts) + 1
     sectors, sector k holding the slopes in (cuts[k-1], cuts[k]]; a
@@ -55,7 +69,7 @@ def direction_arrays(t_lo: float, t_hi: float, radius: float, *,
     if r >= 1 and t_lo <= 0.0 and under_cap(1, 0):
         xs1.append(np.array([1], dtype=np.int64))
         xs2.append(np.array([0], dtype=np.int64))
-    cols = max(1, _DIRECTION_CHUNK // max(1, r))
+    cols = max(1, min(_DIRECTION_CHUNK // max(1, r), _SECTOR_CELLS // (cuts.size + 1)))
     for a_start in range(1, r + 1, cols):
         a = np.arange(a_start, min(r, a_start + cols - 1) + 1, dtype=np.int64)
         af = a[:, None].astype(float)

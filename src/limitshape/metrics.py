@@ -199,11 +199,19 @@ def distance_report(line: PolygonalLine, scale: float,
     |scale * path_profile(t) - curve_profile(t)|, taken by
     measure.profile_gap on both sides of the path's jump slopes and at
     +inf; argmax_t is the slope of its first occurrence, +inf when the
-    sup holds from the last knot on.
+    sup holds from the last knot on.  A scale that is negative, not
+    finite, or so large that the scaled profile or vertices overflow
+    raises ParameterOutOfRange.
     """
     if not 0.0 <= scale < math.inf:
         raise ParameterOutOfRange(f"scale must be finite and nonnegative, got {scale!r}")
     taus, before, after = _sampler.profile_knots(line)
-    d_length, argmax_t = _measure.profile_gap(curve, taus, scale * before, scale * after)
-    d_h = hausdorff(line.vertices.astype(float) * scale, _curve_polyline(curve))
+    with np.errstate(over="ignore"):
+        before = scale * before
+        after = scale * after
+        vertices = line.vertices.astype(float) * scale
+    if not all(np.all(np.isfinite(a)) for a in (before, after, vertices)):
+        raise ParameterOutOfRange(f"scale {scale!r} overflows the scaled path")
+    d_length, argmax_t = _measure.profile_gap(curve, taus, before, after)
+    d_h = hausdorff(vertices, _curve_polyline(curve))
     return PathDistanceReport(d_hausdorff=d_h, d_length=d_length, argmax_t=argmax_t)

@@ -29,11 +29,15 @@ def circle():
     return cv.make_preset("circle_arc")
 
 
+def parabola_points(n=64):
+    """Samples of the parabola(1) preset, the data of tabulated_parabola."""
+    u = np.linspace(0.0, 1.0, n)
+    return np.column_stack([u, cv.make_preset("parabola", c=1.0).g(u)])
+
+
 @pytest.fixture(scope="session")
-def tabulated_parabola(parabola1):
-    u = np.linspace(0.0, 1.0, 64)
-    pts = np.column_stack([u, parabola1.g(u)])
-    return cv.make_tabulated(pts, k0=0.05)
+def tabulated_parabola():
+    return cv.make_tabulated(parabola_points(), k0=0.05)
 
 
 def mixed_cubic_points(n=64):

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
+from scipy.interpolate import make_interp_spline
 
 # (2*zeta(3)/zeta(2))**(1/3) evaluated with 40-digit arithmetic offline;
 # reproduced below from rapidly converging series before being trusted.
@@ -68,6 +69,26 @@ def bisect_slope_inverse(g1, t, steps: int = 64):
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def bspline_tabulated(samples):
+    """A tabulated arc as the quintic not-a-knot interpolating B-spline
+    through its (u, g) samples, evaluated by scipy's B-spline routine:
+    the reference for curve.make_tabulated, which evaluates the same
+    interpolant in piecewise-polynomial form.  A ConvexCurve with g, g1,
+    g2 from the B-spline and its derivatives, built without the
+    package's validation."""
+    from limitshape.curve import ConvexCurve
+
+    pts = np.asarray(samples, dtype=float)
+    spline = make_interp_spline(pts[:, 0], pts[:, 1], k=5)
+    d1 = spline.derivative(1)
+    d2 = spline.derivative(2)
+    return ConvexCurve(g=lambda x: spline(np.asarray(x, float)),
+                       g1=lambda x: d1(np.asarray(x, float)),
+                       g2=lambda x: d2(np.asarray(x, float)),
+                       c_gamma=float(pts[-1, 1]), t0=float(d1(0.0)), t1=float(d1(1.0)),
+                       K0=0.0, name="tabulated")
 
 
 def arc_length_profile(curve, t) -> float:

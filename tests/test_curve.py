@@ -15,6 +15,7 @@ from limitshape.errors import (
 )
 
 import oracles
+from conftest import mixed_cubic_points, parabola_points
 
 
 # --- slope_inverse -----------------------------------------------------------
@@ -171,6 +172,34 @@ def test_tabulated_parabola_agrees_with_preset(parabola1, tabulated_parabola):
     for t in [0.02, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0]:
         assert abs(cv.slope_inverse(tabulated_parabola, t)
                    - cv.slope_inverse(parabola1, t)) < 1e-6
+
+
+# The piecewise-polynomial form of a tabulated arc and the B-spline it is
+# converted from round differently: values agree to within this multiple of
+# max(1, |value|) (measured: 1.4e-15), and the c08 field's neg_log_z to
+# within this relative error (measured: 8.7e-16 at n1 = 1e3).
+_TABULATED_REL = 4e-15
+_FIELD_REL = 4e-15
+
+
+@pytest.mark.parametrize("points, k0", [(mixed_cubic_points(), 0.1), (parabola_points(), 0.05)],
+                         ids=["c08", "tabulated_parabola"])
+def test_tabulated_matches_bspline_reference(points, k0):
+    curve = cv.make_tabulated(points, k0=k0)
+    ref = oracles.bspline_tabulated(points)
+    u = np.linspace(0.0, 1.0, 100_001)
+    for got, want in ((curve.g, ref.g), (curve.g1, ref.g1), (curve.g2, ref.g2)):
+        w = want(u)
+        assert np.all(np.abs(got(u) - w) <= _TABULATED_REL * np.maximum(1.0, np.abs(w)))
+
+
+def test_tabulated_field_matches_bspline_reference(tabulated_mixed):
+    from limitshape import measure
+
+    got, want = (measure._DirectionField(measure.MeasureParams.for_endpoint(curve, 1000))
+                 for curve in (tabulated_mixed, oracles.bspline_tabulated(mixed_cubic_points())))
+    assert np.array_equal(got.x1, want.x1) and np.array_equal(got.x2, want.x2)
+    assert np.all(np.abs(got.neg_log_z - want.neg_log_z) <= _FIELD_REL * want.neg_log_z)
 
 
 def test_tabulated_too_few_samples():

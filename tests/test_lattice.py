@@ -154,3 +154,57 @@ def test_inverted_sum_weighted_half_scale():
     inverted = lt.mobius_inverted_sum(f, 80)
     assert inverted == pytest.approx(direct, rel=1e-8)
 
+
+# --- chunking -----------------------------------------------------------------
+
+def _field_call(curve, n1):
+    """The direction_arrays arguments of the direction field of curve at n1."""
+    from limitshape import measure
+
+    calls = []
+    real = lt.direction_arrays
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lt, "direction_arrays", spy)
+        measure._DirectionField(measure.MeasureParams.for_endpoint(curve, n1))
+    (call,) = calls
+    return call
+
+
+@pytest.mark.parametrize("curve_name, n1", [("tabulated_mixed", 1000), ("parabola1", 100),
+                                            (None, 300)], ids=["c08", "parabola", "ball"])
+def test_direction_chunking_is_byte_identical(curve_name, n1, request, monkeypatch):
+    # the (column, sector) cell budget sets only how the columns are cut
+    # into passes: one column per pass, three, the default, all at once
+    if curve_name is None:
+        args, kwargs = (0.0, math.inf, n1), {}
+    else:
+        args, kwargs = _field_call(request.getfixturevalue(curve_name), n1)
+    outs = []
+    for budget in (1, 1000, lt._SECTOR_CELLS, 1 << 62):
+        monkeypatch.setattr(lt, "_SECTOR_CELLS", budget)
+        outs.append(lt.direction_arrays(*args, **kwargs))
+    for x1, x2 in outs:
+        assert x1.dtype == x2.dtype == np.int64
+        assert x1.tobytes() == outs[0][0].tobytes() and x2.tobytes() == outs[0][1].tobytes()
+
+
+def test_field_build_peak_memory():
+    # a fresh parabola(1) field at n1 = 100 (6515 directions, 256 sectors)
+    # peaks at 1.23 MB; one pass over all 267 columns peaked at 3.51 MB
+    import tracemalloc
+
+    from limitshape import curve, measure
+
+    params = measure.MeasureParams.for_endpoint(curve.make_preset("parabola", c=1.0), 100)
+    tracemalloc.start()
+    try:
+        measure._DirectionField(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0e6

@@ -50,7 +50,7 @@ def test_hausdorff_rejects_malformed_polyline(bad, which):
         mt.hausdorff(*args)
 
 
-@pytest.mark.parametrize("scale", [-0.5, math.nan, math.inf])
+@pytest.mark.parametrize("scale", [-0.5, math.nan, math.inf, 1e308])
 def test_distance_report_rejects_bad_scale(parabola1, scale):
     line = sp.assemble(sp.Configuration(support=oracles.edge_rows({(1, 0): 1, (0, 1): 1})))
     with pytest.raises(ParameterOutOfRange):
