@@ -32,7 +32,7 @@ from .measure import (
     moment_report,
     nu_moments,
 )
-from .metrics import PathDistanceReport, distance_report, hausdorff
+from .metrics import PathDistanceReport, distance_report, distance_reports, hausdorff
 from .oracle import OracleDistribution, exact_conditional_oracle
 from .sampler import (
     Configuration,
@@ -59,6 +59,7 @@ __all__ = [
     "covariance_matrix",
     "delta",
     "distance_report",
+    "distance_reports",
     "exact_conditional_oracle",
     "expected_endpoint",
     "expected_length_profile",

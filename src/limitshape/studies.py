@@ -110,8 +110,10 @@ def _path_chunk(task):
     """(predicted attempts per path, nan for free draws; the chunk's
     records).  A conditioned chunk is whole blocks, and every replicate
     of an exhausted block is recorded with max_attempts attempts and nan
-    distances.  The prediction comes from the worker, which builds the
-    direction field anyway, so the parent process never does."""
+    distances.  Each block's paths are measured in one
+    metrics.distance_reports call.  The prediction comes from the
+    worker, which builds the direction field anyway, so the parent
+    process never does."""
     curve_key, n1, start, count, seed, max_attempts = task
     params = _params_for(curve_key, n1)
     predicted = (math.nan if max_attempts is None
@@ -124,8 +126,8 @@ def _path_chunk(task):
             out.extend((rep, max_attempts, math.nan, math.nan, math.nan, None)
                        for rep in range(first, first + size))
             continue
-        for rep, (line, attempts) in enumerate(drawn, first):
-            report = _metrics.distance_report(line, 1.0 / n1, params.curve)
+        reports = _metrics.distance_reports([line for line, _ in drawn], 1.0 / n1, params.curve)
+        for rep, ((line, attempts), report) in enumerate(zip(drawn, reports), first):
             verts = (line.vertices.astype(float) / n1).tolist() if rep < _KEEP_OVERLAY else None
             out.append((rep, attempts, report.d_hausdorff, report.d_length,
                         report.argmax_t, verts))

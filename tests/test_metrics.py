@@ -83,19 +83,42 @@ def monotone_polylines(draw):
     return np.cumsum([origin] + steps, axis=0) * (1.0 / n1)
 
 
+def _block(paths, poly):
+    """Per path, the block kernel's Hausdorff distance to poly."""
+    return mt._hausdorff_block(list(paths), mt._shared(poly)).tolist()
+
+
+def _directed(paths, poly):
+    """The kernel's two halves, each from a floor of 0: per path, its
+    distance to poly, then poly's distance to it."""
+    lines, shared = mt._polylines(list(paths)), mt._shared(poly)
+    return (mt._to_shared(lines, shared).tolist(),
+            mt._from_shared(lines, shared, np.zeros(len(paths))).tolist())
+
+
+def _dense_directed(paths, poly):
+    return ([oracles.dense_directed_hausdorff(p, poly) for p in paths],
+            [oracles.dense_directed_hausdorff(poly, p) for p in paths])
+
+
 @settings(max_examples=300, deadline=None)
-@given(monotone_polylines(), monotone_polylines(), st.sampled_from([1, 7, 64, None]),
-       st.sampled_from([1, 2, None]))
-def test_hausdorff_equals_dense_oracle(a, b, chunk, first_round):
-    # small pair chunks make the block loop, and small first rounds the
-    # early-break loop, run several times on small inputs
+@given(st.lists(monotone_polylines(), min_size=1, max_size=8), monotone_polylines(),
+       st.sampled_from([1, 7, 64, None]), st.sampled_from([1, 2, None]),
+       st.sampled_from([1, 2, None, 1 << 20]))
+def test_hausdorff_equals_dense_oracle(paths, poly, chunk, first_round, vertex_block):
+    # small pair chunks make the block loop, small first rounds the
+    # early-break loop, and short vertex runs the run expansion run
+    # several times on small inputs; a run longer than poly takes it whole
     with pytest.MonkeyPatch.context() as mp:
         if chunk is not None:
             mp.setattr(mt, "_PAIR_CHUNK", chunk)
         if first_round is not None:
             mp.setattr(mt, "_FIRST_ROUND", first_round)
-        assert mt.hausdorff(a, b) == oracles.dense_hausdorff(a, b)
-        assert mt._directed_hausdorff(a, b) == oracles.dense_directed_hausdorff(a, b)
+        if vertex_block is not None:
+            mp.setattr(mt, "_VERTEX_BLOCK", vertex_block)
+        assert mt.hausdorff(paths[0], poly) == oracles.dense_hausdorff(paths[0], poly)
+        assert _block(paths, poly) == [oracles.dense_hausdorff(p, poly) for p in paths]
+        assert _directed(paths, poly) == _dense_directed(paths, poly)
 
 
 def _parallel_offset(parabola1):
@@ -133,32 +156,63 @@ def test_hausdorff_early_break_cases(parabola1, case, first_round, monkeypatch):
     pair = case(parabola1)
     for a, b in (pair, pair[::-1]):
         assert mt.hausdorff(a, b) == oracles.dense_hausdorff(a, b)
-        assert mt._directed_hausdorff(a, b) == oracles.dense_directed_hausdorff(a, b)
+        assert _directed([a], b) == _dense_directed([a], b)
+
+
+def _scaled_block(params, max_attempts=None):
+    """Vertices of block 0 of draw_block (8 free paths or 32 conditioned
+    ones), scaled by 1 / n1."""
+    count = 8 if max_attempts is None else stu.BLOCK
+    return [line.vertices.astype(float) * (1.0 / params.n1)
+            for line, _ in stu.draw_block(params, 3, 0, count, max_attempts)]
+
+
+def _assert_block_bit_identical(block, curve):
+    poly = mt._curve_polyline(curve)
+    # shifted three units right, every window spans the whole curve
+    for paths in (block, [x + [3.0, 0.0] for x in block]):
+        assert (mt._hausdorff_block(paths, mt._curve_shared(curve)).tolist()
+                == [oracles.dense_hausdorff(x, poly) for x in paths])
 
 
 @pytest.mark.parametrize("curve_name", ["tabulated_mixed", "parabola1"])
 @pytest.mark.parametrize("n1", [1000, 10000])
 def test_hausdorff_bit_identical_on_sampled_paths(request, curve_name, n1):
     curve = request.getfixturevalue(curve_name)
-    params = ms.MeasureParams.for_endpoint(curve, n1)
-    poly = mt._curve_polyline(curve)
-    for r in range(3):
-        line = sp.assemble(sp.sample_configuration(params, np.random.default_rng((n1, r))))
-        x = line.vertices.astype(float) * (1.0 / n1)
-        # shifted three units right, every window spans the whole curve,
-        # which at n1 = 1e4 takes more than one pair chunk
-        for y in (x, x + [3.0, 0.0]):
-            assert mt.hausdorff(y, poly) == oracles.dense_hausdorff(y, poly)
+    _assert_block_bit_identical(_scaled_block(ms.MeasureParams.for_endpoint(curve, n1)), curve)
 
 
 @pytest.mark.parametrize("n1", [100, 200])
 def test_hausdorff_bit_identical_on_conditioned_paths(parabola1, n1):
     params = ms.MeasureParams.for_endpoint(parabola1, n1)
+    _assert_block_bit_identical(_scaled_block(params, 10 ** 6), parabola1)
+
+
+def test_hausdorff_block_mixes_huge_and_ordinary_paths(parabola1):
+    # a path near 1e140 makes the owner shift so large that the other
+    # paths' shifted keys collapse to one value each: their windows span
+    # all of their own segments and no other path's
+    block = _scaled_block(ms.MeasureParams.for_endpoint(parabola1, 100), 10 ** 6)[:6]
+    paths = block[:2] + [block[2] * 1e140, block[3] + 1e140] + block[4:]
     poly = mt._curve_polyline(parabola1)
-    for line, _ in stu.draw_block(params, 3, 0, 32, 10 ** 6):
-        x = line.vertices.astype(float) * (1.0 / n1)
-        for y in (x, x + [3.0, 0.0]):
-            assert mt.hausdorff(y, poly) == oracles.dense_hausdorff(y, poly)
+    expected = [oracles.dense_hausdorff(x, poly) for x in paths]
+    assert _block(paths, poly) == expected
+    assert expected[2] > 1e139 and expected[0] < 1.0
+    assert _directed(paths, poly) == _dense_directed(paths, poly)
+
+
+def test_hausdorff_block_windows_stay_in_their_path():
+    # coordinates within +-126 give owner shifts of 256, less than the
+    # 355 from the shared vertex (-126, -126) to the far path: that
+    # vertex's window runs past the far path's shifted keys into the near
+    # path's, before them or after them, and only the clamp to the far
+    # path's own segments keeps the near one out
+    near = np.array([[-126.0, -126.0], [126.0, 126.0]])
+    far = np.array([[125.0, 125.0], [126.0, 126.0]])
+    poly = np.array([[-126.0, -126.0], [-125.0, -125.0]])
+    for paths in ([near, far], [far, near]):
+        assert _block(paths, poly) == [oracles.dense_hausdorff(x, poly) for x in paths]
+        assert _directed(paths, poly) == _dense_directed(paths, poly)
 
 
 def test_hausdorff_symmetric_and_transpose_invariant(parabola1, tabulated_mixed):
@@ -279,6 +333,7 @@ def test_distance_report_reuses_curve_polyline(tabulated_mixed, monkeypatch):
     params = ms.MeasureParams.for_endpoint(tabulated_mixed, 200)
     line = sp.assemble(sp.sample_configuration(params, np.random.default_rng(6)))
     mt._curve_polyline.cache_clear()
+    mt._curve_shared.cache_clear()
     first = mt.distance_report(line, 1.0 / 200, tabulated_mixed)
     poly = mt._curve_polyline(tabulated_mixed)
     assert not poly.flags.writeable
@@ -289,3 +344,43 @@ def test_distance_report_reuses_curve_polyline(tabulated_mixed, monkeypatch):
 
     monkeypatch.setattr(cv, "discretize", rebuilt)
     assert mt.distance_report(line, 1.0 / 200, tabulated_mixed) == first
+
+
+def _lines_at(params, count):
+    return [line for line, _ in stu.draw_block(params, 0, 0, count)]
+
+
+@pytest.mark.parametrize("curve_name", ["parabola1", "tabulated_mixed"])
+def test_distance_reports_equal_per_line_reports(request, curve_name):
+    curve = request.getfixturevalue(curve_name)
+    lines = _lines_at(ms.MeasureParams.for_endpoint(curve, 300), 12)
+    lines.insert(5, _line({}))
+    assert (mt.distance_reports(lines, 1.0 / 300, curve)
+            == [mt.distance_report(line, 1.0 / 300, curve) for line in lines])
+
+
+def test_distance_reports_one_vertex_path_in_a_block(parabola1):
+    # the empty configuration's line is one vertex: it has no segments on
+    # the curve -> path side
+    lines = _lines_at(ms.MeasureParams.for_endpoint(parabola1, 100), 6)
+    lines[3] = _line({})
+    poly = mt._curve_polyline(parabola1)
+    assert ([r.d_hausdorff for r in mt.distance_reports(lines, 0.01, parabola1)]
+            == [oracles.dense_hausdorff(line.vertices * 0.01, poly) for line in lines])
+
+
+def test_distance_reports_empty_block(parabola1):
+    assert mt.distance_reports([], 0.01, parabola1) == []
+
+
+@pytest.mark.parametrize("vertices, error", [
+    (np.zeros((0, 2), dtype=np.int64), EmptyPath),
+    (np.zeros((3, 3), dtype=np.int64), InvalidPolyline),
+    (np.array([[0, 0], [2, 1], [1, 2]]), NotMonotone),
+], ids=["empty", "k-by-3", "decreasing"])
+def test_distance_reports_name_the_bad_path(parabola1, vertices, error):
+    lines = _lines_at(ms.MeasureParams.for_endpoint(parabola1, 100), 4)
+    lines[2] = sp.PolygonalLine(vertices=vertices, edges=lines[2].edges,
+                                endpoint=lines[2].endpoint)
+    with pytest.raises(error, match="path 2 of the block"):
+        mt.distance_reports(lines, 0.01, parabola1)
