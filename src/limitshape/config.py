@@ -115,6 +115,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1")
         if any(v < 1 for v in self.conditioned_n1):
             raise ValueError("conditioned_n1 entries must be >= 1")
+        if any(b <= a for a, b in zip(self.conditioned_n1, self.conditioned_n1[1:])):
+            raise ValueError("conditioned_n1 must be strictly increasing")
         if not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         if self.n1_list is not None:

@@ -60,6 +60,7 @@ _TAIL_BUDGET = 1e-9
 _MAX_RADIUS = 200_000
 _SECTOR_SAFETY = 0.9  # sector floor = 0.9 x the smaller tilt at its two ends
 _PAIR_POOL = 16  # likeliest directions searched for the completing pair
+_FIELD_CACHE = 4  # fields kept per process: a study's sizes, which forked workers inherit
 
 
 def _tilt_base(curve: ConvexCurve, t: np.ndarray) -> np.ndarray:
@@ -337,7 +338,7 @@ def _guide_table(cum) -> np.ndarray:
     return np.searchsorted(cum, np.arange(m) * (cum[-1] / m), side="right")
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=_FIELD_CACHE)
 def _field(params: MeasureParams) -> _DirectionField:
     return _DirectionField(params)
 

@@ -14,9 +14,11 @@ the target, and the draw is kept with probability z_a^s * z_b^t, which
 leaves the conditioned law itself with no tolerance involved.
 conditioned_configurations is that one loop: it draws batched
 endpoints under an attempt budget, hands out a batch's accepted draws
-in replicate order as edge arrays by configurations_of (one sort of
-their rows and one gather per batch) with each path's own attempts,
-and raises Exhausted with the closest miss once the budget is spent.
+in replicate order as edge arrays with each path's own attempts, and
+raises Exhausted with the closest miss once the budget is spent.  A
+batch's support stays in the rounds the skip draw made it in: the
+accepted replicates are found in each round by a binary search, and
+only their rows are gathered and sorted, never the whole batch's.
 Its batches hold the predicted draws (predicted_attempts) of the paths
 a call is for (condition_batch): studies.draw_block asks it for a
 block of paths in one call, and condition_on_endpoint is its first
@@ -31,11 +33,12 @@ of O(enumerated) per replicate; the joint law is identical and the
 equivalence is pinned by tests against the direct route and against
 exhaustive enumeration.  Each skip lands on a later direction, so a
 replicate holds at most one row per direction, with no repeats to
-merge.  A skip finds its direction through a guide table of the
-cumulative hazard (Chen & Asau 1974; Devroye 1986, III.2.4): 4 buckets
-per direction, each holding the count of cumulative hazards at or below
-its left edge.  The bucket's count is the answer for about 95% of the
-skips; the rest take a binary search, so the index is the one
+merge, and its rows come round by round in slope order.  A skip finds
+its direction through a guide table of the cumulative hazard (Chen &
+Asau 1974; Devroye 1986, III.2.4): 4 buckets per direction, each
+holding the count of cumulative hazards at or below its left edge.
+The bucket's count is the answer for about 95% of the skips; the rest
+take a binary search, so the index is the one
 searchsorted(cum, pos, "right") returns, and no scan is unbounded.
 Lookups run in blocks of 32768 queries, so their temporaries stay
 small next to the batch's own arrays.
@@ -146,14 +149,17 @@ def sample_endpoints(params: MeasureParams, count: int,
                      collect_support: bool = False):
     """Batched endpoint draws (count, 2) via Poisson-embedding skips.
 
-    When collect_support is set, also returns (rep, dir_index, nu)
-    arrays from which configurations_of rebuilds any replicate's
-    edge array.
+    When collect_support is set, also returns the support as its skip
+    rounds: three lists (rep, dir_index, nu) holding one array per
+    round.  A round's rep array is ascending and holds each replicate at
+    most once, and a replicate's rounds visit its directions in slope
+    order, so configurations_of rebuilds any replicate's edge array
+    without sorting the batch.
     """
     f = _field(params)
     cum = f.cum_hazard
     x1, x2 = np.zeros(count, dtype=np.int64), np.zeros(count, dtype=np.int64)
-    collected = ([np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)])
+    support = ([], [], [])
     # without hazard no direction is ever active
     alive = np.arange(count) if cum.size and cum[-1] > 0.0 else np.empty(0, np.int64)
     pos = np.zeros(alive.size)  # consumed hazard of each alive replicate
@@ -163,7 +169,7 @@ def sample_endpoints(params: MeasureParams, count: int,
         # the replicate's previous direction even when the step rounds to 0
         j = _skip_index(cum, f.hazard_guide, pos)
         live = j < cum.size
-        alive = alive[live]
+        alive = alive[live]  # a subsequence of an ascending array
         if not alive.size:
             break
         j = j[live]
@@ -173,34 +179,51 @@ def sample_endpoints(params: MeasureParams, count: int,
         x1[alive] += f.x1[j] * nu  # alive indices are unique per round
         x2[alive] += f.x2[j] * nu
         if collect_support:  # alive, j and nu are fresh arrays every round
-            for out, new in zip(collected, (alive, j, nu)):
+            for out, new in zip(support, (alive, j, nu)):
                 out.append(new)
         pos = cum[j]
     xi = np.column_stack([x1, x2])
-    if collect_support:
-        return xi, tuple(np.concatenate(out) for out in collected)
-    return xi
+    return (xi, support) if collect_support else xi
+
+
+def _replicate_rows(support, reps):
+    """(owner, dir_index, nu) of the rows of replicates reps in a
+    per-round support (sample_endpoints), where owner is the position
+    in reps.  Each round is searched for reps with one searchsorted on
+    its ascending rep array, so the rows come round by round, and each
+    owner's rows in slope order."""
+    owner, idx, nu = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for rep_r, idx_r, nu_r in zip(*support):
+        at = np.searchsorted(rep_r, reps)
+        got = np.flatnonzero(at < rep_r.size)
+        got = got[rep_r[at[got]] == reps[got]]
+        owner.append(got)
+        idx.append(idx_r[at[got]])
+        nu.append(nu_r[at[got]])
+    return tuple(np.concatenate(parts) for parts in (owner, idx, nu))
+
+
+def _edge_arrays(params: MeasureParams, owner, idx, nu, count: int) -> list:
+    """The edge arrays of owners 0 .. count - 1 from their rows, in any
+    order: one sort of these rows by owner and then by dir_index puts
+    each owner's rows in slope order, the rows are gathered into one
+    (k, 3) array, and each owner is one slice of it, in the format of
+    Configuration.support (not validated here)."""
+    order = np.lexsort((idx, owner))
+    edges = _rows(_field(params), idx[order], nu[order])
+    sizes = np.bincount(owner, minlength=count)
+    ends = np.cumsum(sizes)
+    return [edges[a:b] for a, b in zip((ends - sizes).tolist(), ends.tolist())]
 
 
 def configurations_of(params: MeasureParams, support, reps) -> list:
-    """Edge arrays of replicates reps, in that order, from
-    (rep, dir_index, nu) arrays such as sample_endpoints collects.
-
-    One sort of the rows that belong to reps, by replicate and then by
-    dir_index, puts each replicate's rows in slope order whatever order
-    they come in; the rows are gathered into one (k, 3) array, and each
-    replicate is one searchsorted slice of it, in the format of
-    Configuration.support (not validated here).
-    """
-    rows_rep, idx, nu = support
+    """Edge arrays of replicates reps, in that order, from a per-round
+    support such as sample_endpoints collects: one searchsorted per
+    round finds their rows (_replicate_rows), and only those rows are
+    sorted and gathered (_edge_arrays); nothing of the batch's size is
+    joined or scanned."""
     reps = np.asarray(reps, dtype=np.int64)
-    rows = np.flatnonzero(np.isin(rows_rep, reps, kind="table"))
-    rows = rows[np.lexsort((idx[rows], rows_rep[rows]))]
-    keys = rows_rep[rows]
-    lo = np.searchsorted(keys, reps, side="left")
-    hi = np.searchsorted(keys, reps, side="right")
-    edges = _rows(_field(params), idx[rows], nu[rows])
-    return [edges[a:b] for a, b in zip(lo, hi)]
+    return _edge_arrays(params, *_replicate_rows(support, reps), reps.size)
 
 
 def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
@@ -218,7 +241,9 @@ def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
     slope places.  The accepted law is proportional to
     P(config_A) P(nu_a = s) P(nu_b = t) 1[xi = n], which is the
     conditioned law itself, and a draw is accepted with probability
-    P(xi = n) / ((1 - z_a)(1 - z_b)).
+    P(xi = n) / ((1 - z_a)(1 - z_b)).  The pair's multiplicities are
+    added round by round from the batch's support, and its rows are
+    dropped only from the accepted draws' rows.
 
     Draws batches of min(batch, max_attempts - attempts) and returns
     (edge arrays, attempts), where attempts is an int64 array with one
@@ -242,28 +267,30 @@ def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
     best_d2, best_xi = math.inf, (0, 0)
     while attempts < max_attempts:
         size = min(batch, max_attempts - attempts)
-        xi, (rep, idx, nu) = sample_endpoints(params, size, rng, collect_support=True)
+        xi, support = sample_endpoints(params, size, rng, collect_support=True)
         u = rng.random(size)
-        on_a, on_b = idx == ia, idx == ib
         # n - xi_A = (n - xi) + nu_a*a + nu_b*b: solve n - xi by the
         # adjugate, then add the pair's own multiplicities
         r1, r2 = target[0] - xi[:, 0], target[1] - xi[:, 1]
         s, s_rem = np.divmod(r1 * b2 - r2 * b1, det)
         t, t_rem = np.divmod(a1 * r2 - a2 * r1, det)
-        s[rep[on_a]] += nu[on_a]
-        t[rep[on_b]] += nu[on_b]
+        for rep_r, idx_r, nu_r in zip(*support):  # a replicate is in a round once
+            on_a, on_b = idx_r == ia, idx_r == ib
+            s[rep_r[on_a]] += nu_r[on_a]
+            t[rep_r[on_b]] += nu_r[on_b]
         ok = (s_rem == 0) & (t_rem == 0) & (s >= 0) & (t >= 0)
         ok[ok] = u[ok] < np.exp(s[ok] * log_za + t[ok] * log_zb)
         hits = np.flatnonzero(ok)[:count - len(out)]
         if hits.size:
-            keep = np.isin(rep, hits, kind="table") & ~on_a & ~on_b
-            with_a, with_b = hits[s[hits] > 0], hits[t[hits] > 0]
-            rows = (np.concatenate([rep[keep], with_a, with_b]),
-                    np.concatenate([idx[keep], np.full(with_a.size, ia),
-                                    np.full(with_b.size, ib)]),
-                    np.concatenate([nu[keep], s[with_a], t[with_b]]))
-            out.extend(configurations_of(params, rows, hits))
+            owner, idx, nu = _replicate_rows(support, hits)
+            keep = (idx != ia) & (idx != ib)
+            with_a, with_b = np.flatnonzero(s[hits] > 0), np.flatnonzero(t[hits] > 0)
+            out.extend(_edge_arrays(
+                params, np.concatenate([owner[keep], with_a, with_b]),
+                np.concatenate([idx[keep], np.full(with_a.size, ia), np.full(with_b.size, ib)]),
+                np.concatenate([nu[keep], s[hits[with_a]], t[hits[with_b]]]), hits.size))
             accepted_at.append(attempts + hits)
+        del support  # the next batch draws its support without this one's beside it
         if len(out) == count:
             return out, np.diff(np.concatenate(accepted_at), prepend=-1)
         attempts += size

@@ -1,18 +1,22 @@
 """Convergence studies: limit shape, moment calibration, local CLT.
 
-Each study fans replicates out over a process pool in fixed-size
-chunks; every free replicate, conditioned block and endpoint batch owns
-an RNG stream derived from the master seed and its index, so results
-are bit-identical for any worker count.  Path replicates come in
-blocks of BLOCK, replicate r in block r // BLOCK: draw_block is the one
-path draw, free (one stream and one sample_configuration draw per
+Each study fans its replicates out over one process pool, created once
+per study call: the tasks of every size go to it in size order, with
+no barrier between sizes, and the results are split back by the size's
+position.  Every free replicate, conditioned block and endpoint batch
+owns an RNG stream derived from the master seed and its index, so
+results are bit-identical for any worker count.  Path replicates come
+in blocks of BLOCK, replicate r in block r // BLOCK: draw_block is the
+one path draw, free (one stream and one sample_configuration draw per
 replicate) or endpoint-conditioned (one stream and one batched
 conditioned loop per block, under the block's pooled budget).  The
 limit-shape and conditioned studies share its chunk worker and fan-out
 (_path_records), whose conditioned chunks are whole blocks, and the CLI
 sample and condition modes call it too, so the CLI's replicate i is the
-study's for any total.  Exact-sum studies need no replication and run
-in-process.
+study's for any total.  A path study's workers build their own fields;
+the local-CLT study builds every size's field in the parent, for its
+cells, and its forked workers inherit them.  Exact-sum studies need no
+replication and run in-process.
 """
 
 from __future__ import annotations
@@ -61,8 +65,13 @@ def _replicate_rng(seed: int, domain: int, n1: int, index: int) -> np.random.Gen
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(domain, n1, index)))
 
 
-@lru_cache(maxsize=1)  # one active parameter set per worker is enough
+@lru_cache(maxsize=_measure._FIELD_CACHE)
 def _params_for(curve_key: str, n1: int) -> _measure.MeasureParams:
+    """The measure of one study size, the same object for every task of
+    the size in a process.  measure._field caches fields by that object,
+    so the cache holds a study's sizes: a forked worker finds the
+    fields its parent built before the fork, whatever the size of its
+    next task."""
     return _measure.MeasureParams.for_endpoint(curve_from_spec(json.loads(curve_key)), n1)
 
 
@@ -147,7 +156,10 @@ def _lclt_chunk(task):
 
 
 def _run_tasks(fn, tasks, workers: int):
-    if workers <= 1:
+    """fn over tasks, in order: in-process on one worker, else on one
+    pool, which takes every task of a study call and is made only when
+    there are tasks."""
+    if workers <= 1 or not tasks:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, tasks, chunksize=1))
@@ -186,33 +198,39 @@ def _decay_exponent(n1s, medians):
     return float(slope), se
 
 
-def _path_records(config, n1: int, count: int, max_attempts, result: StudyResult):
-    """Replicates 0..count-1 of draw_block at size n1, fanned out over the
-    pool; adds their details and overlay to result and returns the
-    (attempts, d_L) arrays in replicate order (d_L is nan when exhausted)
-    and the predicted attempts per path (nan for free draws)."""
+def _path_records(config, n1s, count: int, max_attempts, result: StudyResult) -> list:
+    """Replicates 0..count-1 of draw_block at each size of n1s, fanned
+    out over one pool; adds their details and overlay to result, size by
+    size, and returns per size the (attempts, d_L) arrays in replicate
+    order (d_L is nan when exhausted) and the predicted attempts per
+    path (nan for free draws)."""
     curve_key = json.dumps(config.curve_spec, sort_keys=True)
     chunk = max(1, count // (config.workers * 4))
     if max_attempts is not None:  # conditioned chunks are whole blocks
         chunk = BLOCK * math.ceil(chunk / BLOCK)
+    ranges = _chunk_ranges(count, chunk)
     tasks = [(curve_key, n1, s, c, config.seed, max_attempts)
-             for s, c in _chunk_ranges(count, chunk)]
+             for n1 in n1s for s, c in ranges]
     chunks = _run_tasks(_path_chunk, tasks, config.workers)
-    recs = sorted((r for _, out in chunks for r in out), key=lambda r: r[0])
-    for rep, _, d_h, d_l, argmax_t, verts in recs:
-        result.details.append((rep, n1, d_h, d_l, argmax_t))
-        if verts is not None:
-            result.extras.setdefault("overlay", {}).setdefault(n1, []).append(verts)
-    return (np.array([r[1] for r in recs], dtype=float),
-            np.array([r[3] for r in recs]), chunks[0][0])
+    out = []
+    for i, n1 in enumerate(n1s):
+        mine = chunks[i * len(ranges):(i + 1) * len(ranges)]
+        recs = [r for _, records in mine for r in records]  # in replicate order
+        for rep, _, d_h, d_l, argmax_t, verts in recs:
+            result.details.append((rep, n1, d_h, d_l, argmax_t))
+            if verts is not None:
+                result.extras.setdefault("overlay", {}).setdefault(n1, []).append(verts)
+        out.append((np.array([r[1] for r in recs], dtype=float),
+                    np.array([r[3] for r in recs]), mine[0][0]))
+    return out
 
 
 def run_limit_shape_study(config) -> StudyResult:
     """Distances of scaled sampled paths to the target, per path size."""
     result = StudyResult()
     medians = []
-    for n1 in config.n1_list:
-        _, d_l, _ = _path_records(config, n1, config.replicates, None, result)
+    records = _path_records(config, config.n1_list, config.replicates, None, result)
+    for n1, (_, d_l, _) in zip(config.n1_list, records):
         result.rows.extend(_fraction_rows(n1, d_l, ""))
         medians.append(float(np.median(d_l)))
     if len(config.n1_list) >= 2:
@@ -229,9 +247,8 @@ def run_conditioned_study(config) -> StudyResult:
     number that sizes the blocks' batches."""
     result = StudyResult()
     per = config.accepted_target
-    for n1 in config.conditioned_n1:
-        attempts, d_l, predicted = _path_records(config, n1, per, config.max_attempts,
-                                                 result)
+    records = _path_records(config, config.conditioned_n1, per, config.max_attempts, result)
+    for n1, (attempts, d_l, predicted) in zip(config.conditioned_n1, records):
         accepted = d_l[np.isfinite(d_l)]
         result.rows.extend(_fraction_rows(n1, accepted, "cond_"))
         result.rows.append(ConvergenceRow(
@@ -303,27 +320,31 @@ def _lclt_cells(params, half_width: int = 2):
 
 
 def run_lclt_study(config) -> StudyResult:
-    """Empirical endpoint hit frequencies against the Gaussian density."""
+    """Empirical endpoint hit frequencies against the Gaussian density.
+    Every size's field is built here, for its cells, before the pool
+    forks, so the workers draw from the fields they inherit."""
     curve_key = json.dumps(config.curve_spec, sort_keys=True)
     result = StudyResult()
     replicates = config.lclt_replicates
     batch = config.lclt_batch
-    p_hat_at_n = {}
+    n_batches = (replicates + batch - 1) // batch
+    sizes, tasks = [], []
     for n1 in config.n1_list:
         params = _params_for(curve_key, n1)
         report, cells = _lclt_cells(params)
         target = (params.n1, params.n2)
-        all_cells = cells + [target]
         density_target = _measure.gaussian_density_at(report, target)
         if density_target * replicates < 25:
             raise InsufficientReplicates(
                 f"expected hits {density_target * replicates:.1f} < 25 at n1={n1}")
-        n_batches = (replicates + batch - 1) // batch
-        tasks = [(curve_key, n1, b_idx,
-                  min(batch, replicates - b_idx * batch), config.seed,
-                  tuple(all_cells))
-                 for b_idx in range(n_batches)]
-        counts = sum(_run_tasks(_lclt_chunk, tasks, config.workers))
+        sizes.append((n1, report, cells, density_target))
+        tasks.extend((curve_key, n1, b_idx, min(batch, replicates - b_idx * batch),
+                      config.seed, tuple(cells + [target]))
+                     for b_idx in range(n_batches))
+    done = _run_tasks(_lclt_chunk, tasks, config.workers)
+    p_hat_at_n = {}
+    for i, (n1, report, cells, density_target) in enumerate(sizes):
+        counts = sum(done[i * n_batches:(i + 1) * n_batches])
         cell_counts = counts[:-1]
         target_count = int(counts[-1])
 

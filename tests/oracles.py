@@ -191,6 +191,87 @@ def searchsorted_endpoints(field, count: int, rng):
     return xi, tuple(np.concatenate(empty + out) for out in (reps_out, idx_out, nu_out))
 
 
+def concatenated_support(support):
+    """A per-round support (sampler.sample_endpoints) as the (rep,
+    dir_index, nu) arrays of all its rows, its rounds joined in order."""
+    empty = [np.empty(0, np.int64)]
+    return tuple(np.concatenate(empty + list(rounds)) for rounds in support)
+
+
+def concatenated_configurations_of(params, support, reps):
+    """Edge arrays of replicates reps, in that order, by the concatenated
+    route: join the rounds, select the rows of reps with isin, lexsort
+    them by replicate and then dir_index, gather them and cut one
+    searchsorted slice per replicate; the reference for
+    sampler.configurations_of."""
+    from limitshape.measure import _field
+
+    f = _field(params)
+    rows_rep, idx, nu = concatenated_support(support)
+    reps = np.asarray(reps, dtype=np.int64)
+    rows = np.flatnonzero(np.isin(rows_rep, reps))
+    rows = rows[np.lexsort((idx[rows], rows_rep[rows]))]
+    keys = rows_rep[rows]
+    lo = np.searchsorted(keys, reps, side="left")
+    hi = np.searchsorted(keys, reps, side="right")
+    edges = np.column_stack([f.x1[idx[rows]], f.x2[idx[rows]], nu[rows]]).astype(np.int64)
+    return [edges[a:b] for a, b in zip(lo, hi)]
+
+
+def concatenated_conditioned_configurations(params, n, count: int, batch: int,
+                                            max_attempts: int, rng):
+    """sampler.conditioned_configurations on the concatenated route: each
+    batch's support joined into three arrays, the pair's multiplicities
+    added from them, and the accepted draws' rows (the pair's dropped,
+    (a, s) and (b, t) appended) rebuilt by concatenated_configurations_of;
+    the same random numbers in the same order, the same attempts and
+    the same Exhausted, closest miss included."""
+    from limitshape import sampler
+    from limitshape.errors import Exhausted
+    from limitshape.measure import _field, covariance_matrix
+
+    f = _field(params)
+    ia, ib = f.completing_pair
+    a1, a2, b1, b2 = (int(v) for v in (f.x1[ia], f.x2[ia], f.x1[ib], f.x2[ib]))
+    det = a1 * b2 - a2 * b1
+    target = np.asarray(n, dtype=np.int64)
+    k_inv = np.linalg.inv(covariance_matrix(params))
+    out, accepted_at, attempts = [], [], 0
+    best_d2, best_xi = math.inf, (0, 0)
+    while attempts < max_attempts:
+        size = min(batch, max_attempts - attempts)
+        xi, support = sampler.sample_endpoints(params, size, rng, collect_support=True)
+        rep, idx, nu = concatenated_support(support)
+        u = rng.random(size)
+        on_a, on_b = idx == ia, idx == ib
+        r1, r2 = target[0] - xi[:, 0], target[1] - xi[:, 1]
+        s, s_rem = np.divmod(r1 * b2 - r2 * b1, det)
+        t, t_rem = np.divmod(a1 * r2 - a2 * r1, det)
+        s[rep[on_a]] += nu[on_a]
+        t[rep[on_b]] += nu[on_b]
+        ok = (s_rem == 0) & (t_rem == 0) & (s >= 0) & (t >= 0)
+        ok[ok] = u[ok] < np.exp(s[ok] * -f.neg_log_z[ia] + t[ok] * -f.neg_log_z[ib])
+        hits = np.flatnonzero(ok)[:count - len(out)]
+        if hits.size:
+            keep = np.isin(rep, hits) & ~on_a & ~on_b
+            with_a, with_b = hits[s[hits] > 0], hits[t[hits] > 0]
+            rows = ([np.concatenate([rep[keep], with_a, with_b])],
+                    [np.concatenate([idx[keep], np.full(with_a.size, ia),
+                                     np.full(with_b.size, ib)])],
+                    [np.concatenate([nu[keep], s[with_a], t[with_b]])])
+            out.extend(concatenated_configurations_of(params, rows, hits))
+            accepted_at.append(attempts + hits)
+        if len(out) == count:
+            return out, np.diff(np.concatenate(accepted_at), prepend=-1)
+        attempts += size
+        diff = (xi - target).astype(float)
+        d2 = np.einsum("ij,jk,ik->i", diff, k_inv, diff)
+        i_best = int(np.argmin(d2))
+        if d2[i_best] < best_d2:
+            best_d2, best_xi = float(d2[i_best]), (int(xi[i_best, 0]), int(xi[i_best, 1]))
+    raise Exhausted(attempts, len(out), count, best_xi, math.sqrt(best_d2))
+
+
 def rejection_configurations(params, n, count: int, batch: int, rng):
     """Plain rejection, the reference route of the conditioned draws:
     free endpoint batches of sampler.sample_endpoints, keeping the draws

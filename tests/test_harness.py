@@ -411,7 +411,7 @@ def test_conditioned_study_exhausted_block(monkeypatch):
 
     def records():
         res = stu.StudyResult()
-        attempts, _, _ = stu._path_records(cfg, 30, 70, cfg.max_attempts, res)
+        [(attempts, _, _)] = stu._path_records(cfg, [30], 70, cfg.max_attempts, res)
         return attempts.tolist(), res.details
 
     clean_attempts, clean = records()
@@ -433,11 +433,11 @@ def test_conditioned_study_exhausted_block(monkeypatch):
 
 def _endpoints_past(params, count, rng, collect_support=False):
     """sample_endpoints stand-in whose every draw ends past the target in
-    both coordinates, with no rows: the completing pair, which only adds
-    steps, never brings such a draw back to the target."""
-    empty = np.empty(0, np.int64)
+    both coordinates, with no rows (a support of no rounds): the
+    completing pair, which only adds steps, never brings such a draw
+    back to the target."""
     xi = np.tile(np.array([params.n1 + 1, params.n2 + 1], dtype=np.int64), (count, 1))
-    return (xi, (empty, empty, empty)) if collect_support else xi
+    return (xi, ([], [], [])) if collect_support else xi
 
 
 def test_conditioned_study_with_no_accepted_replicate(monkeypatch):
@@ -481,6 +481,78 @@ def test_lclt_study_small():
     assert center[0].ratio == pytest.approx(1.0, abs=0.5)
     assert center[0].stderr > 0
     assert len(res.details) == 25
+
+
+# Three sizes per study, with counts that are multiples of neither the
+# chunk nor BLOCK at any worker count, and of no lclt batch.
+_FAN_OUT = {
+    "free": (stu.run_limit_shape_study, dict(n1_list=[30, 40, 50], replicates=29)),
+    "conditioned": (stu.run_conditioned_study,
+                    dict(mode="condition", n1_list=[20], conditioned_n1=[20, 30, 40],
+                         accepted_target=70, max_attempts=10 ** 6)),
+    "lclt": (stu.run_lclt_study, dict(n1_list=[20, 24, 28], lclt_replicates=100_003,
+                                      lclt_batch=30_000)),
+}
+
+
+def _count_pools(monkeypatch):
+    made = []
+
+    class Counted(stu.ProcessPoolExecutor):
+        def __init__(self, *args, **kw):
+            made.append(kw.get("max_workers"))
+            super().__init__(*args, **kw)
+
+    monkeypatch.setattr(stu, "ProcessPoolExecutor", Counted)
+    return made
+
+
+@pytest.mark.parametrize("name", list(_FAN_OUT))
+def test_study_runs_every_size_on_one_pool(name, monkeypatch):
+    """A study call on several workers creates one pool for all of its
+    sizes, and on one worker none; rows and details are identical at
+    one, two and three workers."""
+    study, kw = _FAN_OUT[name]
+    made = _count_pools(monkeypatch)
+    results = []
+    for workers in (1, 2, 3):
+        before = len(made)
+        results.append(study(_config(workers=workers, **kw)))
+        assert made[before:] == ([] if workers == 1 else [workers])
+    one, *more = results
+    assert len({d[1] if name != "lclt" else d[0] for d in one.details}) == 3
+    for other in more:
+        assert other.rows == one.rows
+        assert other.details == one.details
+
+
+def test_conditioned_study_without_sizes_makes_no_pool(monkeypatch):
+    made = _count_pools(monkeypatch)
+    res = stu.run_conditioned_study(_config(mode="condition", n1_list=[20], conditioned_n1=[],
+                                            workers=2))
+    assert made == []
+    assert (res.rows, res.details) == ([], [])
+
+
+def test_lclt_workers_inherit_the_parent_fields(tmp_path, monkeypatch):
+    """The lclt parent builds each size's field for its cells before the
+    pool forks, and no worker builds one again."""
+    log = tmp_path / "builds"
+
+    class Logged(ms._DirectionField):
+        def __init__(self, params):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {params.n1}\n")
+            super().__init__(params)
+
+    monkeypatch.setattr(ms, "_DirectionField", Logged)
+    stu._params_for.cache_clear()
+    ms._field.cache_clear()
+    made = _count_pools(monkeypatch)
+    _, kw = _FAN_OUT["lclt"]
+    stu.run_lclt_study(_config(workers=2, **kw))
+    assert made == [2]
+    assert log.read_text().split("\n")[:-1] == [f"{os.getpid()} {n1}" for n1 in kw["n1_list"]]
 
 
 # --- CLI --------------------------------------------------------------------------------
@@ -641,6 +713,7 @@ _MALFORMED = {
     27: ("verify", {"n2": 7}),
     28: ("profile", {"n2": 7}),
     30: ("oracle", {"n1_list": [20]}),
+    31: ("verify", {"conditioned_n1": [20, 20]}),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,12 +143,107 @@ def test_skip_moves_on_after_a_zero_step(parabola1):
     # a step of 0 leaves the consumed hazard at cum[j]; the next skip must
     # still land on a later direction, or the rebuild would see a repeat
     params = _params(parabola1, 100)
-    xi, (reps, idx, nu) = sp.sample_endpoints(params, 50, _ZeroEveryOtherStep(3),
-                                              collect_support=True)
+    xi, support = sp.sample_endpoints(params, 50, _ZeroEveryOtherStep(3),
+                                      collect_support=True)
+    reps, idx, _ = oracles.concatenated_support(support)
     for r in range(50):
         assert np.all(np.diff(idx[reps == r]) > 0)
-    for r, edges in enumerate(sp.configurations_of(params, (reps, idx, nu), range(50))):
+    for r, edges in enumerate(sp.configurations_of(params, support, range(50))):
         assert _endpoint(edges).tolist() == xi[r].tolist()
+
+
+def _same_paths(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_support_rounds_are_ascending(parabola1):
+    """Each round's replicate array is ascending with no repeats, and a
+    replicate's rounds visit its directions in slope order."""
+    params = _params(parabola1, 100)
+    _, support = sp.sample_endpoints(params, 3000, np.random.default_rng(11),
+                                     collect_support=True)
+    assert len(support[0]) == len(support[1]) == len(support[2]) > 1
+    for rep_r in support[0]:
+        assert rep_r.dtype == np.int64 and np.all(np.diff(rep_r) > 0)
+    reps, idx, _ = oracles.concatenated_support(support)
+    order = np.argsort(reps, kind="stable")
+    same = reps[order][1:] == reps[order][:-1]
+    assert np.all(np.diff(idx[order])[same] > 0)
+
+
+@pytest.mark.parametrize("n1", [20, 100])
+def test_configurations_of_matches_concatenated_route(parabola1, n1):
+    """The per-round rebuild gives the concatenated route's edge arrays
+    on random replicate orders, subsets and repeats, on a stream with
+    zero steps, and with empty rounds anywhere in the support."""
+    params = _params(parabola1, n1)
+    pick = np.random.default_rng(n1)
+    for rng in (np.random.default_rng(5), _ZeroEveryOtherStep(5)):
+        _, support = sp.sample_endpoints(params, 1000, rng, collect_support=True)
+        for reps in (pick.permutation(1000), pick.choice(1000, 37), np.arange(0),
+                     np.array([999, 0, 999, 500])):
+            _same_paths(sp.configurations_of(params, support, reps),
+                        oracles.concatenated_configurations_of(params, support, reps))
+        empty = np.empty(0, np.int64)
+        padded = tuple([empty] + [a for r in rounds for a in (r, empty)] for rounds in support)
+        reps = pick.permutation(1000)
+        _same_paths(sp.configurations_of(params, padded, reps),
+                    oracles.concatenated_configurations_of(params, support, reps))
+    # a support of empty rounds, or of none, holds empty paths only
+    for support in (([], [], []), ([empty] * 3, [empty] * 3, [empty] * 3)):
+        got = sp.configurations_of(params, support, [3, 1])
+        _same_paths(got, oracles.concatenated_configurations_of(params, support, [3, 1]))
+        assert [e.shape for e in got] == [(0, 3), (0, 3)]
+
+
+@pytest.mark.parametrize("n1", [100, 200])
+@pytest.mark.parametrize("batch, count", [(1, 2), (7, 2), (3000, 40), (8192, 40)])
+def test_conditioned_configurations_match_concatenated_route(parabola1, n1, batch, count):
+    """The per-round conditioned loop hands out the same paths and
+    attempts as the concatenated reference loop on the same stream."""
+    params = _params(parabola1, n1)
+    n = (params.n1, params.n2)
+    got = sp.conditioned_configurations(params, n, count, batch, 10 ** 6,
+                                        np.random.default_rng(batch + n1))
+    want = oracles.concatenated_conditioned_configurations(params, n, count, batch, 10 ** 6,
+                                                           np.random.default_rng(batch + n1))
+    _same_paths(got[0], want[0])
+    assert got[1].dtype == want[1].dtype and got[1].tolist() == want[1].tolist()
+
+
+def test_conditioned_exhausted_matches_concatenated_route(parabola1):
+    params = _params(parabola1, 200)
+    errors = []
+    for draw in (sp.conditioned_configurations, oracles.concatenated_conditioned_configurations):
+        with pytest.raises(Exhausted) as err:
+            draw(params, (200, 200), 10_000, 3000, 10_000, np.random.default_rng(53))
+        errors.append(err.value)
+    got, want = errors
+    assert 0 < got.accepted < got.count
+    assert ((got.attempts, got.accepted, got.count, got.closest_endpoint, got.closest_distance)
+            == (want.attempts, want.accepted, want.count, want.closest_endpoint,
+                want.closest_distance))
+
+
+@pytest.mark.parametrize("seed", [1, 2])  # one batch, then two
+def test_conditioned_block_memory(parabola1, seed):
+    """One 32-path block at n1 = 200 in batches of 8192 peaks under 8 MB
+    of Python allocations: a batch's support is never joined into three
+    arrays, and it is released before the next batch is drawn (joining
+    peaks near 11 MB in one batch and 17 MB in two)."""
+    params = _params(parabola1, 200)
+    n = (200, 200)
+    sp.conditioned_configurations(params, n, 1, 1, 10 ** 6, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        sp.conditioned_configurations(params, n, 32, 8192, 10 ** 6,
+                                      np.random.default_rng(seed))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # --- guide-table skip lookup -----------------------------------------------------
@@ -196,7 +292,7 @@ def test_sample_endpoints_matches_searchsorted_route(parabola1, n1, seed):
     want = oracles.searchsorted_endpoints(f, 3000, np.random.default_rng(seed))
     got = sp.sample_endpoints(params, 3000, np.random.default_rng(seed), collect_support=True)
     assert np.array_equal(got[0], want[0])
-    for a, b in zip(got[1], want[1]):
+    for a, b in zip(oracles.concatenated_support(got[1]), want[1]):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert np.array_equal(sp.sample_endpoints(params, 3000, np.random.default_rng(seed)),
                           want[0])
@@ -267,8 +363,9 @@ def test_skip_route_matches_direct_route(parabola1):
         for x1, x2, _ in config.support:
             j = int(np.nonzero((f.x1 == x1) & (f.x2 == x2))[0][0])
             active_direct[j] += 1
-    xi_skip, (reps, idx, nus) = sp.sample_endpoints(
+    xi_skip, support = sp.sample_endpoints(
         params, n_draws, np.random.default_rng(29), collect_support=True)
+    _, idx, _ = oracles.concatenated_support(support)
     active_skip = np.bincount(idx, minlength=f.x1.size).astype(float)
 
     p = f.zpow
