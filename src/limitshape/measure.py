@@ -26,7 +26,9 @@ slope; step_knots and step_at evaluate them, and profile_gap is the
 one place a step profile is compared with the arc-length profile l of
 the curve.  expected_length_profile_mobius is the independent route
 that cross-checks the exact sums: one Moebius-inverted sum over the
-full lattice.
+full lattice.  completing_set tabulates the exact law, on the box
+[0, n], of the part of the endpoint carried by the likeliest
+directions, which endpoint conditioning draws from.
 """
 
 from __future__ import annotations
@@ -59,8 +61,9 @@ assert abs(KAPPA - _KAPPA_PINNED) < 1e-12, "zeta-based kappa drifted from pinned
 _TAIL_BUDGET = 1e-9
 _MAX_RADIUS = 200_000
 _SECTOR_SAFETY = 0.9  # sector floor = 0.9 x the smaller tilt at its two ends
-_PAIR_POOL = 16  # likeliest directions searched for the completing pair
+_PAIR_POOL = 16  # likeliest directions: the completing pair's pool and the completing set
 _FIELD_CACHE = 4  # fields kept per process: a study's sizes, which forked workers inherit
+_SET_TABLE_CELLS = 1 << 20  # float64 cells of a completing set's tables, 8 MB
 
 
 def _tilt_base(curve: ConvexCurve, t: np.ndarray) -> np.ndarray:
@@ -341,6 +344,97 @@ def _guide_table(cum) -> np.ndarray:
 @lru_cache(maxsize=_FIELD_CACHE)
 def _field(params: MeasureParams) -> _DirectionField:
     return _DirectionField(params)
+
+
+def _knapsack(q: np.ndarray, x1: int, x2: int, z: float) -> np.ndarray:
+    """(1 - z) * H with H[r] = q[r] + z * H[r - x] on q's box: the law q
+    of a lattice point convolved with nu * x, nu geometric with
+    parameter z, restricted to the box.  H is built in slices of x1 rows
+    (of x2 columns when x1 = 0), each from the slice before it, so no
+    Python loop runs per cell."""
+    h = q.copy()
+    rows, step, shift = (h, x1, x2) if x1 else (h.T, x2, 0)
+    width = rows.shape[1]
+    if shift < width:
+        for i in range(step, rows.shape[0], step):
+            dst = rows[i:i + step]
+            dst[:, shift:] += z * rows[i - step:i - step + dst.shape[0], :width - shift]
+    h *= 1.0 - z
+    return h
+
+
+class _CompletingSet:
+    """The directions S whose multiplicities complete a conditioned draw
+    to the endpoint n, with the law of xi_S = sum of nu_x * x over S on
+    the box [0, n].
+
+    S is the field's completing pair {a, b} (levels 1 and 2) and then
+    index[2:], levels 3 .. m: the other _PAIR_POOL likeliest directions,
+    likeliest first, as many as min(_PAIR_POOL - 2, _SET_TABLE_CELLS //
+    box) with box = (n1 + 1)(n2 + 1) cells, so none on a box too large.
+    The level-j weight is the pmf of the sum over the set's first j
+    directions divided by the pair's mass (1 - z_a)(1 - z_b): at level 2
+    the pair's closed form z_a^s * z_b^t where r = s*a + t*b in integers
+    s, t >= 0 (pair_solve), and at each level j >= 3 its table
+    tables[j - 3] on the box.  The tables are one chain of _knapsack
+    steps, one per direction of the set, from 1 / mass at r = 0; the
+    chain's first two steps give the pair's level, which is kept only in
+    closed form.  peak is the largest top-level weight, 1 (at r = 0) for
+    the pair alone.
+    """
+
+    def __init__(self, params: MeasureParams, n: tuple):
+        f = _field(params)
+        ia, ib = f.completing_pair
+        self.a1, self.a2, self.b1, self.b2 = (int(v) for v in (f.x1[ia], f.x2[ia],
+                                                               f.x1[ib], f.x2[ib]))
+        self.det = self.a1 * self.b2 - self.a2 * self.b1
+        self.log_za, self.log_zb = -f.neg_log_z[ia], -f.neg_log_z[ib]
+        self.mass = (1.0 - f.zpow[ia]) * (1.0 - f.zpow[ib])
+        pool = np.argsort(-f.zpow, kind="stable")[:_PAIR_POOL]
+        extra = pool[(pool != ia) & (pool != ib)]
+        box = (max(n[0], -1) + 1) * (max(n[1], -1) + 1)
+        extra = extra[:min(extra.size, _SET_TABLE_CELLS // box) if box else 0]
+        self.index = np.concatenate([[ia, ib], extra]).astype(np.int64)
+        self.x1, self.x2 = f.x1[self.index], f.x2[self.index]
+        self.z = f.zpow[self.index]
+        self.in_set = np.zeros(f.x1.size, dtype=bool)
+        self.in_set[self.index] = True
+        self.tables = []
+        if extra.size:
+            weight = np.zeros((n[0] + 1, n[1] + 1))
+            weight[0, 0] = 1.0 / self.mass
+            for j in range(self.index.size):
+                weight = _knapsack(weight, int(self.x1[j]), int(self.x2[j]), float(self.z[j]))
+                if j >= 2:
+                    self.tables.append(weight)
+        self.peak = float(self.tables[-1].max()) if self.tables else 1.0
+
+    def pair_solve(self, r1, r2):
+        """(s, t, ok): r = s*a + t*b solved by the adjugate of (a, b),
+        with ok where s and t are integers >= 0."""
+        s, s_rem = np.divmod(r1 * self.b2 - r2 * self.b1, self.det)
+        t, t_rem = np.divmod(self.a1 * r2 - self.a2 * r1, self.det)
+        return s, t, (s_rem == 0) & (t_rem == 0) & (s >= 0) & (t >= 0)
+
+    def weight(self, level: int, r1, r2) -> np.ndarray:
+        """The level's weight at the integer points (r1, r2) <= n: the
+        pair's closed form at level 2, else its table, 0 off the box."""
+        out = np.zeros(np.shape(r1))
+        if level == 2:
+            s, t, ok = self.pair_solve(r1, r2)
+            out[ok] = np.exp(s[ok] * self.log_za + t[ok] * self.log_zb)
+        else:
+            inside = (r1 >= 0) & (r2 >= 0)
+            out[inside] = self.tables[level - 3][r1[inside], r2[inside]]
+        return out
+
+
+@lru_cache(maxsize=_FIELD_CACHE)
+def completing_set(params: MeasureParams, n: tuple) -> _CompletingSet:
+    """The completing set of endpoint n (a tuple of ints), tables built
+    on first use."""
+    return _CompletingSet(params, n)
 
 
 def nu_moments(zp):

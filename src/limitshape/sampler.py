@@ -7,11 +7,17 @@ of (x1, x2, nu) rows, nu >= 1, in strictly increasing slope, the order
 of the direction field.  Draws take their rows straight from the field,
 so assembly is a prefix sum, and the length profile is a step function
 (profile_knots, evaluated by measure.step_at).  Endpoint conditioning
-is exact probabilistic divide-and-conquer (Arratia & DeSalvo 2016): a
-free draw has the rows of the field's completing pair {a, b} dropped,
-the pair is solved for exactly on the integers so that the path ends at
-the target, and the draw is kept with probability z_a^s * z_b^t, which
-leaves the conditioned law itself with no tolerance involved.
+is exact probabilistic divide-and-conquer (Arratia & DeSalvo 2016)
+through a completing set S (measure.completing_set): the field's
+completing pair {a, b} and up to 14 more of its likeliest directions,
+with the exact law P_S of their part of the endpoint tabulated on the
+box [0, n].  A free draw has its rows in S dropped, which leaves the
+residual r = n - xi_A; it is kept with probability P_S(r) / max P_S,
+and a kept draw gets S's multiplicities from their law given r, the
+non-pair directions one by one from the tables and the pair solved
+exactly on the integers.  That leaves the conditioned law itself with
+no tolerance involved.  A box too large for the table budget keeps the
+pair alone, whose test is U < z_a^s * z_b^t.
 conditioned_configurations is that one loop: it draws batched
 endpoints under an attempt budget, hands out a batch's accepted draws
 in replicate order as edge arrays with each path's own attempts, and
@@ -53,7 +59,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import Exhausted
-from .measure import MeasureParams, _field, covariance_matrix, endpoint_density, step_knots
+from .measure import (MeasureParams, _field, completing_set, covariance_matrix, endpoint_density,
+                      step_knots)
 
 _CONDITION_BATCH = 8192  # the largest batch condition_batch gives
 _LOOKUP_BLOCK = 32768  # skip-lookup queries per block of _skip_index
@@ -226,24 +233,58 @@ def configurations_of(params: MeasureParams, support, reps) -> list:
     return _edge_arrays(params, *_replicate_rows(support, reps), reps.size)
 
 
+def _complete(cs, r1, r2, v) -> np.ndarray:
+    """The multiplicities (one column per direction of the completing set
+    cs, in cs.index order) of accepted draws whose S part must sum to
+    r = (r1, r2): nu_j for levels j = m .. 3 from
+    P(nu_j = k | r) proportional to z_j^k * weight_{j-1}(r - k*x_j), by
+    inverse transform of the uniforms v[:, j - 3], r losing nu_j * x_j
+    after each, then the pair's (s, t) by its exact solve."""
+    nus = np.empty((r1.size, cs.index.size), dtype=np.int64)
+    for level in range(cs.index.size, 2, -1):
+        p, q = int(cs.x1[level - 1]), int(cs.x2[level - 1])
+        top = min(int(r1.max()) // p if p else math.inf, int(r2.max()) // q if q else math.inf)
+        k = np.arange(top + 1)
+        w = cs.z[level - 1] ** k * cs.weight(level - 1, r1[:, None] - k * p,
+                                             r2[:, None] - k * q)
+        cum = np.cumsum(w, axis=1)
+        total = cum[:, -1]
+        # the first k whose cumulative weight exceeds U * total, which the
+        # cap keeps below total, so the chosen k has positive weight
+        below = np.minimum(v[:, level - 3] * total, np.nextafter(total, 0.0))
+        nu = np.count_nonzero(cum <= below[:, None], axis=1)
+        nus[:, level - 1] = nu
+        r1, r2 = r1 - nu * p, r2 - nu * q
+    nus[:, 0], nus[:, 1], _ = cs.pair_solve(r1, r2)
+    return nus
+
+
 def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
                                max_attempts: int, rng: np.random.Generator):
     """The edge arrays of the first count accepted draws, exact draws
     of the configuration conditioned on endpoint n, in replicate order.
 
-    Probabilistic divide-and-conquer with the field's completing pair
-    {a, b}: each draw is a free configuration (sample_endpoints) whose
-    pair rows are dropped, leaving xi_A, and then one uniform U (drawn
-    after the batch's endpoints, one per draw).  The draw is accepted
-    when n - xi_A = s*a + t*b has a solution in integers s, t >= 0
-    (exact, by the adjugate of (a, b)) and U < z_a^s * z_b^t; its edge
-    array is the draw's other rows with (a, s) and (b, t) in their
-    slope places.  The accepted law is proportional to
-    P(config_A) P(nu_a = s) P(nu_b = t) 1[xi = n], which is the
-    conditioned law itself, and a draw is accepted with probability
-    P(xi = n) / ((1 - z_a)(1 - z_b)).  The pair's multiplicities are
-    added round by round from the batch's support, and its rows are
-    dropped only from the accepted draws' rows.
+    Probabilistic divide-and-conquer with the completing set S of n
+    (measure.completing_set: the field's completing pair {a, b} and up
+    to 14 more of the likeliest directions, with the exact law P_S of
+    xi_S on the box [0, n] as tables, and M its largest value there).
+    Each draw is a free configuration (sample_endpoints) whose rows in S
+    are dropped, leaving xi_A and r = n - xi_A, and then one uniform U
+    (drawn after the batch's endpoints, one per draw).  The draw is
+    accepted when U * M < P_S(r); then (m - 2) more uniforms are drawn
+    for every accepted draw of the batch, in draw order, before the
+    batch is cut to count, and only the kept draws use theirs: S's
+    multiplicities are drawn from their law given xi_S = r, the non-pair
+    directions one by one (_complete) and the pair's (s, t) solved
+    exactly.  The accepted law is proportional to
+    P(config_A) P(config_S | xi_S = r) P_S(r) 1[xi = n], which is the
+    conditioned law itself with no tolerance, and a draw is accepted
+    with probability P(xi = n) / M.  With the pair alone (a box larger
+    than the table budget) M is (1 - z_a)(1 - z_b), the test is
+    U < z_a^s * z_b^t and no further uniform is drawn.  S's rows are
+    subtracted round by round from the batch's support, and dropped
+    only from the kept draws' rows, whose edge arrays get S's rows with
+    nu >= 1 in their slope places.
 
     Draws batches of min(batch, max_attempts - attempts) and returns
     (edge arrays, attempts), where attempts is an int64 array with one
@@ -255,10 +296,9 @@ def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
     the covariance-adapted (Mahalanobis) norm.
     """
     f = _field(params)
-    ia, ib = f.completing_pair
-    a1, a2, b1, b2 = (int(v) for v in (f.x1[ia], f.x2[ia], f.x1[ib], f.x2[ib]))
-    det = a1 * b2 - a2 * b1
-    log_za, log_zb = -f.neg_log_z[ia], -f.neg_log_z[ib]
+    n = (int(n[0]), int(n[1]))
+    cs = completing_set(params, n)
+    levels = cs.index.size
     target = np.asarray(n, dtype=np.int64)
     k_inv = np.linalg.inv(covariance_matrix(params))
     out: list = []
@@ -269,26 +309,24 @@ def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
         size = min(batch, max_attempts - attempts)
         xi, support = sample_endpoints(params, size, rng, collect_support=True)
         u = rng.random(size)
-        # n - xi_A = (n - xi) + nu_a*a + nu_b*b: solve n - xi by the
-        # adjugate, then add the pair's own multiplicities
         r1, r2 = target[0] - xi[:, 0], target[1] - xi[:, 1]
-        s, s_rem = np.divmod(r1 * b2 - r2 * b1, det)
-        t, t_rem = np.divmod(a1 * r2 - a2 * r1, det)
         for rep_r, idx_r, nu_r in zip(*support):  # a replicate is in a round once
-            on_a, on_b = idx_r == ia, idx_r == ib
-            s[rep_r[on_a]] += nu_r[on_a]
-            t[rep_r[on_b]] += nu_r[on_b]
-        ok = (s_rem == 0) & (t_rem == 0) & (s >= 0) & (t >= 0)
-        ok[ok] = u[ok] < np.exp(s[ok] * log_za + t[ok] * log_zb)
+            on = cs.in_set[idx_r]
+            rep, j, nu = rep_r[on], idx_r[on], nu_r[on]
+            r1[rep] += f.x1[j] * nu
+            r2[rep] += f.x2[j] * nu
+        ok = u * cs.peak < cs.weight(levels, r1, r2)
+        v = rng.random((np.count_nonzero(ok), levels - 2))
         hits = np.flatnonzero(ok)[:count - len(out)]
         if hits.size:
+            nus = _complete(cs, r1[hits], r2[hits], v[:hits.size])
             owner, idx, nu = _replicate_rows(support, hits)
-            keep = (idx != ia) & (idx != ib)
-            with_a, with_b = np.flatnonzero(s[hits] > 0), np.flatnonzero(t[hits] > 0)
+            keep = ~cs.in_set[idx]
+            own_s, pos_s = np.nonzero(nus > 0)
             out.extend(_edge_arrays(
-                params, np.concatenate([owner[keep], with_a, with_b]),
-                np.concatenate([idx[keep], np.full(with_a.size, ia), np.full(with_b.size, ib)]),
-                np.concatenate([nu[keep], s[hits[with_a]], t[hits[with_b]]]), hits.size))
+                params, np.concatenate([owner[keep], own_s]),
+                np.concatenate([idx[keep], cs.index[pos_s]]),
+                np.concatenate([nu[keep], nus[own_s, pos_s]]), hits.size))
             accepted_at.append(attempts + hits)
         del support  # the next batch draws its support without this one's beside it
         if len(out) == count:
@@ -305,11 +343,14 @@ def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
 @lru_cache(maxsize=4)
 def predicted_attempts(params: MeasureParams, n: tuple) -> float:
     """Predicted draws per path accepted by conditioned_configurations:
-    (1 - z_a)(1 - z_b) / p(n), with p(n) the Gaussian local-CLT density
-    of the endpoint at n (measure.endpoint_density, no quadrature)."""
-    f = _field(params)
-    ia, ib = f.completing_pair
-    return float((1.0 - f.zpow[ia]) * (1.0 - f.zpow[ib]) / endpoint_density(params, n))
+    M / p(n), with M the largest value of the completing set's law on
+    the box (measure.completing_set; (1 - z_a)(1 - z_b) for the pair
+    alone) and p(n) the Gaussian local-CLT density of the endpoint at n
+    (measure.endpoint_density, no quadrature).  The completing set is
+    built first, so a field without a pair raises ParameterOutOfRange
+    before the density is evaluated."""
+    cs = completing_set(params, n)
+    return float(cs.mass * cs.peak / endpoint_density(params, n))
 
 
 @dataclass(frozen=True)

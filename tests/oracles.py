@@ -220,12 +220,15 @@ def concatenated_configurations_of(params, support, reps):
 
 def concatenated_conditioned_configurations(params, n, count: int, batch: int,
                                             max_attempts: int, rng):
-    """sampler.conditioned_configurations on the concatenated route: each
-    batch's support joined into three arrays, the pair's multiplicities
-    added from them, and the accepted draws' rows (the pair's dropped,
-    (a, s) and (b, t) appended) rebuilt by concatenated_configurations_of;
-    the same random numbers in the same order, the same attempts and
-    the same Exhausted, closest miss included."""
+    """The conditioned loop of the completing pair alone, which is
+    sampler.conditioned_configurations when no table of the completing
+    set fits its budget, on the concatenated route: each batch's support
+    joined into three arrays, the pair's multiplicities added from them,
+    the test U < z_a^s * z_b^t, and the accepted draws' rows (the pair's
+    dropped, (a, s) and (b, t) appended) rebuilt by
+    concatenated_configurations_of; the same random numbers in the same
+    order, the same attempts and the same Exhausted, closest miss
+    included."""
     from limitshape import sampler
     from limitshape.errors import Exhausted
     from limitshape.measure import _field, covariance_matrix
@@ -355,3 +358,54 @@ def dense_hausdorff(a, b) -> float:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     return max(dense_directed_hausdorff(a, b), dense_directed_hausdorff(b, a))
+
+
+def box_pmf(directions, zs, n):
+    """The pmf on the box [0, n1] x [0, n2] of the sum of nu_x * x over
+    the given directions, the nu_x independent geometric with parameter
+    z_x: a direct convolution that adds, for each direction and each k
+    with k*x in the box, the box shifted by k*x with weight
+    (1 - z) * z^k.  Mass that leaves the box never returns, so the
+    values inside it are exact."""
+    p = np.zeros((n[0] + 1, n[1] + 1))
+    p[0, 0] = 1.0
+    for (x1, x2), z in zip(directions, zs):
+        new = (1.0 - z) * p
+        k = 1
+        while k * x1 <= n[0] and k * x2 <= n[1]:
+            new[k * x1:, k * x2:] += (1.0 - z) * z ** k * p[:n[0] + 1 - k * x1, :n[1] + 1 - k * x2]
+            k += 1
+        p = new
+    return p
+
+
+def endpoint_pmf_on_box(params, n):
+    """p(m) = P(xi = m) of the free endpoint under the truncated measure,
+    for m in the box [0, n]: box_pmf over the field's directions inside
+    the box, times prod(1 - z) over the rest, each of which must have
+    nu = 0 for xi to stay in the box."""
+    from limitshape.measure import _field
+
+    f = _field(params)
+    inside = (f.x1 <= n[0]) & (f.x2 <= n[1])
+    return (box_pmf(zip(f.x1[inside].tolist(), f.x2[inside].tolist()), f.zpow[inside], n)
+            * float(np.prod(1.0 - f.zpow[~inside])))
+
+
+def enumerated_box_pmf(directions, zs, n):
+    """box_pmf by enumeration: every vector of multiplicities whose sum
+    stays in the box, with its product of geometric probabilities."""
+    p = np.zeros((n[0] + 1, n[1] + 1))
+
+    def walk(j, r1, r2, prob):
+        if j == len(directions):
+            p[r1, r2] += prob
+            return
+        (x1, x2), z = directions[j], zs[j]
+        k = 0
+        while r1 + k * x1 <= n[0] and r2 + k * x2 <= n[1]:
+            walk(j + 1, r1 + k * x1, r2 + k * x2, prob * (1.0 - z) * z ** k)
+            k += 1
+
+    walk(0, 0, 0, 1.0)
+    return p

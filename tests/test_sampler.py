@@ -33,6 +33,24 @@ def _taus(line):
     return [x2 / x1 if x1 else math.inf for x1, x2, _ in line.edges.tolist()]
 
 
+def _clear_set_caches():
+    ms.completing_set.cache_clear()
+    sp.predicted_attempts.cache_clear()
+
+
+@pytest.fixture
+def pair_only(monkeypatch):
+    """No completing-set table fits the budget, so the set is the
+    completing pair alone: the conditioned loop of the pair, which
+    oracles.concatenated_conditioned_configurations replays.  The caches
+    that hold completing sets are emptied before and after, so no set
+    built under another budget is used here or outlives the test."""
+    _clear_set_caches()
+    monkeypatch.setattr(ms, "_SET_TABLE_CELLS", 0)
+    yield
+    _clear_set_caches()
+
+
 # --- geometric inverse transform -----------------------------------------------
 
 def test_geometric_mean_at_half():
@@ -200,11 +218,13 @@ def test_configurations_of_matches_concatenated_route(parabola1, n1):
 
 @pytest.mark.parametrize("n1", [100, 200])
 @pytest.mark.parametrize("batch, count", [(1, 2), (7, 2), (3000, 40), (8192, 40)])
-def test_conditioned_configurations_match_concatenated_route(parabola1, n1, batch, count):
+def test_conditioned_configurations_match_concatenated_route(parabola1, n1, batch, count,
+                                                             pair_only):
     """The per-round conditioned loop hands out the same paths and
     attempts as the concatenated reference loop on the same stream."""
     params = _params(parabola1, n1)
     n = (params.n1, params.n2)
+    assert ms.completing_set(params, n).tables == []
     got = sp.conditioned_configurations(params, n, count, batch, 10 ** 6,
                                         np.random.default_rng(batch + n1))
     want = oracles.concatenated_conditioned_configurations(params, n, count, batch, 10 ** 6,
@@ -213,8 +233,9 @@ def test_conditioned_configurations_match_concatenated_route(parabola1, n1, batc
     assert got[1].dtype == want[1].dtype and got[1].tolist() == want[1].tolist()
 
 
-def test_conditioned_exhausted_matches_concatenated_route(parabola1):
+def test_conditioned_exhausted_matches_concatenated_route(parabola1, pair_only):
     params = _params(parabola1, 200)
+    assert ms.completing_set(params, (200, 200)).tables == []
     errors = []
     for draw in (sp.conditioned_configurations, oracles.concatenated_conditioned_configurations):
         with pytest.raises(Exhausted) as err:
@@ -232,9 +253,11 @@ def test_conditioned_block_memory(parabola1, seed):
     """One 32-path block at n1 = 200 in batches of 8192 peaks under 8 MB
     of Python allocations: a batch's support is never joined into three
     arrays, and it is released before the next batch is drawn (joining
-    peaks near 11 MB in one batch and 17 MB in two)."""
+    peaks near 11 MB in one batch and 17 MB in two).  The set has its 14
+    tables, so this is the table route's memory."""
     params = _params(parabola1, 200)
     n = (200, 200)
+    assert len(ms.completing_set(params, n).tables) == 14
     sp.conditioned_configurations(params, n, 1, 1, 10 ** 6, np.random.default_rng(0))
     tracemalloc.start()
     try:
@@ -409,14 +432,13 @@ def test_conditioned_endpoint_exact(parabola1):
 
 
 def test_acceptance_rate_tracks_density(parabola1):
-    """A draw is accepted with probability P(xi = n) / ((1 - z_a)(1 - z_b)),
-    z_a and z_b the completing pair's; the Gaussian density stands in
-    for P(xi = n)."""
+    """A draw is accepted with probability P(xi = n) / M_S, M_S the
+    largest value of the completing set's law on the box; the Gaussian
+    density stands in for P(xi = n)."""
     params = _params(parabola1, 60)
     rep = ms.moment_report(params)
-    f = ms._field(params)
-    ia, ib = f.completing_pair
-    predicted = rep.density_at_n / ((1.0 - f.zpow[ia]) * (1.0 - f.zpow[ib]))
+    cs = ms.completing_set(params, (60, 60))
+    predicted = rep.density_at_n / (cs.mass * cs.peak)
     assert 1.0 / sp.predicted_attempts(params, (60, 60)) == pytest.approx(predicted,
                                                                           rel=1e-12)
     rng = np.random.default_rng(101)
@@ -436,6 +458,115 @@ def test_completing_pair(parabola1, power2):
     f = ms._field(_params(power2, 100))
     pair = [(int(f.x1[i]), int(f.x2[i])) for i in f.completing_pair]
     assert pair[0] == (1, 0) and pair[1] in ((1, 1), (2, 1))
+
+
+def _set_directions(cs):
+    return list(zip(cs.x1.tolist(), cs.x2.tolist()))
+
+
+@pytest.mark.parametrize("curve_name", ["parabola1", "power2"])
+def test_completing_set_tables_match_enumeration(curve_name, request):
+    """On a small box the completing set's law at level 2 is the pair's
+    closed form (1 - z_a)(1 - z_b) z_a^s z_b^t at r = s*a + t*b, and at
+    each level j >= 3 its table is the enumeration of every multiplicity
+    vector of the set's first j directions."""
+    params = _params(request.getfixturevalue(curve_name), 50)
+    box = (7, 6)
+    cs = ms.completing_set(params, box)
+    assert len(cs.tables) == cs.index.size - 2 == 14
+    grid = np.indices((box[0] + 1, box[1] + 1))
+    (a1, a2), (b1, b2) = _set_directions(cs)[:2]
+    za, zb = cs.z[:2].tolist()
+    closed = np.zeros(grid.shape[1:])
+    for s in range(box[0] + box[1] + 1):
+        for t in range(box[0] + box[1] + 1):
+            r1, r2 = s * a1 + t * b1, s * a2 + t * b2
+            if r1 <= box[0] and r2 <= box[1]:
+                closed[r1, r2] = (1.0 - za) * (1.0 - zb) * za ** s * zb ** t
+    np.testing.assert_allclose(cs.mass * cs.weight(2, *grid), closed, rtol=1e-13, atol=0)
+    for level in range(3, cs.index.size + 1):
+        want = oracles.enumerated_box_pmf(_set_directions(cs)[:level], cs.z[:level].tolist(), box)
+        np.testing.assert_allclose(cs.mass * cs.weight(level, *grid), want, rtol=1e-13, atol=0)
+
+
+def test_conditioned_means_are_exact(parabola1):
+    """At n1 = 50 the mean multiplicity of a direction x over 4000
+    conditioned paths lies within 4 standard errors of the exact
+    E[nu_x | xi = n] = sum over k >= 1 of z^k p(n - k*x) / p(n), with p
+    the endpoint pmf on the box (oracles.endpoint_pmf_on_box), for every
+    direction of the completing set and the three likeliest in-box
+    directions outside it."""
+    params = _params(parabola1, 50)
+    n = (50, 50)
+    f = ms._field(params)
+    cs = ms.completing_set(params, n)
+    p = oracles.endpoint_pmf_on_box(params, n)
+    outside = [i for i in np.argsort(-f.zpow, kind="stable") if not cs.in_set[i]][:3]
+    paths, _ = sp.conditioned_configurations(params, n, 4000, 8192, 10 ** 6,
+                                             np.random.default_rng(61))
+    rows = np.concatenate(paths)
+    owner = np.repeat(np.arange(len(paths)), [len(e) for e in paths])
+    for i in cs.index.tolist() + outside:
+        x1, x2, z = int(f.x1[i]), int(f.x2[i]), float(f.zpow[i])
+        assert x1 <= n[0] and x2 <= n[1]
+        exact, k = 0.0, 1
+        while k * x1 <= n[0] and k * x2 <= n[1]:
+            exact += z ** k * p[n[0] - k * x1, n[1] - k * x2] / p[n]
+            k += 1
+        on = (rows[:, 0] == x1) & (rows[:, 1] == x2)
+        nu = np.bincount(owner[on], weights=rows[on, 2], minlength=len(paths))
+        se = nu.std(ddof=1) / math.sqrt(nu.size)
+        assert abs(nu.mean() - exact) < 4.0 * se, (x1, x2, nu.mean(), exact, se)
+
+
+@pytest.mark.parametrize("n1", [50, 100])
+def test_mean_attempts_are_exact(parabola1, n1):
+    """A draw is accepted with probability p(n) / M, so the draws per path
+    are geometric with mean M / p(n): M is the largest value on the box
+    of the completing set's law (oracles.box_pmf over its directions),
+    p(n) the exact endpoint pmf (oracles.endpoint_pmf_on_box).  The mean
+    over 3000 paths lies within 4 standard errors of it."""
+    params = _params(parabola1, n1)
+    n = (n1, n1)
+    cs = ms.completing_set(params, n)
+    big_m = oracles.box_pmf(_set_directions(cs), cs.z.tolist(), n).max()
+    assert cs.mass * cs.peak == pytest.approx(big_m, rel=1e-12)
+    want = big_m / oracles.endpoint_pmf_on_box(params, n)[n]
+    _, attempts = sp.conditioned_configurations(params, n, 3000, 8192, 10 ** 6,
+                                                np.random.default_rng(67))
+    se = attempts.std(ddof=1) / math.sqrt(attempts.size)
+    assert abs(attempts.mean() - want) < 4.0 * se
+
+
+def test_completing_set_budget_edges(parabola1):
+    """The box of n1 = 1000 (1001^2 cells) leaves room for one table and
+    that of n1 = 1100 for none; there the set is the pair, and the loop
+    hands out the paths and attempts of the pair's loop
+    (oracles.concatenated_conditioned_configurations) on one stream."""
+    cs = ms.completing_set(_params(parabola1, 1000), (1000, 1000))
+    assert len(cs.tables) == 1 and cs.index.size == 3
+    params = _params(parabola1, 1100)
+    n = (1100, 1100)
+    assert ms.completing_set(params, n).tables == []
+    got = sp.conditioned_configurations(params, n, 2, 2048, 10 ** 5, np.random.default_rng(3))
+    want = oracles.concatenated_conditioned_configurations(params, n, 2, 2048, 10 ** 5,
+                                                           np.random.default_rng(3))
+    _same_paths(got[0], want[0])
+    assert got[1].tolist() == want[1].tolist()
+
+
+def test_steep_curve_beyond_the_budget_draws():
+    """parabola(12) at n1 = 300 ends at (300, 3600), a box of 1.08e6
+    cells that holds no table: the pair alone still draws exact paths."""
+    params = _params(cv.make_preset("parabola", c=12.0), 300)
+    n = (params.n1, params.n2)
+    assert n == (300, 3600) and ms.completing_set(params, n).tables == []
+    paths, attempts = sp.conditioned_configurations(params, n, 2, 2048, 10 ** 5,
+                                                    np.random.default_rng(5))
+    for edges in paths:
+        sp.Configuration(support=edges)
+        assert _endpoint(edges).tolist() == list(n)
+    assert attempts.min() >= 1
 
 
 def test_conditioned_draws_match_rejection(parabola1):
@@ -510,8 +641,9 @@ def test_attempts_are_per_path(parabola1):
 
 
 def test_condition_reaches_n1_1000(parabola1):
-    # about 900 draws per path are predicted; plain rejection would need
-    # about 1.2e5 and exhaust this budget about 85% of the time
+    # about 360 draws per path are predicted (the pair and one table);
+    # plain rejection would need about 1.2e5 and exhaust this budget
+    # about 85% of the time
     params = _params(parabola1, 1000)
     res = sp.condition_on_endpoint(params, (1000, 1000), 20_000, np.random.default_rng(0))
     assert res.line.endpoint.tolist() == [1000, 1000]
@@ -519,12 +651,13 @@ def test_condition_reaches_n1_1000(parabola1):
 
 
 def test_exhausted_carries_diagnostics(parabola1):
+    # 4 draws, well below the 15 a path takes at n1 = 200, accept none on this seed
     params = _params(parabola1, 200)
     with pytest.raises(Exhausted) as err:
-        sp.condition_on_endpoint(params, (200, 200), 16, np.random.default_rng(0))
-    assert err.value.attempts == 16
+        sp.condition_on_endpoint(params, (200, 200), 4, np.random.default_rng(0))
+    assert err.value.attempts == 4
     assert (err.value.accepted, err.value.count) == (0, 1)
-    assert str(err.value) == "accepted 0 of 1 within 16 attempts"
+    assert str(err.value) == "accepted 0 of 1 within 4 attempts"
     assert err.value.closest_distance > 0.0
     assert err.value.closest_endpoint != (200, 200)
     # a larger target accepts some draws before the budget runs out
@@ -538,13 +671,14 @@ def test_exhausted_carries_diagnostics(parabola1):
     assert str(err.value) == f"accepted {accepted} of 10000 within 20000 attempts"
 
 
-def test_exhausted_closest_miss_is_the_minimum(parabola1):
+def test_exhausted_closest_miss_is_the_minimum(parabola1, pair_only):
     """closest_endpoint and closest_distance are the argmin and the
     minimum of the Mahalanobis distance over the free endpoint of every
     draw of every batch, recomputed from a same-seed replay of the
     loop's batches (each batch's endpoints, then its uniforms)."""
     params = _params(parabola1, 200)
     target, batch, budget = (200, 200), 3000, 10_000  # four batches, the last short
+    assert ms.completing_set(params, target).tables == []
     # a target count the budget cannot reach: the loop accepts some draws
     # and still scans every batch for the closest miss
     with pytest.raises(Exhausted) as err:
