@@ -107,7 +107,7 @@ def _cmd_sample(cfg: ExperimentConfig, thresholds: dict) -> int:
     records = []
     overlay = [_curve.discretize(params.curve, 512) * params.n1]
     attempts_rows = []
-    for first, size in _studies.blocks(0, cfg.replicates):
+    for first, size in _studies.blocks(cfg.replicates):
         drawn = _studies.draw_block(params, cfg.seed, first, size,
                                     cfg.max_attempts if conditioned else None)
         for rep_idx, (line, attempts) in enumerate(drawn, first):

@@ -22,11 +22,12 @@ certified_tail bounds the edges beyond the ball, in_ball_tail those
 along the in-ball directions with z <= e^-T, and MeasureParams picks R
 and T so that each term is at most half the tail tolerance.  Length
 profiles of paths and of the mean path are step functions in the
-slope; step_knots and step_at evaluate them, and profile_gap is the
-one place a step profile is compared with the arc-length profile l of
-the curve.  expected_length_profile_mobius is the independent route
-that cross-checks the exact sums: one Moebius-inverted sum over the
-full lattice.  completing_set tabulates the exact law, on the box
+slope; step_knots and step_at evaluate them, and profile_gaps is the
+one place step profiles, a block of them row by row, are compared with
+the arc-length profile l of the curve.
+expected_length_profile_mobius is the independent route that
+cross-checks the exact sums: one Moebius-inverted sum over the full
+lattice.  completing_set tabulates the exact law, on the box
 [0, n], of the part of the endpoint carried by the likeliest
 directions, which endpoint conditioning draws from.
 """
@@ -451,8 +452,9 @@ def nu_moments(zp):
 
 def step_knots(taus, jumps):
     """Knots of a step profile: the slope-sorted jump slopes with the
-    profile value just before and just after each jump."""
-    after = np.cumsum(jumps)
+    profile value just before and just after each jump; row by row along
+    the last axis for a block of profiles."""
+    after = np.cumsum(jumps, axis=-1)
     return taus, after - jumps, after
 
 
@@ -463,24 +465,36 @@ def step_at(taus, after, t, side: str = "right"):
     return np.concatenate([[0.0], after])[idx]
 
 
-def profile_gap(curve: ConvexCurve, taus, before, after):
+def profile_gaps(curve: ConvexCurve, taus, before, after, knots):
     """Sup over slopes of |step profile - l| and the slope of its first
-    occurrence, as (gap, argmax_t).
+    occurrence, per row, as (gaps, argmax_t) arrays.
 
-    before and after are the already-scaled profile values on either
-    side of each jump at the sorted slopes taus.  Between knots the
-    profile is constant and l is continuous and monotone, so the sup
-    sits on one side of a knot or at t = +inf; a closing knot at +inf
-    (before = after = the final value, 0 without knots) covers the
-    stretch past the last jump.  l(+inf) is the total arc length.
+    Row i of the (rows, width) arrays taus, before and after holds the
+    already-scaled profile values on either side of each jump at its
+    sorted slopes, then a closing knot at +inf with before = after = the
+    final value, knots[i] knots in all; the rest of the row is padding,
+    whose gaps are set to -inf.  Between knots the profile is constant
+    and l is continuous and monotone, so the sup sits on one side of a
+    knot or at t = +inf, where l is the total arc length.  One
+    curve.length_profile call takes every row.
     """
-    end = after[-1] if len(after) else 0.0
-    taus = np.append(taus, math.inf)
     ell = _curve.length_profile(curve, taus)
-    gaps = np.maximum(np.abs(np.append(after, end) - ell),
-                      np.abs(np.append(before, end) - ell))
-    i = int(np.argmax(gaps))
-    return float(gaps[i]), float(taus[i])
+    gaps = np.maximum(np.abs(after - ell), np.abs(before - ell))
+    gaps[np.arange(gaps.shape[1]) >= np.asarray(knots)[:, None]] = -np.inf
+    at = np.argmax(gaps, axis=1)
+    rows = np.arange(gaps.shape[0])
+    return gaps[rows, at], taus[rows, at]
+
+
+def profile_gap(curve: ConvexCurve, taus, before, after):
+    """profile_gaps of one step profile, given by its knots alone, as
+    (gap, argmax_t): the closing knot at +inf takes the final value, 0
+    without knots."""
+    end = after[-1] if len(after) else 0.0
+    gaps, at = profile_gaps(curve, np.append(taus, math.inf)[None],
+                            np.append(before, end)[None], np.append(after, end)[None],
+                            [len(taus) + 1])
+    return float(gaps[0]), float(at[0])
 
 
 def expected_length_profile(params: MeasureParams, t):

@@ -28,8 +28,12 @@ is bit-identical to that scan.
 
 The path profile is a step function and the curve profile is
 continuous and monotone between knots, so the profile distance is
-exact on both sides of the jump slopes plus +inf; it comes from
-measure.profile_gap, which also serves the expected profile.
+exact on both sides of the jump slopes plus +inf.  distance_reports
+measures a block of paths as one: their scaled profiles and vertices
+are checked together, the checked vertices go to one kernel call, and
+every profile distance comes from one measure.profile_gaps pass over
+the block's padded knot rows (sampler.profile_rows), bit for bit what
+measure.profile_gap gives each path alone.
 """
 
 from __future__ import annotations
@@ -101,12 +105,13 @@ class _Polylines:
     width: float
 
 
-def _polylines(polys: list) -> _Polylines:
-    sizes = np.array([p.shape[0] for p in polys])
-    v = np.concatenate(polys)
+def _polylines(v: np.ndarray, sizes) -> _Polylines:
+    """The polylines of sizes[g] consecutive vertices each of the
+    validated (n, 2) vertex array v."""
+    sizes = np.asarray(sizes)
     x = np.ascontiguousarray(v[:, 0])
     y = np.ascontiguousarray(v[:, 1])
-    owner = np.repeat(np.arange(len(polys)), sizes)
+    owner = np.repeat(np.arange(sizes.size), sizes)
     magnitude = np.maximum.reduceat(np.maximum(np.abs(x), np.abs(y)),
                                     np.cumsum(sizes) - sizes)
     inside = owner[:-1] == owner[1:]
@@ -139,7 +144,7 @@ class _Shared:
 
 
 def _shared(poly: np.ndarray) -> _Shared:
-    p = _polylines([poly])
+    p = _polylines(poly, [len(poly)])
     n = p.x.size
     start = np.arange(0, n, _VERTEX_BLOCK)
     size = np.diff(np.append(start, n))
@@ -323,10 +328,11 @@ def _from_shared(lines: _Polylines, shared: _Shared, floor: np.ndarray) -> np.nd
     return top
 
 
-def _hausdorff_block(paths: list, shared: _Shared) -> np.ndarray:
-    """Per path, the Hausdorff distance to the shared polyline; the
-    second direction starts from the first one's maxima."""
-    lines = _polylines(paths)
+def _hausdorff_block(v: np.ndarray, sizes, shared: _Shared) -> np.ndarray:
+    """Per path of the block (_polylines(v, sizes)), the Hausdorff
+    distance to the shared polyline; the second direction starts from
+    the first one's maxima."""
+    lines = _polylines(v, sizes)
     return _from_shared(lines, shared, _to_shared(lines, shared))
 
 
@@ -345,7 +351,7 @@ def hausdorff(a, b) -> float:
     """
     a = _checked(a, "first")
     b = _checked(b, "second")
-    return float(_hausdorff_block([a], _shared(b))[0])
+    return float(_hausdorff_block(a, [len(a)], _shared(b))[0])
 
 
 @lru_cache(maxsize=32)
@@ -363,33 +369,58 @@ def _curve_shared(curve: ConvexCurve) -> _Shared:
 
 
 def distance_reports(lines, scale: float, curve: ConvexCurve) -> list:
-    """distance_report of each line, in order, with one Hausdorff kernel
-    call for all of them against the curve's polyline.
+    """distance_report of each line, in order, measured as one block:
+    the scaled profiles and vertices are checked together, one
+    measure.profile_gaps call takes every profile (sampler.profile_rows)
+    and one Hausdorff kernel call every path against the curve's
+    polyline.
 
-    A line whose scaled vertices are empty, malformed or decreasing
-    raises the error hausdorff would, naming its index in lines.
+    A line whose scaled profile or vertices overflow, or whose scaled
+    vertices are empty, malformed or decreasing, raises the error
+    distance_report and hausdorff would, naming its index in lines.
     """
     if not 0.0 <= scale < math.inf:
         raise ParameterOutOfRange(f"scale must be finite and nonnegative, got {scale!r}")
-    profiles, paths = [], []
-    for i, line in enumerate(lines):
-        taus, before, after = _sampler.profile_knots(line)
-        with np.errstate(over="ignore"):
-            before = scale * before
-            after = scale * after
-            vertices = line.vertices.astype(float) * scale
-        if not all(np.all(np.isfinite(a)) for a in (before, after, vertices)):
-            raise ParameterOutOfRange(f"scale {scale!r} overflows the scaled path {i}")
-        profiles.append((taus, before, after))
-        paths.append(_checked(vertices, f"path {i} of the block"))
-    if not paths:
+    lines = list(lines)
+    if not lines:
         return []
-    d_h = _hausdorff_block(paths, _curve_shared(curve))
-    out = []
-    for h, (taus, before, after) in zip(d_h.tolist(), profiles):
-        d_length, argmax_t = _measure.profile_gap(curve, taus, before, after)
-        out.append(PathDistanceReport(d_hausdorff=h, d_length=d_length, argmax_t=argmax_t))
-    return out
+    taus, before, after, knots = _sampler.profile_rows(lines)
+    with np.errstate(over="ignore"):
+        before = scale * before
+        after = scale * after
+    profile_ok = np.isfinite(before).all(axis=1) & np.isfinite(after).all(axis=1)
+    polys = [np.atleast_2d(line.vertices) for line in lines]
+    if not all(p.size and p.ndim == 2 and p.shape[1] == 2 for p in polys):
+        _raise_first_bad(lines, profile_ok, scale)
+    sizes = np.array([len(p) for p in polys])
+    with np.errstate(over="ignore"):
+        vertices = np.concatenate(polys).astype(float) * scale
+    # _checked's other tests on every path at once; the magnitude test
+    # also fails a nan or infinite vertex
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    bad = ~profile_ok
+    bad[owner[~np.all(np.abs(vertices) <= _MAX_COORD, axis=1)]] = True
+    rising = np.all(np.diff(vertices, axis=0) >= 0.0, axis=1)
+    bad[owner[1:][(owner[:-1] == owner[1:]) & ~rising]] = True
+    if bad.any():
+        _raise_first_bad(lines, profile_ok, scale)
+    d_h = _hausdorff_block(vertices, sizes, _curve_shared(curve))
+    d_l, argmax_t = _measure.profile_gaps(curve, taus, before, after, knots)
+    return [PathDistanceReport(d_hausdorff=h, d_length=g, argmax_t=t)
+            for h, g, t in zip(d_h.tolist(), d_l.tolist(), argmax_t.tolist())]
+
+
+def _raise_first_bad(lines: list, profile_ok: np.ndarray, scale: float) -> None:
+    """Raise the error of the first line whose scaled profile (profile_ok
+    False) or vertices fail distance_reports' checks, taken path by
+    path: an overflow of either, then _checked's tests on its scaled
+    vertices."""
+    for i, (line, fine) in enumerate(zip(lines, profile_ok)):
+        with np.errstate(over="ignore"):
+            vertices = line.vertices.astype(float) * scale
+        if not (fine and np.all(np.isfinite(vertices))):
+            raise ParameterOutOfRange(f"scale {scale!r} overflows the scaled path {i}")
+        _checked(vertices, f"path {i} of the block")
 
 
 def distance_report(line: PolygonalLine, scale: float,
@@ -398,7 +429,7 @@ def distance_report(line: PolygonalLine, scale: float,
 
     The profile distance is the sup over slopes of
     |scale * path_profile(t) - curve_profile(t)|, taken by
-    measure.profile_gap on both sides of the path's jump slopes and at
+    measure.profile_gaps on both sides of the path's jump slopes and at
     +inf; argmax_t is the slope of its first occurrence, +inf when the
     sup holds from the last knot on.  A scale that is negative, not
     finite, or so large that the scaled profile or vertices overflow

@@ -5,8 +5,10 @@ every enumerated coprime direction.  A path has one format, shared by
 Configuration.support and PolygonalLine.edges: an int64 (k, 3) array
 of (x1, x2, nu) rows, nu >= 1, in strictly increasing slope, the order
 of the direction field.  Draws take their rows straight from the field,
-so assembly is a prefix sum, and the length profile is a step function
-(profile_knots, evaluated by measure.step_at).  Endpoint conditioning
+so assembly is a prefix sum, one per block of paths (assemble_block,
+which checks the block's format once and names the first bad path),
+and the length profile is a step function (profile_knots, evaluated
+by measure.step_at; profile_rows for a block).  Endpoint conditioning
 is exact probabilistic divide-and-conquer (Arratia & DeSalvo 2016)
 through a completing set S (measure.completing_set): the field's
 completing pair {a, b} and up to 14 more of its likeliest directions,
@@ -28,7 +30,7 @@ only their rows are gathered and sorted, never the whole batch's.
 Its batches hold the predicted draws (predicted_attempts) of the paths
 a call is for (condition_batch): studies.draw_block asks it for a
 block of paths in one call, and condition_on_endpoint is its first
-accepted draw, validated as a Configuration and assembled into a path.
+accepted draw, checked and assembled into a path (assemble_block).
 
 Two equivalent sampling routes are provided.  sample_configuration
 draws one uniform per enumerated direction (inverse transform).  The
@@ -74,16 +76,30 @@ class Configuration:
     support: np.ndarray
 
     def __post_init__(self):
-        s = self.support
-        if not (isinstance(s, np.ndarray) and s.dtype == np.int64 and s.ndim == 2
-                and s.shape[1] == 3):
-            raise ValueError(f"support must be an int64 (k, 3) array, got {s!r}")
-        if (s[:, 2] < 1).any():
-            raise ValueError("multiplicities must be >= 1")
-        x1, x2 = s[:, 0], s[:, 1]
-        # tau_i < tau_{i+1}, exactly on the integers
-        if (x2[:-1] * x1[1:] >= x2[1:] * x1[:-1]).any():
-            raise ValueError("directions must be distinct and in increasing slope")
+        _check_format(self.support)
+
+
+def _check_format(edges, owner=None, where: str = "") -> None:
+    """Raise ValueError unless edges, an int64 (k, 3) array, holds paths
+    in the Configuration format: the rows of owner p (ascending; one
+    path when owner is None) are path p, every nu is >= 1, and the slope
+    strictly increases inside each path, never tested across a boundary.
+    The message names the first bad path as where.format(p), its
+    multiplicities before its order."""
+    if not (isinstance(edges, np.ndarray) and edges.dtype == np.int64 and edges.ndim == 2
+            and edges.shape[1] == 3):
+        raise ValueError(f"support must be an int64 (k, 3) array, got {edges!r}")
+    if owner is None:
+        owner = np.zeros(edges.shape[0], dtype=np.int64)
+    x1, x2 = edges[:, 0], edges[:, 1]
+    low_nu = owner[edges[:, 2] < 1]
+    # tau_i < tau_{i+1}, exactly on the integers
+    unordered = owner[:-1][(x2[:-1] * x1[1:] >= x2[1:] * x1[:-1]) & (owner[:-1] == owner[1:])]
+    if low_nu.size and not (unordered.size and unordered[0] < low_nu[0]):
+        raise ValueError(where.format(low_nu[0]) + "multiplicities must be >= 1")
+    if unordered.size:
+        raise ValueError(where.format(unordered[0])
+                         + "directions must be distinct and in increasing slope")
 
 
 @dataclass(frozen=True)
@@ -100,11 +116,32 @@ class PolygonalLine:
 
 
 def assemble(config: Configuration) -> PolygonalLine:
-    """Assemble the unique convex path realizing a configuration."""
-    edges = config.support
-    vertices = np.zeros((len(edges) + 1, 2), dtype=np.int64)
-    np.cumsum(edges[:, :2] * edges[:, 2:], axis=0, out=vertices[1:])
-    return PolygonalLine(vertices=vertices, edges=edges, endpoint=vertices[-1].copy())
+    """Assemble the unique convex path realizing a configuration: its
+    block of one (assemble_block)."""
+    return assemble_block([config.support])[0]
+
+
+def assemble_block(edges: list) -> list:
+    """The paths of a block of edge arrays, in order, each checked as a
+    Configuration's support: the arrays are joined into one, whose
+    format is checked once (a ValueError names the first bad path of the
+    block), and every path's vertices come from one int64 prefix sum of
+    the joined steps, each path's rows starting with a zero step.  A
+    path's vertices are its rows of that sum less its first one; int64
+    wraps modulo 2^64, so the difference is exact whatever the block's
+    total."""
+    sizes = np.array([len(e) for e in edges], dtype=np.int64)
+    joined = np.concatenate([np.empty((0, 3), dtype=np.int64), *edges])
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    _check_format(joined, owner, "path {} of the block: ")
+    ends = np.cumsum(sizes + 1)
+    starts = ends - sizes - 1
+    steps = np.zeros((joined.shape[0] + sizes.size, 2), dtype=np.int64)
+    steps[np.arange(joined.shape[0]) + owner + 1] = joined[:, :2] * joined[:, 2:]
+    vertices = np.cumsum(steps, axis=0)
+    vertices -= np.repeat(vertices[starts], sizes + 1, axis=0)
+    return [PolygonalLine(vertices=vertices[a:b], edges=e, endpoint=vertices[b - 1].copy())
+            for e, a, b in zip(edges, starts.tolist(), ends.tolist())]
 
 
 def _rows(f, idx, nu) -> np.ndarray:
@@ -372,10 +409,9 @@ def condition_on_endpoint(params: MeasureParams, n, max_attempts: int,
     draw of conditioned_configurations, in batches sized for one path,
     validated and assembled into its path."""
     n = (int(n[0]), int(n[1]))
-    (edges,), attempts = conditioned_configurations(params, n, 1, condition_batch(params, n, 1),
-                                                    max_attempts, rng)
-    return ConditionedSample(line=assemble(Configuration(support=edges)),
-                             attempts=int(attempts[0]))
+    paths, attempts = conditioned_configurations(params, n, 1, condition_batch(params, n, 1),
+                                                 max_attempts, rng)
+    return ConditionedSample(line=assemble_block(paths)[0], attempts=int(attempts[0]))
 
 
 def _edge_lengths(edges) -> np.ndarray:
@@ -383,12 +419,36 @@ def _edge_lengths(edges) -> np.ndarray:
     return np.sqrt(x1 * x1 + x2 * x2) * nu
 
 
+def _edge_slopes(edges) -> np.ndarray:
+    x1, x2 = edges[:, 0], edges[:, 1]
+    return np.where(x1 > 0, x2 / np.maximum(x1, 1), np.inf)
+
+
 def profile_knots(line: PolygonalLine):
     """Step-profile knots (tau, before, after) of the line's length
     profile: its edges are already in increasing slope order."""
-    x1, x2 = line.edges[:, 0], line.edges[:, 1]
-    taus = np.where(x1 > 0, x2 / np.maximum(x1, 1), np.inf)
-    return step_knots(taus, _edge_lengths(line.edges))
+    return step_knots(_edge_slopes(line.edges), _edge_lengths(line.edges))
+
+
+def profile_rows(lines: list):
+    """The step-profile knots of a block of lines as (rows, width) arrays
+    (taus, before, after) and the knot count of each row, for
+    measure.profile_gaps.  Row i holds line i's profile_knots, then a
+    closing knot at +inf, padded to the block's width with +inf slopes
+    and zero jumps; it holds len(edges) + 1 knots.  Each row's prefix sum
+    adds the same jumps in the same order as profile_knots, so its knots
+    are profile_knots' bit for bit, and the closing knot and padding
+    hold the final value on both sides."""
+    edges = [line.edges for line in lines]
+    sizes = np.array([len(e) for e in edges], dtype=np.int64)
+    joined = np.concatenate([np.empty((0, 3), dtype=np.int64), *edges])
+    row = np.repeat(np.arange(sizes.size), sizes)
+    col = np.arange(joined.shape[0]) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    taus = np.full((sizes.size, int(sizes.max(initial=0)) + 1), np.inf)
+    jumps = np.zeros(taus.shape)
+    taus[row, col] = _edge_slopes(joined)
+    jumps[row, col] = _edge_lengths(joined)
+    return (*step_knots(taus, jumps), sizes + 1)
 
 
 def total_length(line: PolygonalLine) -> float:

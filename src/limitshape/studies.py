@@ -1,22 +1,26 @@
 """Convergence studies: limit shape, moment calibration, local CLT.
 
-Each study fans its replicates out over one process pool, created once
-per study call: the tasks of every size go to it in size order, with
-no barrier between sizes, and the results are split back by the size's
+Each study fans its work out over one process pool, created once per
+study call: the tasks of every size go to it in size order, with no
+barrier between sizes, and the results are split back by the size's
 position.  Every free replicate, conditioned block and endpoint batch
 owns an RNG stream derived from the master seed and its index, so
 results are bit-identical for any worker count.  Path replicates come
-in blocks of BLOCK, replicate r in block r // BLOCK: draw_block is the
-one path draw, free (one stream and one sample_configuration draw per
-replicate) or endpoint-conditioned (one stream and one batched
-conditioned loop per block, under the block's pooled budget).  The
-limit-shape and conditioned studies share its chunk worker and fan-out
-(_path_records), whose conditioned chunks are whole blocks, and the CLI
-sample and condition modes call it too, so the CLI's replicate i is the
-study's for any total.  A path study's workers build their own fields;
-the local-CLT study builds every size's field in the parent, for its
-cells, and its forked workers inherit them.  Exact-sum studies need no
-replication and run in-process.
+in blocks of BLOCK, replicate r in block r // BLOCK, and a block is the
+one unit of drawing, checking, measuring and fan-out.  draw_block is
+the one path draw, free (one stream and one sample_configuration draw
+per replicate) or endpoint-conditioned (one stream and one batched
+conditioned loop per block, under the block's pooled budget); either
+way the block's paths are checked and assembled together
+(sampler.assemble_block).  The limit-shape and conditioned studies hand
+the pool one task per block of each size (_path_records), so the task
+list does not depend on the worker count, and each task measures its
+paths in one metrics.distance_reports call.  The CLI sample and
+condition modes draw through draw_block too, so the CLI's replicate i
+is the study's for any total.  A path study's workers build their own
+fields; the local-CLT study builds every size's field in the parent,
+for its cells, and its forked workers inherit them.  Exact-sum studies
+need no replication and run in-process.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ _DOMAIN_CONDITION = 2
 _DOMAIN_LCLT = 3
 
 _KEEP_OVERLAY = 6
-BLOCK = 32  # replicates per block of draw_block, whatever the worker count
+BLOCK = 64  # replicates per block of draw_block, whatever the worker count
 
 
 @dataclass(frozen=True)
@@ -75,12 +79,10 @@ def _params_for(curve_key: str, n1: int) -> _measure.MeasureParams:
     return _measure.MeasureParams.for_endpoint(curve_from_spec(json.loads(curve_key)), n1)
 
 
-def blocks(start: int, count: int) -> list:
-    """(first, size) of each run of replicates start .. start + count - 1
-    that lies in one block, in order."""
-    end = start + count
-    cuts = [start, *range((start // BLOCK + 1) * BLOCK, end, BLOCK), end]
-    return [(a, b - a) for a, b in zip(cuts, cuts[1:])]
+def blocks(count: int) -> list:
+    """(first, size) of each block of replicates 0 .. count - 1, in
+    order; the last may be short."""
+    return [(first, min(BLOCK, count - first)) for first in range(0, count, BLOCK)]
 
 
 def draw_block(params: _measure.MeasureParams, seed: int, first: int, count: int,
@@ -98,48 +100,48 @@ def draw_block(params: _measure.MeasureParams, seed: int, first: int, count: int
     whatever count is, so a replicate's path does not depend on how many
     the caller asks for; its attempts are the draws since the block's
     previous path.  Exhausted propagates once the block's budget is
-    spent.  Every conditioned path is validated as a Configuration.
+    spent.  The drawn edge arrays are checked as Configurations and
+    assembled in one sampler.assemble_block call.
     """
     if max_attempts is None:
-        return [(_sampler.assemble(_sampler.sample_configuration(
-                    params, _replicate_rng(seed, _DOMAIN_LIMIT_SHAPE, params.n1, rep))), 1)
-                for rep in range(first, first + count)]
-    if first % BLOCK or not 0 < count <= BLOCK:
-        raise ValueError(f"conditioned replicates {first}..{first + count - 1} "
-                         f"are not the start of one block of {BLOCK}")
-    n = (params.n1, params.n2)
-    rng = _replicate_rng(seed, _DOMAIN_CONDITION, params.n1, first // BLOCK)
-    paths, attempts = _sampler.conditioned_configurations(
-        params, n, count, _sampler.condition_batch(params, n, BLOCK), count * max_attempts, rng)
-    return [(_sampler.assemble(_sampler.Configuration(support=edges)), int(a))
-            for edges, a in zip(paths, attempts)]
+        edges = [_sampler.sample_configuration(
+                    params, _replicate_rng(seed, _DOMAIN_LIMIT_SHAPE, params.n1, rep)).support
+                 for rep in range(first, first + count)]
+        attempts = [1] * count
+    else:
+        if first % BLOCK or not 0 < count <= BLOCK:
+            raise ValueError(f"conditioned replicates {first}..{first + count - 1} "
+                             f"are not the start of one block of {BLOCK}")
+        n = (params.n1, params.n2)
+        rng = _replicate_rng(seed, _DOMAIN_CONDITION, params.n1, first // BLOCK)
+        edges, attempts = _sampler.conditioned_configurations(
+            params, n, count, _sampler.condition_batch(params, n, BLOCK), count * max_attempts,
+            rng)
+        attempts = attempts.tolist()
+    return list(zip(_sampler.assemble_block(edges), attempts))
 
 
-def _path_chunk(task):
-    """(predicted attempts per path, nan for free draws; the chunk's
-    records).  A conditioned chunk is whole blocks, and every replicate
-    of an exhausted block is recorded with max_attempts attempts and nan
-    distances.  Each block's paths are measured in one
-    metrics.distance_reports call.  The prediction comes from the
-    worker, which builds the direction field anyway, so the parent
-    process never does."""
-    curve_key, n1, start, count, seed, max_attempts = task
+def _path_block(task):
+    """(predicted attempts per path, nan for free draws; the block's
+    records).  Every replicate of an exhausted block is recorded with
+    max_attempts attempts and nan distances.  The block's paths are
+    measured in one metrics.distance_reports call.  The prediction comes
+    from the worker, which builds the direction field anyway, so the
+    parent process never does."""
+    curve_key, n1, first, size, seed, max_attempts = task
     params = _params_for(curve_key, n1)
     predicted = (math.nan if max_attempts is None
                  else _sampler.predicted_attempts(params, (params.n1, params.n2)))
+    try:
+        drawn = draw_block(params, seed, first, size, max_attempts)
+    except Exhausted:
+        return predicted, [(rep, max_attempts, math.nan, math.nan, math.nan, None)
+                           for rep in range(first, first + size)]
+    reports = _metrics.distance_reports([line for line, _ in drawn], 1.0 / n1, params.curve)
     out = []
-    for first, size in blocks(start, count):
-        try:
-            drawn = draw_block(params, seed, first, size, max_attempts)
-        except Exhausted:
-            out.extend((rep, max_attempts, math.nan, math.nan, math.nan, None)
-                       for rep in range(first, first + size))
-            continue
-        reports = _metrics.distance_reports([line for line, _ in drawn], 1.0 / n1, params.curve)
-        for rep, ((line, attempts), report) in enumerate(zip(drawn, reports), first):
-            verts = (line.vertices.astype(float) / n1).tolist() if rep < _KEEP_OVERLAY else None
-            out.append((rep, attempts, report.d_hausdorff, report.d_length,
-                        report.argmax_t, verts))
+    for rep, ((line, attempts), report) in enumerate(zip(drawn, reports), first):
+        verts = (line.vertices.astype(float) / n1).tolist() if rep < _KEEP_OVERLAY else None
+        out.append((rep, attempts, report.d_hausdorff, report.d_length, report.argmax_t, verts))
     return predicted, out
 
 
@@ -163,10 +165,6 @@ def _run_tasks(fn, tasks, workers: int):
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, tasks, chunksize=1))
-
-
-def _chunk_ranges(total: int, chunk: int):
-    return [(s, min(chunk, total - s)) for s in range(0, total, chunk)]
 
 
 def _fraction_rows(n1: int, d_l: np.ndarray, prefix: str) -> list:
@@ -199,22 +197,19 @@ def _decay_exponent(n1s, medians):
 
 
 def _path_records(config, n1s, count: int, max_attempts, result: StudyResult) -> list:
-    """Replicates 0..count-1 of draw_block at each size of n1s, fanned
-    out over one pool; adds their details and overlay to result, size by
-    size, and returns per size the (attempts, d_L) arrays in replicate
-    order (d_L is nan when exhausted) and the predicted attempts per
-    path (nan for free draws)."""
+    """Replicates 0..count-1 of draw_block at each size of n1s, one pool
+    task per block of each size; adds their details and overlay to
+    result, size by size, and returns per size the (attempts, d_L)
+    arrays in replicate order (d_L is nan when exhausted) and the
+    predicted attempts per path (nan for free draws)."""
     curve_key = json.dumps(config.curve_spec, sort_keys=True)
-    chunk = max(1, count // (config.workers * 4))
-    if max_attempts is not None:  # conditioned chunks are whole blocks
-        chunk = BLOCK * math.ceil(chunk / BLOCK)
-    ranges = _chunk_ranges(count, chunk)
-    tasks = [(curve_key, n1, s, c, config.seed, max_attempts)
-             for n1 in n1s for s, c in ranges]
-    chunks = _run_tasks(_path_chunk, tasks, config.workers)
+    runs = blocks(count)
+    tasks = [(curve_key, n1, first, size, config.seed, max_attempts)
+             for n1 in n1s for first, size in runs]
+    done = _run_tasks(_path_block, tasks, config.workers)
     out = []
     for i, n1 in enumerate(n1s):
-        mine = chunks[i * len(ranges):(i + 1) * len(ranges)]
+        mine = done[i * len(runs):(i + 1) * len(runs)]
         recs = [r for _, records in mine for r in records]  # in replicate order
         for rep, _, d_h, d_l, argmax_t, verts in recs:
             result.details.append((rep, n1, d_h, d_l, argmax_t))

@@ -370,23 +370,26 @@ def _conditioned(**kw):
 
 def test_conditioned_blocks_do_not_depend_on_the_total():
     """A replicate's path is the same whatever the study's total: the
-    first three of 3 and of 40 (block 0), replicates 32 and 33 of 34 and
-    of 64 (block 1); and 70 replicates, which end in a short block, give
-    the same rows and details on one worker and on two."""
+    first three of 3 and of BLOCK + 8 (block 0), replicates BLOCK and
+    BLOCK + 1 of BLOCK + 2 and of 2 BLOCK (block 1); and 2 BLOCK + 6
+    replicates, which end in a short block, give the same rows and
+    details on one worker and on two."""
+    block = stu.BLOCK
+
     def study(total, workers=1):
         return stu.run_conditioned_study(_conditioned(accepted_target=total, workers=workers))
 
-    small, large = study(3), study(40)
+    small, large = study(3), study(block + 8)
     assert small.extras["overlay"][30] == large.extras["overlay"][30][:3]
     assert small.details == large.details[:3]
-    assert study(34).details[32:] == study(64).details[32:34]
-    one, two = study(70), study(70, workers=2)
-    assert [d[0] for d in one.details] == list(range(70))
+    assert study(block + 2).details[block:] == study(2 * block).details[block:block + 2]
+    one, two = study(2 * block + 6), study(2 * block + 6, workers=2)
+    assert [d[0] for d in one.details] == list(range(2 * block + 6))
     assert one.rows == two.rows
     assert one.details == two.details
     # a conditioned draw is the start of one block, or none
     params = ms.MeasureParams.for_endpoint(cv.make_preset("parabola"), 30)
-    for first, count in ((5, 3), (32, 0), (0, 33)):
+    for first, count in ((5, 3), (block, 0), (0, block + 1)):
         with pytest.raises(ValueError, match="start of one block"):
             stu.draw_block(params, 5, first, count, 100)
 
@@ -406,12 +409,15 @@ def test_conditioned_mean_attempts_tracks_the_prediction():
 def test_conditioned_study_exhausted_block(monkeypatch):
     """A block whose budget runs out records all its replicates as
     exhausted, with nan distances and max_attempts attempts each; the
-    other blocks keep their paths and attempts."""
-    cfg = _conditioned(accepted_target=70, max_attempts=2000)
+    other blocks keep their paths and attempts; the total ends in a
+    short block."""
+    block = stu.BLOCK
+    total = 2 * block + 6
+    cfg = _conditioned(accepted_target=total, max_attempts=2000)
 
     def records():
         res = stu.StudyResult()
-        [(attempts, _, _)] = stu._path_records(cfg, [30], 70, cfg.max_attempts, res)
+        [(attempts, _, _)] = stu._path_records(cfg, [30], total, cfg.max_attempts, res)
         return attempts.tolist(), res.details
 
     clean_attempts, clean = records()
@@ -424,10 +430,12 @@ def test_conditioned_study_exhausted_block(monkeypatch):
 
     monkeypatch.setattr(sp, "sample_endpoints", block_one_misses)
     attempts, details = records()
-    assert attempts[32:64] == [2000.0] * 32
-    assert all(math.isnan(v) for d in details[32:64] for v in d[2:])
-    assert attempts[:32] + attempts[64:] == clean_attempts[:32] + clean_attempts[64:]
-    assert details[:32] + details[64:] == clean[:32] + clean[64:]
+    one = slice(block, 2 * block)
+    assert attempts[one] == [2000.0] * block
+    assert all(math.isnan(v) for d in details[one] for v in d[2:])
+    assert (attempts[:block] + attempts[2 * block:]
+            == clean_attempts[:block] + clean_attempts[2 * block:])
+    assert details[:block] + details[2 * block:] == clean[:block] + clean[2 * block:]
     assert all(math.isfinite(d[3]) for d in clean)
 
 
@@ -483,8 +491,8 @@ def test_lclt_study_small():
     assert len(res.details) == 25
 
 
-# Three sizes per study, with counts that are multiples of neither the
-# chunk nor BLOCK at any worker count, and of no lclt batch.
+# Three sizes per study, with counts that are multiples of neither BLOCK
+# nor any lclt batch.
 _FAN_OUT = {
     "free": (stu.run_limit_shape_study, dict(n1_list=[30, 40, 50], replicates=29)),
     "conditioned": (stu.run_conditioned_study,
@@ -524,6 +532,29 @@ def test_study_runs_every_size_on_one_pool(name, monkeypatch):
     for other in more:
         assert other.rows == one.rows
         assert other.details == one.details
+
+
+@pytest.mark.parametrize("name", ["free", "conditioned"])
+def test_path_studies_hand_the_pool_one_task_per_block(name, monkeypatch):
+    """_path_records gives _run_tasks one task per block of each size, in
+    size order, and the same task list at one, two and three workers."""
+    study, kw = _FAN_OUT[name]
+    run = stu._run_tasks
+    seen = []
+
+    def recorded(fn, tasks, workers):
+        seen.append(list(tasks))
+        return run(fn, tasks, 1)
+
+    monkeypatch.setattr(stu, "_run_tasks", recorded)
+    for workers in (1, 2, 3):
+        study(_config(workers=workers, **kw))
+    count, n1s, max_attempts = ((kw["replicates"], kw["n1_list"], None) if name == "free"
+                                else (kw["accepted_target"], kw["conditioned_n1"], 10 ** 6))
+    key = json.dumps(PARABOLA_SPEC, sort_keys=True)
+    assert seen[0] == [(key, n1, first, min(stu.BLOCK, count - first), 5, max_attempts)
+                       for n1 in n1s for first in range(0, count, stu.BLOCK)]
+    assert seen == [seen[0]] * 3
 
 
 def test_conditioned_study_without_sizes_makes_no_pool(monkeypatch):
@@ -577,14 +608,14 @@ def test_cli_sample_and_condition(tmp_path):
 
 
 @pytest.mark.parametrize("mode, study, kw", [
-    ("sample", stu.run_limit_shape_study, dict(n1_list=[40], replicates=40)),
+    ("sample", stu.run_limit_shape_study, dict(n1_list=[40], replicates=stu.BLOCK + 8)),
     ("condition", stu.run_conditioned_study,
-     dict(mode="condition", n1_list=[25], conditioned_n1=[25], accepted_target=40,
+     dict(mode="condition", n1_list=[25], conditioned_n1=[25], accepted_target=stu.BLOCK + 8,
           max_attempts=500_000)),
 ], ids=["sample", "condition"])
 def test_cli_and_study_draw_the_same_paths(tmp_path, mode, study, kw):
     # both go through studies.draw_block, so replicate i is the same path
-    # whatever the total: 3 from the CLI, 40 (two blocks) in the study
+    # whatever the total: 3 from the CLI, BLOCK + 8 (two blocks) in the study
     n1 = kw["n1_list"][0]
     out = str(tmp_path / mode)
     argv = [mode, "--n1", str(n1), "--curve", "parabola:1.0", "--replicates", "3",

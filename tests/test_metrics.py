@@ -83,15 +83,20 @@ def monotone_polylines(draw):
     return np.cumsum([origin] + steps, axis=0) * (1.0 / n1)
 
 
+def _joined(paths):
+    """The block kernel's input: the paths' vertices joined, and their sizes."""
+    return np.concatenate(paths), [len(p) for p in paths]
+
+
 def _block(paths, poly):
     """Per path, the block kernel's Hausdorff distance to poly."""
-    return mt._hausdorff_block(list(paths), mt._shared(poly)).tolist()
+    return mt._hausdorff_block(*_joined(paths), mt._shared(poly)).tolist()
 
 
 def _directed(paths, poly):
     """The kernel's two halves, each from a floor of 0: per path, its
     distance to poly, then poly's distance to it."""
-    lines, shared = mt._polylines(list(paths)), mt._shared(poly)
+    lines, shared = mt._polylines(*_joined(paths)), mt._shared(poly)
     return (mt._to_shared(lines, shared).tolist(),
             mt._from_shared(lines, shared, np.zeros(len(paths))).tolist())
 
@@ -160,8 +165,8 @@ def test_hausdorff_early_break_cases(parabola1, case, first_round, monkeypatch):
 
 
 def _scaled_block(params, max_attempts=None):
-    """Vertices of block 0 of draw_block (8 free paths or 32 conditioned
-    ones), scaled by 1 / n1."""
+    """Vertices of block 0 of draw_block (8 free paths or BLOCK
+    conditioned ones), scaled by 1 / n1."""
     count = 8 if max_attempts is None else stu.BLOCK
     return [line.vertices.astype(float) * (1.0 / params.n1)
             for line, _ in stu.draw_block(params, 3, 0, count, max_attempts)]
@@ -171,7 +176,7 @@ def _assert_block_bit_identical(block, curve):
     poly = mt._curve_polyline(curve)
     # shifted three units right, every window spans the whole curve
     for paths in (block, [x + [3.0, 0.0] for x in block]):
-        assert (mt._hausdorff_block(paths, mt._curve_shared(curve)).tolist()
+        assert (mt._hausdorff_block(*_joined(paths), mt._curve_shared(curve)).tolist()
                 == [oracles.dense_hausdorff(x, poly) for x in paths])
 
 
@@ -384,3 +389,65 @@ def test_distance_reports_name_the_bad_path(parabola1, vertices, error):
                                 endpoint=lines[2].endpoint)
     with pytest.raises(error, match="path 2 of the block"):
         mt.distance_reports(lines, 0.01, parabola1)
+
+
+def _alone(line, scale, curve):
+    """(d_L, argmax_t) of one line: measure.profile_gap on its own knots."""
+    taus, before, after = sp.profile_knots(line)
+    return ms.profile_gap(curve, taus, scale * before, scale * after)
+
+
+@pytest.mark.parametrize("curve_name", ["parabola1", "tabulated_mixed"])
+def test_block_profile_distance_equals_profile_gap(request, curve_name):
+    """Every (d_L, argmax_t) of distance_reports equals measure.profile_gap
+    on the path alone, bit for bit, on random blocks (blocks of one
+    among them) of free paths of mixed sizes, a one-vertex path, a path
+    ending in a vertical edge (x1 = 0, slope +inf) and _tied."""
+    curve = request.getfixturevalue(curve_name)
+    rng = np.random.default_rng(17)
+    for n1 in (100, 1000):
+        pool = _lines_at(ms.MeasureParams.for_endpoint(curve, n1), 24)
+        pool += [_line({}), _line({(1, 0): 2, (1, 1): 1, (0, 1): 3}), _tied()]
+        for scale in (1.0 / n1, 0.1):
+            for size in (1, 1, 2, 7, len(pool)):
+                block = [pool[i] for i in rng.choice(len(pool), size, replace=False)]
+                got = [(r.d_length, r.argmax_t)
+                       for r in mt.distance_reports(block, scale, curve)]
+                assert got == [_alone(line, scale, curve) for line in block]
+
+
+def _tied():
+    """Edges of slopes 24/7 and 40/9 and lengths 25 and 41."""
+    return _line({(7, 24): 1, (9, 40): 1})
+
+
+def test_profile_gap_ties_take_the_first_knot(tabulated_mixed):
+    """Past the curve's last slope 2.5, l is the total length T, so at
+    scale 0.1 the gap |6.6 - T| of _tied's final value is reached on the
+    after side of slope 40/9 and again at +inf; the first occurrence
+    wins, in a block as alone."""
+    curve = tabulated_mixed
+    total = cv.length_profile(curve, math.inf)
+    assert cv.length_profile(curve, 24 / 7) == total
+    block = _lines_at(ms.MeasureParams.for_endpoint(curve, 100), 3) + [_tied()]
+    report = mt.distance_reports(block, 0.1, curve)[-1]
+    assert (report.d_length, report.argmax_t) == _alone(_tied(), 0.1, curve)
+    assert report.argmax_t == 40 / 9
+    assert report.d_length == abs(0.1 * 66.0 - total)
+
+
+def test_distance_reports_name_the_overflowing_path(parabola1):
+    # path 2's vertex (2e308, 0) overflows; the one-vertex paths before it
+    # stay at the origin
+    lines = [_line({}), _line({}), _line({(1, 0): 2}), _line({(1, 0): 1})]
+    with pytest.raises(ParameterOutOfRange, match="overflows the scaled path 2$"):
+        mt.distance_reports(lines, 1e308, parabola1)
+    # (1, 1) has length sqrt(2): its profile overflows, its vertices do not
+    lines[2] = _line({(1, 1): 1})
+    with pytest.raises(ParameterOutOfRange, match="overflows the scaled path 2$"):
+        mt.distance_reports(lines, 1.5e308, parabola1)
+    # the profile is checked on its own: here the vertices stay at the origin
+    lines[2] = sp.PolygonalLine(vertices=lines[0].vertices, edges=lines[2].edges,
+                                endpoint=lines[0].endpoint)
+    with pytest.raises(ParameterOutOfRange, match="overflows the scaled path 2$"):
+        mt.distance_reports(lines[:3], 1.5e308, parabola1)

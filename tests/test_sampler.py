@@ -84,6 +84,42 @@ def test_assemble_empty():
     assert line.endpoint.tolist() == [0, 0]
 
 
+def test_assemble_block_paths_are_their_own_prefix_sums():
+    """Each path of a block is its own edges' prefix sum from the origin,
+    and paths whose joined rows are not in slope order (the steep end of
+    one before the flat start of the next) pass the block's check."""
+    a = oracles.edge_rows({(1, 0): 2, (1, 1): 1, (0, 1): 3})
+    b = oracles.edge_rows({(1, 0): 1, (2, 1): 4})
+    empty = oracles.edge_rows({})
+    for block in ([a, b], [a, empty, b], [empty, b, a, a]):
+        lines = sp.assemble_block(block)
+        assert len(lines) == len(block)
+        for edges, line in zip(block, lines):
+            steps = np.vstack([np.zeros((1, 2), dtype=np.int64), edges[:, :2] * edges[:, 2:]])
+            assert line.edges is edges
+            assert line.vertices.tolist() == np.cumsum(steps, axis=0).tolist()
+            assert line.endpoint.tolist() == line.vertices[-1].tolist()
+    assert sp.assemble_block([]) == []
+
+
+@pytest.mark.parametrize("rows, reason", [
+    ([[1, 0, 1], [1, 1, 0]], "multiplicities must be >= 1"),
+    ([[1, 0, -1]], "multiplicities must be >= 1"),
+    ([[1, 1, 1], [1, 0, 1]], "directions must be distinct and in increasing slope"),
+    ([[1, 1, 1], [2, 2, 1]], "directions must be distinct and in increasing slope"),
+    ([[1, 1, 1], [1, 0, 0]], "multiplicities must be >= 1"),  # both: nu first
+], ids=["nu0", "nu-neg", "order", "same-slope", "both"])
+def test_assemble_block_names_the_malformed_path(rows, reason):
+    good = oracles.edge_rows({(1, 0): 1, (1, 1): 2})
+    block = [good, oracles.edge_rows({}), np.array(rows, dtype=np.int64), good]
+    with pytest.raises(ValueError, match=f"^path 2 of the block: {reason}$"):
+        sp.assemble_block(block)
+    # the first malformed path is named, whatever its fault
+    block[1] = np.array([[0, 1, 1], [1, 0, 1]], dtype=np.int64)
+    with pytest.raises(ValueError, match="^path 1 of the block: directions must be"):
+        sp.assemble_block(block)
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.dictionaries(
     st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(
