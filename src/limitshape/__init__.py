@@ -38,8 +38,6 @@ from .sampler import (
     Configuration,
     PolygonalLine,
     assemble,
-    condition_on_endpoint,
-    sample_configuration,
     sample_endpoints,
 )
 
@@ -55,7 +53,6 @@ __all__ = [
     "assemble",
     "b_matrix",
     "calibration_residual",
-    "condition_on_endpoint",
     "covariance_matrix",
     "delta",
     "distance_report",
@@ -72,7 +69,6 @@ __all__ = [
     "mobius_sieve",
     "moment_report",
     "nu_moments",
-    "sample_configuration",
     "sample_endpoints",
     "slope_grid",
     "slope_inverse",

@@ -29,24 +29,26 @@ accepted replicates are found in each round by a binary search, and
 only their rows are gathered and sorted, never the whole batch's.
 Its batches hold the predicted draws (predicted_attempts) of the paths
 a call is for (condition_batch): studies.draw_block asks it for a
-block of paths in one call, and condition_on_endpoint is its first
-accepted draw, checked and assembled into a path (assemble_block).
+block of paths in one call.  condition_on_endpoint, its first accepted
+draw checked and assembled into a path (assemble_block), has no
+package caller.
 
-Two equivalent sampling routes are provided.  sample_configuration
-draws one uniform per enumerated direction (inverse transform).  The
-batched endpoint machinery embeds the per-direction Bernoulli field in
-a unit-rate Poisson process on the cumulative-hazard axis and skips
+Every path and endpoint is drawn by one batched route,
+sample_endpoints: it embeds the per-direction Bernoulli field in a
+unit-rate Poisson process on the cumulative-hazard axis and skips
 straight to the next active direction, which costs O(active) instead
-of O(enumerated) per replicate; the joint law is identical and the
-equivalence is pinned by tests against the direct route and against
-exhaustive enumeration.  Each skip lands on a later direction, so a
-replicate holds at most one row per direction, with no repeats to
-merge, and its rows come round by round in slope order.  A skip finds
-its direction through a guide table of the cumulative hazard (Chen &
-Asau 1974; Devroye 1986, III.2.4): 4 buckets per direction, each
-holding the count of cumulative hazards at or below its left edge.
-The bucket's count is the answer for about 95% of the skips; the rest
-take a binary search, so the index is the one
+of O(enumerated) per replicate.  A free block of paths is one such
+batch, read out by configurations_of.  sample_configuration, one
+uniform per enumerated direction (inverse transform), is the direct
+reference: no package route calls it, and tests pin the skip route's
+law to it and to exhaustive enumeration.  Each skip lands on a later
+direction, so a replicate holds at most one row per direction, with no
+repeats to merge, and its rows come round by round in slope order.  A
+skip finds its direction through a guide table of the cumulative
+hazard (Chen & Asau 1974; Devroye 1986, III.2.4): 4 buckets per
+direction, each holding the count of cumulative hazards at or below
+its left edge.  The bucket's count is the answer for about 95% of the
+skips; the rest take a binary search, so the index is the one
 searchsorted(cum, pos, "right") returns, and no scan is unbounded.
 Lookups run in blocks of 32768 queries, so their temporaries stay
 small next to the batch's own arrays.
@@ -152,8 +154,9 @@ def _rows(f, idx, nu) -> np.ndarray:
 
 
 def sample_configuration(params: MeasureParams, rng: np.random.Generator) -> Configuration:
-    """One draw from the tilted measure: independent geometric nu per
-    enumerated direction via inverse transform nu = floor(ln U / ln z)."""
+    """One draw from the tilted measure, the direct reference for the
+    skip route's law: independent geometric nu per enumerated direction
+    via inverse transform nu = floor(ln U / ln z)."""
     f = _field(params)
     u = rng.random(f.x1.size)
     idx = np.nonzero(u < f.zpow)[0]

@@ -3,24 +3,24 @@
 Each study fans its work out over one process pool, created once per
 study call: the tasks of every size go to it in size order, with no
 barrier between sizes, and the results are split back by the size's
-position.  Every free replicate, conditioned block and endpoint batch
-owns an RNG stream derived from the master seed and its index, so
-results are bit-identical for any worker count.  Path replicates come
-in blocks of BLOCK, replicate r in block r // BLOCK, and a block is the
-one unit of drawing, checking, measuring and fan-out.  draw_block is
-the one path draw, free (one stream and one sample_configuration draw
-per replicate) or endpoint-conditioned (one stream and one batched
-conditioned loop per block, under the block's pooled budget); either
-way the block's paths are checked and assembled together
-(sampler.assemble_block).  The limit-shape and conditioned studies hand
-the pool one task per block of each size (_path_records), so the task
-list does not depend on the worker count, and each task measures its
-paths in one metrics.distance_reports call.  The CLI sample and
-condition modes draw through draw_block too, so the CLI's replicate i
-is the study's for any total.  A path study's workers build their own
-fields; the local-CLT study builds every size's field in the parent,
-for its cells, and its forked workers inherit them.  Exact-sum studies
-need no replication and run in-process.
+position.  Every path block and endpoint batch owns an RNG stream
+derived from the master seed and its index, so results are
+bit-identical for any worker count.  Path replicates come in blocks of
+BLOCK, replicate r in block r // BLOCK, and a block is the one unit of
+drawing, checking, measuring and fan-out.  draw_block is the one path
+draw: a block takes one stream and one skip-route draw, a free batch
+of BLOCK paths or a batched conditioned loop under the block's pooled
+budget, and its paths are read out of the skip rounds, checked and
+assembled together (sampler.assemble_block).  The limit-shape and
+conditioned studies hand the pool one task per block of each size
+(_path_records), so the task list does not depend on the worker count,
+and each task measures its paths in one metrics.distance_reports
+call.  The CLI sample and condition modes draw through draw_block
+too, so the CLI's replicate i is the study's for any total.  A path
+study's workers build their own fields; the local-CLT study builds
+every size's field in the parent, for its cells, and its forked
+workers inherit them.  Exact-sum studies need no replication and run
+in-process.
 """
 
 from __future__ import annotations
@@ -88,32 +88,32 @@ def blocks(count: int) -> list:
 def draw_block(params: _measure.MeasureParams, seed: int, first: int, count: int,
                max_attempts: int | None = None) -> list:
     """Replicates first .. first + count - 1 of a path study as (line,
-    attempts) pairs in replicate order: free draws when max_attempts is
-    None, else the endpoint-conditioned draws of block first // BLOCK,
-    which the replicates must start (count <= BLOCK), under a budget of
-    count * max_attempts for the block.
+    attempts) pairs in replicate order: the first count paths of block
+    first // BLOCK, which the replicates must start (count <= BLOCK),
+    free when max_attempts is None, else endpoint-conditioned under a
+    budget of count * max_attempts for the block.
 
-    A free replicate is one draw, and one attempt, on its own RNG stream
-    (seed, route, params.n1, replicate).  A conditioned block is one
-    sampler.conditioned_configurations call on the block's stream
-    (seed, route, params.n1, block), in batches sized for BLOCK paths
-    whatever count is, so a replicate's path does not depend on how many
-    the caller asks for; its attempts are the draws since the block's
-    previous path.  Exhausted propagates once the block's budget is
-    spent.  The drawn edge arrays are checked as Configurations and
-    assembled in one sampler.assemble_block call.
+    A block draws on its own RNG stream (seed, route, params.n1, block),
+    sized for BLOCK paths whatever count is, so a replicate's path does
+    not depend on how many the caller asks for: a free block is one
+    sampler.sample_endpoints batch of BLOCK draws, one attempt each, and
+    a conditioned block one sampler.conditioned_configurations call in
+    batches sized for BLOCK paths, a path's attempts being the draws
+    since the block's previous path (Exhausted propagates once the
+    block's budget is spent).  The edge arrays are read out of the skip
+    rounds and assembled in one sampler.assemble_block call.
     """
+    if first % BLOCK or not 0 < count <= BLOCK:
+        raise ValueError(f"replicates {first}..{first + count - 1} "
+                         f"are not the start of one block of {BLOCK}")
+    domain = _DOMAIN_LIMIT_SHAPE if max_attempts is None else _DOMAIN_CONDITION
+    rng = _replicate_rng(seed, domain, params.n1, first // BLOCK)
     if max_attempts is None:
-        edges = [_sampler.sample_configuration(
-                    params, _replicate_rng(seed, _DOMAIN_LIMIT_SHAPE, params.n1, rep)).support
-                 for rep in range(first, first + count)]
+        _, support = _sampler.sample_endpoints(params, BLOCK, rng, collect_support=True)
+        edges = _sampler.configurations_of(params, support, np.arange(count))
         attempts = [1] * count
     else:
-        if first % BLOCK or not 0 < count <= BLOCK:
-            raise ValueError(f"conditioned replicates {first}..{first + count - 1} "
-                             f"are not the start of one block of {BLOCK}")
         n = (params.n1, params.n2)
-        rng = _replicate_rng(seed, _DOMAIN_CONDITION, params.n1, first // BLOCK)
         edges, attempts = _sampler.conditioned_configurations(
             params, n, count, _sampler.condition_batch(params, n, BLOCK), count * max_attempts,
             rng)

@@ -369,29 +369,37 @@ def _conditioned(**kw):
 
 
 def test_conditioned_blocks_do_not_depend_on_the_total():
-    """A replicate's path is the same whatever the study's total: the
-    first three of 3 and of BLOCK + 8 (block 0), replicates BLOCK and
-    BLOCK + 1 of BLOCK + 2 and of 2 BLOCK (block 1); and 2 BLOCK + 6
-    replicates, which end in a short block, give the same rows and
-    details on one worker and on two."""
+    """A replicate's path is the same whatever the study's total, for
+    conditioned and free blocks alike: the first three of 3 and of
+    BLOCK + 8 (block 0), replicates BLOCK and BLOCK + 1 of BLOCK + 2 and
+    of 2 BLOCK (block 1); and 2 BLOCK + 6 replicates, which end in a
+    short block, give the same rows and details on one worker and on
+    two."""
     block = stu.BLOCK
 
-    def study(total, workers=1):
+    def conditioned(total, workers=1):
         return stu.run_conditioned_study(_conditioned(accepted_target=total, workers=workers))
 
-    small, large = study(3), study(block + 8)
-    assert small.extras["overlay"][30] == large.extras["overlay"][30][:3]
-    assert small.details == large.details[:3]
-    assert study(block + 2).details[block:] == study(2 * block).details[block:block + 2]
-    one, two = study(2 * block + 6), study(2 * block + 6, workers=2)
-    assert [d[0] for d in one.details] == list(range(2 * block + 6))
-    assert one.rows == two.rows
-    assert one.details == two.details
-    # a conditioned draw is the start of one block, or none
+    def free(total, workers=1):
+        return stu.run_limit_shape_study(_config(n1_list=[30], replicates=total,
+                                                 workers=workers))
+
+    for study in (conditioned, free):
+        small, large = study(3), study(block + 8)
+        assert small.extras["overlay"][30] == large.extras["overlay"][30][:3]
+        assert small.details == large.details[:3]
+        assert study(block + 2).details[block:] == study(2 * block).details[block:block + 2]
+        one, two = study(2 * block + 6), study(2 * block + 6, workers=2)
+        assert [d[0] for d in one.details] == list(range(2 * block + 6))
+        assert one.rows == two.rows
+        assert one.details == two.details
+    # a draw is the start of one block, or none
     params = ms.MeasureParams.for_endpoint(cv.make_preset("parabola"), 30)
     for first, count in ((5, 3), (block, 0), (0, block + 1)):
         with pytest.raises(ValueError, match="start of one block"):
             stu.draw_block(params, 5, first, count, 100)
+    with pytest.raises(ValueError, match="start of one block"):
+        stu.draw_block(params, 5, 5, 3)
 
 
 def test_conditioned_mean_attempts_tracks_the_prediction():

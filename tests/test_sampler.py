@@ -408,29 +408,38 @@ def test_empirical_mean_endpoint_matches_exact(parabola1):
 
 def test_skip_route_matches_direct_route(parabola1):
     """The Poisson-embedding sampler and the one-uniform-per-direction
-    sampler draw from the same law: per-direction activity frequencies
-    and endpoint moments agree within Monte Carlo bands."""
+    sampler draw from the same law: per-direction activity frequencies,
+    per-direction mean multiplicities and endpoint moments agree within
+    Monte Carlo bands."""
     params = _params(parabola1, 40)
     f = ms._field(params)
     n_draws = 20_000
     rng = np.random.default_rng(17)
     active_direct = np.zeros(f.x1.size)
+    nu_direct = np.zeros(f.x1.size)
     xi_direct = np.zeros((n_draws, 2))
     for i in range(n_draws):
         config = sp.sample_configuration(params, rng)
         xi_direct[i] = _endpoint(config.support)
-        for x1, x2, _ in config.support:
+        for x1, x2, nu in config.support:
             j = int(np.nonzero((f.x1 == x1) & (f.x2 == x2))[0][0])
             active_direct[j] += 1
+            nu_direct[j] += nu
     xi_skip, support = sp.sample_endpoints(
         params, n_draws, np.random.default_rng(29), collect_support=True)
-    _, idx, _ = oracles.concatenated_support(support)
+    _, idx, nu = oracles.concatenated_support(support)
     active_skip = np.bincount(idx, minlength=f.x1.size).astype(float)
+    nu_skip = np.bincount(idx, weights=nu, minlength=f.x1.size)
 
     p = f.zpow
     se = np.sqrt(np.maximum(p * (1 - p), 1e-12) * n_draws)
     assert np.all(np.abs(active_direct - p * n_draws) < 5 * se + 3)
     assert np.all(np.abs(active_skip - p * n_draws) < 5 * se + 3)
+    # the sum of n_draws multiplicities per direction: mean n E[nu], sd
+    # sqrt(n Var[nu]), with the same slack as the activity counts
+    se_nu = np.sqrt(f.var_nu * n_draws)
+    assert np.all(np.abs(nu_direct - f.mean_nu * n_draws) < 5 * se_nu + 3)
+    assert np.all(np.abs(nu_skip - f.mean_nu * n_draws) < 5 * se_nu + 3)
     for j in range(2):
         pooled_se = math.sqrt(2 * ms.covariance_matrix(params)[j, j] / n_draws)
         assert abs(xi_direct[:, j].mean() - xi_skip[:, j].mean()) < 4 * pooled_se
