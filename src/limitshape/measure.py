@@ -65,6 +65,7 @@ _SECTOR_SAFETY = 0.9  # sector floor = 0.9 x the smaller tilt at its two ends
 _PAIR_POOL = 16  # likeliest directions: the completing pair's pool and the completing set
 _FIELD_CACHE = 4  # fields kept per process: a study's sizes, which forked workers inherit
 _SET_TABLE_CELLS = 1 << 20  # float64 cells of a completing set's tables, 8 MB
+_DENSE_HEAD = 32  # likeliest directions the batched draw takes densely (dense_head)
 
 
 def _tilt_base(curve: ConvexCurve, t: np.ndarray) -> np.ndarray:
@@ -300,10 +301,27 @@ class _DirectionField:
         self.cum_length = np.cumsum(self.norm * self.mean_nu)
 
     @cached_property
+    def dense_head(self) -> np.ndarray:
+        """Ascending field indices of the directions the batched draw
+        takes densely: every direction whose z is at least the
+        _DENSE_HEAD-th largest, more than _DENSE_HEAD on a tie there and
+        the whole field when it is no larger.  One partition finds that
+        z, in O(directions); built on first use."""
+        z = self.zpow
+        if z.size <= _DENSE_HEAD:
+            return np.arange(z.size)
+        cut = np.partition(z, z.size - _DENSE_HEAD)[z.size - _DENSE_HEAD]
+        return np.flatnonzero(z >= cut)
+
+    @cached_property
     def cum_hazard(self) -> np.ndarray:
-        """Cumulative hazard -log(1 - z^x) of the per-direction activity
-        events, the axis of the batched skip draws; built on first use."""
-        return np.cumsum(-np.log1p(-self.zpow))
+        """Cumulative hazard -log(1 - z^x) of the tail's activity events
+        in slope order, with every dense_head direction's hazard set to
+        zero: the axis of the batched skip draws, on which a head
+        direction owns an empty interval; built on first use."""
+        hazard = -np.log1p(-self.zpow)
+        hazard[self.dense_head] = 0.0
+        return np.cumsum(hazard)
 
     @cached_property
     def hazard_guide(self) -> np.ndarray:

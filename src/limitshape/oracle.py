@@ -29,7 +29,6 @@ from .lattice import direction_arrays
 from .measure import MeasureParams, direction_exponent
 
 _STATE_BUDGET = 2_000_000
-_DRAW_BATCH = 100_000  # endpoint draws per batch of check_sampler
 
 # The micro-lattice instances (n, cap_radius, nu_cap) of check_sampler.
 # Each has cap_radius >= n1 + n2 and nu_cap >= max(n): no path ending at
@@ -126,9 +125,9 @@ def check_sampler(curve: ConvexCurve, draws: int, max_attempts: int,
     sorted (x1, x2, nu) rows, the key of the enumeration's entries.
 
     Instance idx draws from SeedSequence(seed, spawn_key=(9, idx)) in
-    batches of 100 000 endpoints under max_attempts.  An unreachable
-    endpoint raises UnreachableEndpoint from the enumeration, before
-    any draw.
+    batches sized for draws paths (sampler.condition_batch) under
+    max_attempts.  An unreachable endpoint raises UnreachableEndpoint
+    from the enumeration, before any draw.
     """
     rows, missing = [], []
     worst_z = 0.0
@@ -136,8 +135,8 @@ def check_sampler(curve: ConvexCurve, draws: int, max_attempts: int,
         params = MeasureParams.for_endpoint(curve, n[0], n[1])
         dist = exact_conditional_oracle(params, cap_radius, nu_cap, n)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9, idx)))
-        paths, _ = _sampler.conditioned_configurations(params, n, draws, _DRAW_BATCH,
-                                                       max_attempts, rng)
+        paths, _ = _sampler.conditioned_configurations(
+            params, n, draws, _sampler.condition_batch(params, n, draws), max_attempts, rng)
         counts = Counter(tuple(sorted(map(tuple, edges.tolist()))) for edges in paths)
         missing.extend((n, key) for key in sorted(counts.keys() - dist.as_dict().keys()))
         for key, p in dist.entries:

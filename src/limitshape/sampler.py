@@ -24,7 +24,7 @@ conditioned_configurations is that one loop: it draws batched
 endpoints under an attempt budget, hands out a batch's accepted draws
 in replicate order as edge arrays with each path's own attempts, and
 raises Exhausted with the closest miss once the budget is spent.  A
-batch's support stays in the rounds the skip draw made it in: the
+batch's support stays in the rounds sample_endpoints made it in: the
 accepted replicates are found in each round by a binary search, and
 only their rows are gathered and sorted, never the whole batch's.
 Its batches hold the predicted draws (predicted_attempts) of the paths
@@ -34,24 +34,33 @@ draw checked and assembled into a path (assemble_block), has no
 package caller.
 
 Every path and endpoint is drawn by one batched route,
-sample_endpoints: it embeds the per-direction Bernoulli field in a
-unit-rate Poisson process on the cumulative-hazard axis and skips
-straight to the next active direction, which costs O(active) instead
-of O(enumerated) per replicate.  A free block of paths is one such
-batch, read out by configurations_of.  sample_configuration, one
-uniform per enumerated direction (inverse transform), is the direct
-reference: no package route calls it, and tests pin the skip route's
-law to it and to exhaustive enumeration.  Each skip lands on a later
-direction, so a replicate holds at most one row per direction, with no
-repeats to merge, and its rows come round by round in slope order.  A
-skip finds its direction through a guide table of the cumulative
-hazard (Chen & Asau 1974; Devroye 1986, III.2.4): 4 buckets per
-direction, each holding the count of cumulative hazards at or below
-its left edge.  The bucket's count is the answer for about 95% of the
-skips; the rest take a binary search, so the index is the one
-searchsorted(cum, pos, "right") returns, and no scan is unbounded.
-Lookups run in blocks of 32768 queries, so their temporaries stay
-small next to the batch's own arrays.
+sample_endpoints, a chunk of _LOOKUP_BLOCK replicates at a time.  The
+field's dense head (measure's dense_head: its 32 likeliest
+directions, more on a tie) gets its multiplicities as one (head,
+chunk) array by inverse transform, nu = floor(log U / log z).  The
+rest, the tail, is drawn by Poisson-embedding skips: the
+per-direction Bernoulli field is embedded in a unit-rate Poisson
+process on the tail's cumulative-hazard axis, where each head
+direction owns an empty interval, and a replicate skips straight to
+its next active direction, which costs O(active) instead of
+O(enumerated).  Every uniform is taken as U = 1 - random, in (0, 1],
+so log U is finite.  A free block of paths is one such batch, read
+out by configurations_of.  sample_configuration, one uniform per
+enumerated direction (inverse transform), is the direct reference: no
+package route calls it, and tests pin the batched route's law to it
+and to exhaustive enumeration.  A chunk's support comes in rounds:
+one per head direction, in slope order, then one per skip.  Each skip
+lands on a later direction, never on an empty interval, so a
+replicate holds at most one row per direction, with no repeats to
+merge, and its head rows and then its tail rows come in slope order.
+A skip finds its direction through a guide table of the tail's
+cumulative hazard (Chen & Asau 1974; Devroye 1986, III.2.4): 4
+buckets per direction, each holding the count of cumulative hazards
+at or below its left edge.  The bucket's count is the answer for
+92-98% of the skips; the rest take a binary search, so the index is
+the one searchsorted(cum, pos, "right") returns, and no scan is
+unbounded.  A chunk keeps the head's array and the skips' temporaries
+near the size of the L2 cache.
 """
 
 from __future__ import annotations
@@ -67,7 +76,7 @@ from .measure import (MeasureParams, _field, completing_set, covariance_matrix, 
                       step_knots)
 
 _CONDITION_BATCH = 8192  # the largest batch condition_batch gives
-_LOOKUP_BLOCK = 32768  # skip-lookup queries per block of _skip_index
+_LOOKUP_BLOCK = 16384  # replicates per chunk of sample_endpoints
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,71 +183,106 @@ def _skip_index(cum, guide, pos) -> np.ndarray:
     put b*h above pos, so that g[b] = #{cum <= b*h} is at most the
     answer.  g[b] is the answer unless cum[g[b]] <= pos, and the few
     queries where that holds take a binary search instead, so every
-    index equals the plain search's, ties included.  The queries run in
-    blocks of _LOOKUP_BLOCK, which bounds the temporaries.
+    index equals the plain search's, ties included.
     """
     m = guide.size
     h = cum[-1] / m
-    out = np.empty(pos.size, dtype=np.int64)
-    for lo in range(0, pos.size, _LOOKUP_BLOCK):
-        p = pos[lo:lo + _LOOKUP_BLOCK]
-        b = np.minimum(p / h, m - 1).astype(np.int64)
-        b -= b * h > p
-        j = guide[b]  # guide values are below cum.size, so cum[j] is valid
-        short = np.flatnonzero(cum[j] <= p)
-        j[short] = np.searchsorted(cum, p[short], side="right")
-        out[lo:lo + p.size] = j
-    return out
+    b = np.minimum(pos / h, m - 1).astype(np.int64)
+    b -= b * h > pos
+    j = guide[b]  # guide values are below cum.size, so cum[j] is valid
+    short = np.flatnonzero(cum[j] <= pos)
+    j[short] = np.searchsorted(cum, pos[short], side="right")
+    return j
 
 
 def sample_endpoints(params: MeasureParams, count: int,
                      rng: np.random.Generator,
                      collect_support: bool = False):
-    """Batched endpoint draws (count, 2) via Poisson-embedding skips.
+    """Batched endpoint draws (count, 2) in chunks of _LOOKUP_BLOCK
+    replicates, each chunk's random numbers after the previous chunk's:
+    the field's dense head drawn as one array (_draw_head), then its
+    tail by Poisson-embedding skips (_skip_tail).
 
-    When collect_support is set, also returns the support as its skip
+    When collect_support is set, also returns the support as its
     rounds: three lists (rep, dir_index, nu) holding one array per
     round.  A round's rep array is ascending and holds each replicate at
-    most once, and a replicate's rounds visit its directions in slope
-    order, so configurations_of rebuilds any replicate's edge array
-    without sorting the batch.
+    most once, and a replicate holds each direction at most once, so
+    configurations_of rebuilds any replicate's edge array with one sort
+    of its own rows.
     """
     f = _field(params)
-    cum = f.cum_hazard
     x1, x2 = np.zeros(count, dtype=np.int64), np.zeros(count, dtype=np.int64)
-    support = ([], [], [])
-    # without hazard no direction is ever active
-    alive = np.arange(count) if cum.size and cum[-1] > 0.0 else np.empty(0, np.int64)
+    support = ([], [], []) if collect_support else None
+    for first in range(0, count, _LOOKUP_BLOCK):
+        chunk = slice(first, first + _LOOKUP_BLOCK)
+        _draw_head(f, x1[chunk], x2[chunk], first, rng, support)
+        _skip_tail(f, x1[chunk], x2[chunk], first, rng, support)
+    xi = np.column_stack([x1, x2])
+    return (xi, support) if collect_support else xi
+
+
+def _draw_head(f, x1, x2, first, rng, support) -> None:
+    """Add the dense head's part to the endpoints x1, x2 of the chunk of
+    replicates first .. first + x1.size - 1, and unless support is None
+    append one round per head direction, in slope order.  The head's
+    multiplicities are one (head, chunk) array computed in place from
+    one uniform array, nu = floor(log U / log z) with U = 1 - random in
+    (0, 1], so nu >= 0 with P(nu >= k) = z^k.  They and their endpoint
+    sums are integers held exactly in float64 (below 2^53)."""
+    head = f.dense_head
+    nu = rng.random((head.size, x1.size))
+    np.subtract(1.0, nu, out=nu)
+    np.log(nu, out=nu)
+    nu /= -f.neg_log_z[head, None]
+    np.floor(nu, out=nu)
+    x1 += np.einsum("ij,i->j", nu, f.x1[head].astype(float)).astype(np.int64)
+    x2 += np.einsum("ij,i->j", nu, f.x2[head].astype(float)).astype(np.int64)
+    if support is not None:
+        for j, nu_j in zip(head.tolist(), nu):
+            rep = np.flatnonzero(nu_j)
+            for out, new in zip(support, (rep + first, np.full(rep.size, j),
+                                          nu_j[rep].astype(np.int64))):
+                out.append(new)
+
+
+def _skip_tail(f, x1, x2, first, rng, support) -> None:
+    """Add the tail's part to a chunk's endpoints (as _draw_head), one
+    round per skip: each alive replicate skips along cum_hazard to its
+    next active direction.  A head direction owns an empty interval
+    there and is never landed on, so skip indices are field indices."""
+    cum = f.cum_hazard
+    # without tail hazard no tail direction is ever active
+    alive = np.arange(x1.size) if cum.size and cum[-1] > 0.0 else np.empty(0, np.int64)
     pos = np.zeros(alive.size)  # consumed hazard of each alive replicate
     while alive.size:
         pos = pos + rng.standard_exponential(alive.size)
         # direction j owns [cum[j-1], cum[j]); side="right" keeps j above
-        # the replicate's previous direction even when the step rounds to 0
+        # the replicate's previous direction even when the step rounds to
+        # 0, and off every empty interval
         j = _skip_index(cum, f.hazard_guide, pos)
         live = j < cum.size
         alive = alive[live]  # a subsequence of an ascending array
         if not alive.size:
             break
         j = j[live]
-        # conditional on activity, multiplicity is 1 + geometric
-        u = rng.random(alive.size)
-        nu = 1 + np.floor(np.log(u) / -f.neg_log_z[j]).astype(np.int64)
+        # conditional on activity, multiplicity is 1 + geometric; the
+        # ratio is >= 0, so truncation is floor
+        nu = 1 + (np.log(1.0 - rng.random(alive.size)) / -f.neg_log_z[j]).astype(np.int64)
         x1[alive] += f.x1[j] * nu  # alive indices are unique per round
         x2[alive] += f.x2[j] * nu
-        if collect_support:  # alive, j and nu are fresh arrays every round
-            for out, new in zip(support, (alive, j, nu)):
+        if support is not None:  # alive, j and nu are fresh arrays every round
+            for out, new in zip(support, (alive + first, j, nu)):
                 out.append(new)
         pos = cum[j]
-    xi = np.column_stack([x1, x2])
-    return (xi, support) if collect_support else xi
 
 
 def _replicate_rows(support, reps):
     """(owner, dir_index, nu) of the rows of replicates reps in a
     per-round support (sample_endpoints), where owner is the position
     in reps.  Each round is searched for reps with one searchsorted on
-    its ascending rep array, so the rows come round by round, and each
-    owner's rows in slope order."""
+    its ascending rep array, so the rows come round by round: each
+    owner's head rows and then its tail rows, each part in slope
+    order."""
     owner, idx, nu = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for rep_r, idx_r, nu_r in zip(*support):
         at = np.searchsorted(rep_r, reps)

@@ -158,35 +158,57 @@ def edge_length_profile(edges, t, side="right"):
     return total
 
 
-def searchsorted_endpoints(field, count: int, rng):
-    """The skip draw of sampler.sample_endpoints with a plain binary search
-    for each skip's direction: the reference route of the guide-table
-    lookup, drawing the same random numbers in the same order.
+def searchsorted_endpoints(field, count: int, rng, chunk: int):
+    """The draw of sampler.sample_endpoints on the same random numbers in
+    the same order, by a route of its own: chunks of chunk replicates,
+    each a dense head and then a tail skip.  The head is every direction
+    whose z is at least the 32nd largest, found by a stable sort; its
+    multiplicities are floor(log U / log z) from one (head, chunk)
+    uniform array, U = 1 - random.  The tail skips along its own
+    cumulative hazard, the head's hazards zeroed, with a plain binary
+    search for each skip's direction.
 
-    field is the measure's direction field (x1, x2, neg_log_z,
-    cum_hazard); returns (xi, (rep, dir_index, nu)).
+    field is the measure's direction field (x1, x2, zpow, neg_log_z);
+    returns (xi, (rep, dir_index, nu)), each chunk's head rows by
+    direction and then its tail rows by skip round.
     """
-    cum = field.cum_hazard
+    z = field.zpow
+    top = np.sort(z, kind="stable")[::-1]
+    head = np.flatnonzero(z >= top[31]) if z.size > 32 else np.arange(z.size)
+    hazard = -np.log1p(-z)
+    hazard[head] = 0.0
+    cum = np.cumsum(hazard)
     xi = np.zeros((count, 2), dtype=np.int64)
     reps_out, idx_out, nu_out = [], [], []
-    alive = np.arange(count) if cum.size and cum[-1] > 0.0 else np.empty(0, np.int64)
-    pos = np.zeros(count)
-    while alive.size:
-        pos_alive = pos[alive] + rng.standard_exponential(alive.size)
-        j = np.searchsorted(cum, pos_alive, side="right")
-        live = j < cum.size
-        alive = alive[live]
-        if not alive.size:
-            break
-        j = j[live]
-        u = rng.random(alive.size)
-        nu = 1 + np.floor(np.log(u) / -field.neg_log_z[j]).astype(np.int64)
-        xi[alive, 0] += field.x1[j] * nu
-        xi[alive, 1] += field.x2[j] * nu
-        reps_out.append(alive)
-        idx_out.append(j)
-        nu_out.append(nu)
-        pos[alive] = cum[j]
+    for first in range(0, count, chunk):
+        size = min(chunk, count - first)
+        u = 1.0 - rng.random((head.size, size))
+        for j, u_j in zip(head.tolist(), u):
+            nu = np.floor(np.log(u_j) / -field.neg_log_z[j]).astype(np.int64)
+            rep = np.flatnonzero(nu > 0)
+            xi[first:first + size, 0] += field.x1[j] * nu
+            xi[first:first + size, 1] += field.x2[j] * nu
+            reps_out.append(first + rep)
+            idx_out.append(np.full(rep.size, j, dtype=np.int64))
+            nu_out.append(nu[rep])
+        alive = np.arange(size) if cum.size and cum[-1] > 0.0 else np.empty(0, np.int64)
+        pos = np.zeros(size)
+        while alive.size:
+            pos_alive = pos[alive] + rng.standard_exponential(alive.size)
+            j = np.searchsorted(cum, pos_alive, side="right")
+            live = j < cum.size
+            alive = alive[live]
+            if not alive.size:
+                break
+            j = j[live]
+            u = 1.0 - rng.random(alive.size)
+            nu = 1 + np.floor(np.log(u) / -field.neg_log_z[j]).astype(np.int64)
+            xi[first + alive, 0] += field.x1[j] * nu
+            xi[first + alive, 1] += field.x2[j] * nu
+            reps_out.append(first + alive)
+            idx_out.append(j)
+            nu_out.append(nu)
+            pos[alive] = cum[j]
     empty = [np.empty(0, np.int64)]
     return xi, tuple(np.concatenate(empty + out) for out in (reps_out, idx_out, nu_out))
 

@@ -193,15 +193,25 @@ class _ZeroEveryOtherStep:
         return self._rng.random(size)
 
 
+def _head_then_tail_in_slope_order(params, reps, idx, r):
+    """Replicate r's rows come head first, then tail, each part in
+    strictly increasing slope (field index)."""
+    own = idx[reps == r]
+    head = np.isin(own, ms._field(params).dense_head)
+    assert np.all(np.diff(head.astype(int)) <= 0)
+    assert np.all(np.diff(own[head]) > 0) and np.all(np.diff(own[~head]) > 0)
+
+
 def test_skip_moves_on_after_a_zero_step(parabola1):
     # a step of 0 leaves the consumed hazard at cum[j]; the next skip must
-    # still land on a later direction, or the rebuild would see a repeat
+    # still land on a later direction, past the head's empty intervals,
+    # or the rebuild would see a repeat
     params = _params(parabola1, 100)
     xi, support = sp.sample_endpoints(params, 50, _ZeroEveryOtherStep(3),
                                       collect_support=True)
     reps, idx, _ = oracles.concatenated_support(support)
     for r in range(50):
-        assert np.all(np.diff(idx[reps == r]) > 0)
+        _head_then_tail_in_slope_order(params, reps, idx, r)
     for r, edges in enumerate(sp.configurations_of(params, support, range(50))):
         assert _endpoint(edges).tolist() == xi[r].tolist()
 
@@ -214,7 +224,8 @@ def _same_paths(got, want):
 
 def test_support_rounds_are_ascending(parabola1):
     """Each round's replicate array is ascending with no repeats, and a
-    replicate's rounds visit its directions in slope order."""
+    replicate's head rounds, then its skip rounds, each visit its
+    directions in slope order."""
     params = _params(parabola1, 100)
     _, support = sp.sample_endpoints(params, 3000, np.random.default_rng(11),
                                      collect_support=True)
@@ -222,9 +233,8 @@ def test_support_rounds_are_ascending(parabola1):
     for rep_r in support[0]:
         assert rep_r.dtype == np.int64 and np.all(np.diff(rep_r) > 0)
     reps, idx, _ = oracles.concatenated_support(support)
-    order = np.argsort(reps, kind="stable")
-    same = reps[order][1:] == reps[order][:-1]
-    assert np.all(np.diff(idx[order])[same] > 0)
+    for r in range(3000):
+        _head_then_tail_in_slope_order(params, reps, idx, r)
 
 
 @pytest.mark.parametrize("n1", [20, 100])
@@ -335,7 +345,7 @@ def test_skip_index_is_searchsorted_right(hazards, fractions):
     marks = np.concatenate([edges, cum, [0.0, 2.0 * cum[-1], cum[-1] + 50.0]])
     pos = np.concatenate([marks, np.nextafter(marks, np.inf),
                           np.nextafter(marks, 0.0), np.asarray(fractions) * cum[-1]])
-    # spread over several blocks, so block boundaries are crossed too
+    # as many queries as two chunks of sample_endpoints make at most
     pos = np.tile(pos, 1 + 2 * sp._LOOKUP_BLOCK // pos.size)
     assert np.array_equal(sp._skip_index(cum, guide, pos),
                           np.searchsorted(cum, pos, side="right"))
@@ -348,7 +358,8 @@ def test_sample_endpoints_matches_searchsorted_route(parabola1, n1, seed):
     the binary-search reference route on the same random numbers."""
     params = _params(parabola1, n1)
     f = ms._field(params)
-    want = oracles.searchsorted_endpoints(f, 3000, np.random.default_rng(seed))
+    want = oracles.searchsorted_endpoints(f, 3000, np.random.default_rng(seed),
+                                          sp._LOOKUP_BLOCK)
     got = sp.sample_endpoints(params, 3000, np.random.default_rng(seed), collect_support=True)
     assert np.array_equal(got[0], want[0])
     for a, b in zip(oracles.concatenated_support(got[1]), want[1]):
@@ -359,8 +370,158 @@ def test_sample_endpoints_matches_searchsorted_route(parabola1, n1, seed):
 
 def test_hazard_guide_is_built_on_first_use(parabola1):
     f = ms._DirectionField(_params(parabola1, 50))
-    assert "hazard_guide" not in vars(f) and "cum_hazard" not in vars(f)
+    assert not {"hazard_guide", "cum_hazard", "dense_head"} & set(vars(f))
     assert np.array_equal(f.hazard_guide, ms._guide_table(f.cum_hazard))
+
+
+# --- dense head and chunks ---------------------------------------------------------
+
+@pytest.mark.parametrize("curve_name, boundary_ties, head_size", [
+    ("tabulated_mixed", 1, 32), ("parabola1", 3, 33), ("power2", 8, 36)])
+def test_head_and_tail_multiplicities_match_mean_nu(curve_name, boundary_ties, head_size,
+                                                    request):
+    """The dense head is every direction whose z is at least the 32nd
+    largest: 32 directions when that z is unique (the tabulated curve),
+    more when it is tied (parabola(1): 3 directions share it and the
+    head holds 33, power(2): 8 and 36).  Over 20 000 draws at n1 = 100
+    each direction's summed multiplicity lies within
+    5 sqrt(n Var nu) + 3 of n E[nu] and its activity count within
+    5 sqrt(n z (1 - z)) + 3 of n z, checked over the head and over the
+    skipped tail separately.  Pooled over each
+    part's rows, sum(nu - 1) lies within 5 standard deviations + 3 of
+    its mean given the rows: nu - 1 given nu >= 1 is geometric with
+    parameter z, mean z / (1 - z) and variance z / (1 - z)^2."""
+    params = _params(request.getfixturevalue(curve_name), 100)
+    f = ms._field(params)
+    head = np.zeros(f.x1.size, dtype=bool)
+    head[f.dense_head] = True
+    cut = np.sort(f.zpow)[::-1][31]
+    assert np.count_nonzero(f.zpow == cut) == boundary_ties
+    assert np.array_equal(head, f.zpow >= cut)
+    assert f.dense_head.size == head_size and np.all(np.diff(f.dense_head) > 0)
+    n_draws = 20_000
+    _, support = sp.sample_endpoints(params, n_draws, np.random.default_rng(37),
+                                     collect_support=True)
+    _, idx, nu = oracles.concatenated_support(support)
+    active = np.bincount(idx, minlength=f.x1.size)
+    nu_sum = np.bincount(idx, weights=nu, minlength=f.x1.size)
+    p = f.zpow
+    active_ok = np.abs(active - p * n_draws) < 5 * np.sqrt(p * (1 - p) * n_draws) + 3
+    nu_ok = np.abs(nu_sum - f.mean_nu * n_draws) < 5 * np.sqrt(f.var_nu * n_draws) + 3
+    for part, name in ((head, "head"), (~head, "tail")):
+        assert np.all(active_ok[part]), name
+        assert np.all(nu_ok[part]), name
+        rows = part[idx]
+        z = p[idx[rows]]
+        excess = float(np.sum(nu[rows] - 1))
+        sd = math.sqrt(np.sum(z / (1 - z) ** 2))
+        assert abs(excess - np.sum(z / (1 - z))) < 5 * sd + 3, name
+    # the tail's skips never land on a head direction, whose interval is empty
+    assert np.all(np.diff(f.cum_hazard)[f.dense_head[f.dense_head > 0] - 1] == 0.0)
+
+
+@pytest.mark.parametrize("count_of", [
+    lambda b: 1, lambda b: 64, lambda b: b, lambda b: b + 1, lambda b: 2 * b + 3],
+    ids=["1", "64", "chunk", "chunk+1", "2chunk+3"])
+def test_chunk_boundaries(parabola1, count_of):
+    """Across chunk boundaries every replicate's configurations_of rows
+    sum to its endpoint, every nu is >= 1, no replicate holds a
+    direction twice, and the batch is the reference route's
+    (oracles.searchsorted_endpoints) on the same random numbers."""
+    params = _params(parabola1, 100)
+    f = ms._field(params)
+    count = count_of(sp._LOOKUP_BLOCK)
+    xi, support = sp.sample_endpoints(params, count, np.random.default_rng(count),
+                                      collect_support=True)
+    reps, idx, nu = oracles.concatenated_support(support)
+    assert xi.shape == (count, 2) and nu.min() >= 1
+    assert np.unique(reps * f.x1.size + idx).size == reps.size
+    edges = sp.configurations_of(params, support, np.arange(count))
+    joined = np.concatenate(edges)
+    owner = np.repeat(np.arange(count), [len(e) for e in edges])
+    assert joined.shape[0] == reps.size and joined[:, 2].min() >= 1
+    for col in range(2):
+        ends = np.zeros(count, dtype=np.int64)
+        np.add.at(ends, owner, joined[:, col] * joined[:, 2])
+        assert np.array_equal(ends, xi[:, col])
+    want = oracles.searchsorted_endpoints(f, count, np.random.default_rng(count),
+                                          sp._LOOKUP_BLOCK)
+    assert np.array_equal(xi, want[0])
+    for a, b in zip((reps, idx, nu), want[1]):
+        assert np.array_equal(a, b)
+
+
+class _NoSkips:
+    """Generator stand-in for a draw that must take no skip step."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def random(self, size):
+        return self._rng.random(size)
+
+    def standard_exponential(self, size):
+        raise AssertionError("a skip step was drawn")
+
+
+def test_small_field_is_all_head(parabola1):
+    """A field of at most 32 directions (n1 = 20 under a coarse tail
+    tolerance: 29 directions) is all head, with an empty tail: its
+    cumulative hazard is all zero, so the skip ends at once, with no
+    exponential drawn, no guide table built and no division by zero;
+    the empty field draws empty paths the same way."""
+    params = ms.MeasureParams(n1=20, n2=20, curve=parabola1, truncation_radius=18,
+                              tail_tolerance=20.0)
+    f = ms._field(params)
+    assert f.x1.size == 29 and f.dense_head.tolist() == list(range(29))
+    assert not f.cum_hazard.any()
+    with np.errstate(all="raise"):
+        xi, support = sp.sample_endpoints(params, 2 * sp._LOOKUP_BLOCK + 3, _NoSkips(1),
+                                          collect_support=True)
+    assert "hazard_guide" not in vars(f)
+    assert len(support[0]) == 3 * 29  # one round per head direction in each of 3 chunks
+    reps, idx, nu = oracles.concatenated_support(support)
+    assert nu.min() >= 1 and np.unique(reps * 29 + idx).size == reps.size
+    lines = sp.assemble_block(sp.configurations_of(params, support, np.arange(100)))
+    assert [line.endpoint.tolist() for line in lines] == xi[:100].tolist()
+    u = np.linspace(0, 1, 16)
+    narrow = cv.make_tabulated(np.column_stack([u, 0.4 * u + 0.05 * u ** 2]), k0=0.01)
+    empty = ms.MeasureParams(n1=30, n2=13, curve=narrow, truncation_radius=4,
+                             tail_tolerance=1e9)
+    with np.errstate(all="raise"):
+        xi, support = sp.sample_endpoints(empty, 50, _NoSkips(2), collect_support=True)
+    assert ms._field(empty).x1.size == 0 and not xi.any()
+    assert [e.shape for e in sp.configurations_of(empty, support, [0, 49])] == [(0, 3)] * 2
+
+
+class _ZeroUniforms:
+    """Generator stand-in whose every uniform is exactly 0.0."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def random(self, size):
+        return np.zeros(size)
+
+    def standard_exponential(self, size):
+        return self._rng.standard_exponential(size)
+
+
+def test_zero_uniforms_give_valid_paths(parabola1):
+    """random() may return exactly 0.0.  The draw takes U = 1 - random in
+    (0, 1], so such a uniform gives a head direction nu = 0 and a tail
+    direction nu = 1, never log(0): every nu is >= 1, and free and
+    conditioned paths assemble."""
+    params = _params(parabola1, 100)
+    xi, support = sp.sample_endpoints(params, 200, _ZeroUniforms(7), collect_support=True)
+    _, idx, nu = oracles.concatenated_support(support)
+    assert nu.size and nu.min() >= 1
+    assert not np.isin(idx, ms._field(params).dense_head).any()
+    lines = sp.assemble_block(sp.configurations_of(params, support, np.arange(200)))
+    assert [line.endpoint.tolist() for line in lines] == xi.tolist()
+    n = (100, 100)
+    paths, _ = sp.conditioned_configurations(params, n, 3, 64, 10 ** 5, _ZeroUniforms(7))
+    assert [line.endpoint.tolist() for line in sp.assemble_block(paths)] == [list(n)] * 3
 
 
 # --- sampling invariants ----------------------------------------------------------
@@ -716,37 +877,44 @@ def test_exhausted_carries_diagnostics(parabola1):
     assert str(err.value) == f"accepted {accepted} of 10000 within 20000 attempts"
 
 
-def test_exhausted_closest_miss_is_the_minimum(parabola1, pair_only):
+def test_exhausted_closest_miss_is_the_minimum(parabola1, pair_only, monkeypatch):
     """closest_endpoint and closest_distance are the argmin and the
     minimum of the Mahalanobis distance over the free endpoint of every
-    draw of every batch, recomputed from a same-seed replay of the
-    loop's batches (each batch's endpoints, then its uniforms)."""
+    draw of every batch, recomputed from the endpoints the loop was
+    handed.  So that the minimum does not hang on one stream, each free
+    endpoint is moved to at least target + (2, 2) in both coordinates,
+    and one draw of the second batch and one of the fourth are put at
+    target + (1, 1) and target - (1, 1): the same smallest distance in
+    two batches, of which the first must be reported."""
     params = _params(parabola1, 200)
     target, batch, budget = (200, 200), 3000, 10_000  # four batches, the last short
     assert ms.completing_set(params, target).tables == []
+    draw = sp.sample_endpoints
+    seen = []
+
+    def moved(params, count, rng, collect_support=False):
+        xi, support = draw(params, count, rng, collect_support)
+        xi = np.maximum(xi, target) + 2
+        if len(seen) in (1, 3):
+            xi[17] = (201, 201) if len(seen) == 1 else (199, 199)
+        seen.append(xi)
+        return xi, support
+
+    monkeypatch.setattr(sp, "sample_endpoints", moved)
     # a target count the budget cannot reach: the loop accepts some draws
     # and still scans every batch for the closest miss
     with pytest.raises(Exhausted) as err:
         sp.conditioned_configurations(params, target, budget, batch, budget,
                                       np.random.default_rng(53))
     assert 0 < err.value.accepted < budget
-    rng = np.random.default_rng(53)
-    xi = []
-    for a in range(0, budget, batch):
-        size = min(batch, budget - a)
-        xi.append(sp.sample_endpoints(params, size, rng, collect_support=True)[0])
-        rng.random(size)
-    xi = np.concatenate(xi)
+    assert [len(x) for x in seen] == [batch, batch, batch, budget - 3 * batch]
+    xi = np.concatenate(seen)
     diff = (xi - target).astype(float)
     d2 = np.einsum("ij,jk,ik->i", diff, np.linalg.inv(ms.covariance_matrix(params)), diff)
     best = int(np.argmin(d2))
-    assert d2[best] > 0.0  # no free endpoint hit the target
-    # on this seed the first minimum lies in a middle batch, and a later
-    # batch holds another endpoint at the same distance
     ties = np.flatnonzero(d2 == d2[best])
-    assert batch <= best < 2 * batch and ties[-1] >= 2 * batch
-    assert xi[ties[-1]].tolist() != xi[best].tolist()
-    assert err.value.closest_endpoint == tuple(xi[best].tolist())
+    assert ties.tolist() == [batch + 17, 3 * batch + 17]
+    assert err.value.closest_endpoint == tuple(xi[best].tolist()) == (201, 201)
     assert err.value.closest_distance == math.sqrt(d2[best])
 
 
