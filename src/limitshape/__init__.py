@@ -27,7 +27,6 @@ from .measure import (
     covariance_matrix,
     delta,
     expected_endpoint,
-    expected_length_profile,
     gaussian_density_at,
     moment_report,
     nu_moments,
@@ -59,7 +58,6 @@ __all__ = [
     "distance_reports",
     "exact_conditional_oracle",
     "expected_endpoint",
-    "expected_length_profile",
     "gaussian_density_at",
     "hausdorff",
     "length_profile",

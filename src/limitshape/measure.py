@@ -298,7 +298,6 @@ class _DirectionField:
         self.neg_log_z = neg_log_z[keep]
         self.zpow = np.exp(-self.neg_log_z)
         self.mean_nu, self.var_nu = nu_moments(self.zpow)
-        self.cum_length = np.cumsum(self.norm * self.mean_nu)
 
     @cached_property
     def dense_head(self) -> np.ndarray:
@@ -417,8 +416,6 @@ class _CompletingSet:
         self.index = np.concatenate([[ia, ib], extra]).astype(np.int64)
         self.x1, self.x2 = f.x1[self.index], f.x2[self.index]
         self.z = f.zpow[self.index]
-        self.in_set = np.zeros(f.x1.size, dtype=bool)
-        self.in_set[self.index] = True
         self.tables = []
         if extra.size:
             weight = np.zeros((n[0] + 1, n[1] + 1))
@@ -515,14 +512,6 @@ def profile_gap(curve: ConvexCurve, taus, before, after):
     return float(gaps[0]), float(at[0])
 
 
-def expected_length_profile(params: MeasureParams, t):
-    """Exact truncated expectation of the path-length profile at slope t."""
-    f = _field(params)
-    t_arr, scalar = _curve._as_float_array(t)
-    out = step_at(f.tau, f.cum_length, t_arr)
-    return float(out) if scalar else out
-
-
 def mean_length_sup_gap(params: MeasureParams) -> float:
     """sup over t of |E[path length profile](t) / n1 - l(t)|."""
     f = _field(params)
@@ -616,8 +605,10 @@ def moment_report(params: MeasureParams) -> MomentReport:
 def expected_length_profile_mobius(params: MeasureParams, t) -> float:
     """Moebius-inverted evaluation of the expected length profile.
 
-    Independent route for cross-checking expected_length_profile: one
-    mobius_inverted_sum of |v| * E[nu] * 1[tau_v <= t] * 1[alpha*e(v) <= T]
+    Independent route for cross-checking the exact mean profile, the
+    step profile of the field's jumps |x| * E[nu] at the slopes tau
+    that mean_length_sup_gap reads: one mobius_inverted_sum of
+    |v| * E[nu] * 1[tau_v <= t] * 1[alpha*e(v) <= T]
     over the full lattice in the truncation ball, with
     z_v = exp(-alpha * e(v)) taken from the exponent field at every
     lattice point v.  Both indicators are functions of the lattice

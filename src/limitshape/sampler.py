@@ -23,9 +23,12 @@ pair alone, whose test is U < z_a^s * z_b^t.
 conditioned_configurations is that one loop: it draws batched
 endpoints under an attempt budget, hands out a batch's accepted draws
 in replicate order as edge arrays with each path's own attempts, and
-raises Exhausted with the closest miss once the budget is spent.  A
-batch's support stays in the rounds sample_endpoints made it in: the
-accepted replicates are found in each round by a binary search, and
+raises Exhausted with the closest miss once the budget is spent.  S,
+at most the 16 likeliest directions, lies in the dense head (below),
+so a batch's xi_S is read from S's rows of the head's array, which
+are then zeroed to drop S's free rows.  A batch's support stays as sample_endpoints made it: the accepted
+replicates' head rows are read from their columns of the head's array
+and their tail rows found in each skip round by a binary search, and
 only their rows are gathered and sorted, never the whole batch's.
 Its batches hold the predicted draws (predicted_attempts) of the paths
 a call is for (condition_batch): studies.draw_block asks it for a
@@ -48,11 +51,12 @@ so log U is finite.  A free block of paths is one such batch, read
 out by configurations_of.  sample_configuration, one uniform per
 enumerated direction (inverse transform), is the direct reference: no
 package route calls it, and tests pin the batched route's law to it
-and to exhaustive enumeration.  A chunk's support comes in rounds:
-one per head direction, in slope order, then one per skip.  Each skip
-lands on a later direction, never on an empty interval, so a
-replicate holds at most one row per direction, with no repeats to
-merge, and its head rows and then its tail rows come in slope order.
+and to exhaustive enumeration.  A batch's support is the head's
+float64 (head, count) array, the chunks' arrays side by side, and the
+tail's rounds, one per skip.  Each skip lands on a later direction,
+never on a head direction's empty interval, so a replicate holds at
+most one row per direction, with no repeats to merge, and its tail
+rows come in slope order.
 A skip finds its direction through a guide table of the tail's
 cumulative hazard (Chen & Asau 1974; Devroye 1986, III.2.4): 4
 buckets per direction, each holding the count of cumulative hazards
@@ -203,53 +207,51 @@ def sample_endpoints(params: MeasureParams, count: int,
     the field's dense head drawn as one array (_draw_head), then its
     tail by Poisson-embedding skips (_skip_tail).
 
-    When collect_support is set, also returns the support as its
-    rounds: three lists (rep, dir_index, nu) holding one array per
-    round.  A round's rep array is ascending and holds each replicate at
-    most once, and a replicate holds each direction at most once, so
-    configurations_of rebuilds any replicate's edge array with one sort
-    of its own rows.
+    When collect_support is set, also returns the support as
+    (head, rounds).  head is the float64 (dense_head.size, count) array
+    of the head's multiplicities, row k for direction dense_head[k];
+    rounds holds the tail's skip rounds as three lists (rep, dir_index,
+    nu) with one array per round.  A round's rep array is ascending and
+    holds each replicate at most once, and a replicate holds each
+    direction at most once, so configurations_of rebuilds any
+    replicate's edge array with one sort of its own rows.
     """
     f = _field(params)
     x1, x2 = np.zeros(count, dtype=np.int64), np.zeros(count, dtype=np.int64)
-    support = ([], [], []) if collect_support else None
+    head = np.empty((f.dense_head.size, count)) if collect_support else None
+    rounds = ([], [], []) if collect_support else None
     for first in range(0, count, _LOOKUP_BLOCK):
         chunk = slice(first, first + _LOOKUP_BLOCK)
-        _draw_head(f, x1[chunk], x2[chunk], first, rng, support)
-        _skip_tail(f, x1[chunk], x2[chunk], first, rng, support)
+        _draw_head(f, x1[chunk], x2[chunk], rng, None if head is None else head[:, chunk])
+        _skip_tail(f, x1[chunk], x2[chunk], first, rng, rounds)
     xi = np.column_stack([x1, x2])
-    return (xi, support) if collect_support else xi
+    return (xi, (head, rounds)) if collect_support else xi
 
 
-def _draw_head(f, x1, x2, first, rng, support) -> None:
-    """Add the dense head's part to the endpoints x1, x2 of the chunk of
-    replicates first .. first + x1.size - 1, and unless support is None
-    append one round per head direction, in slope order.  The head's
-    multiplicities are one (head, chunk) array computed in place from
-    one uniform array, nu = floor(log U / log z) with U = 1 - random in
-    (0, 1], so nu >= 0 with P(nu >= k) = z^k.  They and their endpoint
-    sums are integers held exactly in float64 (below 2^53)."""
+def _draw_head(f, x1, x2, rng, out=None) -> None:
+    """Add the dense head's part to the endpoints x1, x2 of a chunk of
+    replicates, its (head, chunk) multiplicity array written to out
+    unless out is None.  The array is computed in place from one uniform
+    array, nu = floor(log U / log z) with U = 1 - random in (0, 1], so
+    nu >= 0 with P(nu >= k) = z^k.  The multiplicities and their
+    endpoint sums are integers held exactly in float64 (below 2^53)."""
     head = f.dense_head
     nu = rng.random((head.size, x1.size))
-    np.subtract(1.0, nu, out=nu)
+    nu = np.subtract(1.0, nu, out=nu if out is None else out)
     np.log(nu, out=nu)
     nu /= -f.neg_log_z[head, None]
     np.floor(nu, out=nu)
     x1 += np.einsum("ij,i->j", nu, f.x1[head].astype(float)).astype(np.int64)
     x2 += np.einsum("ij,i->j", nu, f.x2[head].astype(float)).astype(np.int64)
-    if support is not None:
-        for j, nu_j in zip(head.tolist(), nu):
-            rep = np.flatnonzero(nu_j)
-            for out, new in zip(support, (rep + first, np.full(rep.size, j),
-                                          nu_j[rep].astype(np.int64))):
-                out.append(new)
 
 
-def _skip_tail(f, x1, x2, first, rng, support) -> None:
-    """Add the tail's part to a chunk's endpoints (as _draw_head), one
-    round per skip: each alive replicate skips along cum_hazard to its
-    next active direction.  A head direction owns an empty interval
-    there and is never landed on, so skip indices are field indices."""
+def _skip_tail(f, x1, x2, first, rng, rounds) -> None:
+    """Add the tail's part to the endpoints x1, x2 of the chunk of
+    replicates first .. first + x1.size - 1, and unless rounds is None
+    append one round per skip: each alive replicate skips along
+    cum_hazard to its next active direction.  A head direction owns an
+    empty interval there and is never landed on, so skip indices are
+    field indices."""
     cum = f.cum_hazard
     # without tail hazard no tail direction is ever active
     alive = np.arange(x1.size) if cum.size and cum[-1] > 0.0 else np.empty(0, np.int64)
@@ -270,21 +272,22 @@ def _skip_tail(f, x1, x2, first, rng, support) -> None:
         nu = 1 + (np.log(1.0 - rng.random(alive.size)) / -f.neg_log_z[j]).astype(np.int64)
         x1[alive] += f.x1[j] * nu  # alive indices are unique per round
         x2[alive] += f.x2[j] * nu
-        if support is not None:  # alive, j and nu are fresh arrays every round
-            for out, new in zip(support, (alive + first, j, nu)):
+        if rounds is not None:  # alive, j and nu are fresh arrays every round
+            for out, new in zip(rounds, (alive + first, j, nu)):
                 out.append(new)
         pos = cum[j]
 
 
-def _replicate_rows(support, reps):
+def _replicate_rows(f, support, reps):
     """(owner, dir_index, nu) of the rows of replicates reps in a
-    per-round support (sample_endpoints), where owner is the position
-    in reps.  Each round is searched for reps with one searchsorted on
-    its ascending rep array, so the rows come round by round: each
-    owner's head rows and then its tail rows, each part in slope
-    order."""
-    owner, idx, nu = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for rep_r, idx_r, nu_r in zip(*support):
+    support (head, rounds) of sample_endpoints, where owner is the
+    position in reps: one nonzero over the head's columns reps, then one
+    searchsorted per skip round on its ascending rep array."""
+    head, rounds = support
+    cols = head[:, reps]
+    pos, got = np.nonzero(cols)
+    owner, idx, nu = [got], [f.dense_head[pos]], [cols[pos, got].astype(np.int64)]
+    for rep_r, idx_r, nu_r in zip(*rounds):
         at = np.searchsorted(rep_r, reps)
         got = np.flatnonzero(at < rep_r.size)
         got = got[rep_r[at[got]] == reps[got]]
@@ -308,13 +311,13 @@ def _edge_arrays(params: MeasureParams, owner, idx, nu, count: int) -> list:
 
 
 def configurations_of(params: MeasureParams, support, reps) -> list:
-    """Edge arrays of replicates reps, in that order, from a per-round
-    support such as sample_endpoints collects: one searchsorted per
-    round finds their rows (_replicate_rows), and only those rows are
-    sorted and gathered (_edge_arrays); nothing of the batch's size is
-    joined or scanned."""
+    """Edge arrays of replicates reps, in that order, from a support
+    (head, rounds) such as sample_endpoints collects: their head columns
+    and one searchsorted per skip round find their rows
+    (_replicate_rows), and only those rows are sorted and gathered
+    (_edge_arrays); nothing of the batch's size is joined or scanned."""
     reps = np.asarray(reps, dtype=np.int64)
-    return _edge_arrays(params, *_replicate_rows(support, reps), reps.size)
+    return _edge_arrays(params, *_replicate_rows(_field(params), support, reps), reps.size)
 
 
 def _complete(cs, r1, r2, v) -> np.ndarray:
@@ -365,10 +368,11 @@ def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
     conditioned law itself with no tolerance, and a draw is accepted
     with probability P(xi = n) / M.  With the pair alone (a box larger
     than the table budget) M is (1 - z_a)(1 - z_b), the test is
-    U < z_a^s * z_b^t and no further uniform is drawn.  S's rows are
-    subtracted round by round from the batch's support, and dropped
-    only from the kept draws' rows, whose edge arrays get S's rows with
-    nu >= 1 in their slope places.
+    U < z_a^s * z_b^t and no further uniform is drawn.  S lies in the
+    dense head, so xi_S is read from S's rows of the batch's head array
+    in one product, and those rows are zeroed there, which drops them
+    from the kept draws' rows; the kept draws' edge arrays get S's drawn
+    rows with nu >= 1 in their slope places.
 
     Draws batches of min(batch, max_attempts - attempts) and returns
     (edge arrays, attempts), where attempts is an int64 array with one
@@ -382,6 +386,8 @@ def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
     f = _field(params)
     n = (int(n[0]), int(n[1]))
     cs = completing_set(params, n)
+    s_pos = np.searchsorted(f.dense_head, cs.index)  # S's rows of the head
+    s_x1, s_x2 = cs.x1.astype(float), cs.x2.astype(float)
     levels = cs.index.size
     target = np.asarray(n, dtype=np.int64)
     k_inv = np.linalg.inv(covariance_matrix(params))
@@ -393,26 +399,25 @@ def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
         size = min(batch, max_attempts - attempts)
         xi, support = sample_endpoints(params, size, rng, collect_support=True)
         u = rng.random(size)
-        r1, r2 = target[0] - xi[:, 0], target[1] - xi[:, 1]
-        for rep_r, idx_r, nu_r in zip(*support):  # a replicate is in a round once
-            on = cs.in_set[idx_r]
-            rep, j, nu = rep_r[on], idx_r[on], nu_r[on]
-            r1[rep] += f.x1[j] * nu
-            r2[rep] += f.x2[j] * nu
+        head = support[0]
+        s_nu = head[s_pos]
+        head[s_pos] = 0.0  # S's rows drop out of the accepted draws' rows
+        # xi_S is exact in float64, as the head's own endpoint sums are
+        r1 = target[0] - xi[:, 0] + np.einsum("ij,i->j", s_nu, s_x1).astype(np.int64)
+        r2 = target[1] - xi[:, 1] + np.einsum("ij,i->j", s_nu, s_x2).astype(np.int64)
         ok = u * cs.peak < cs.weight(levels, r1, r2)
         v = rng.random((np.count_nonzero(ok), levels - 2))
         hits = np.flatnonzero(ok)[:count - len(out)]
         if hits.size:
             nus = _complete(cs, r1[hits], r2[hits], v[:hits.size])
-            owner, idx, nu = _replicate_rows(support, hits)
-            keep = ~cs.in_set[idx]
+            owner, idx, nu = _replicate_rows(f, support, hits)
             own_s, pos_s = np.nonzero(nus > 0)
             out.extend(_edge_arrays(
-                params, np.concatenate([owner[keep], own_s]),
-                np.concatenate([idx[keep], cs.index[pos_s]]),
-                np.concatenate([nu[keep], nus[own_s, pos_s]]), hits.size))
+                params, np.concatenate([owner, own_s]),
+                np.concatenate([idx, cs.index[pos_s]]),
+                np.concatenate([nu, nus[own_s, pos_s]]), hits.size))
             accepted_at.append(attempts + hits)
-        del support  # the next batch draws its support without this one's beside it
+        del support, head, s_nu  # the next batch draws its support without this one's beside it
         if len(out) == count:
             return out, np.diff(np.concatenate(accepted_at), prepend=-1)
         attempts += size

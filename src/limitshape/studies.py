@@ -10,7 +10,7 @@ BLOCK, replicate r in block r // BLOCK, and a block is the one unit of
 drawing, checking, measuring and fan-out.  draw_block is the one path
 draw: a block takes one stream and one batched draw, a free batch
 of BLOCK paths or a batched conditioned loop under the block's pooled
-budget, and its paths are read out of the support rounds, checked and
+budget, and its paths are read out of the batch's support, checked and
 assembled together (sampler.assemble_block).  The limit-shape and
 conditioned studies hand the pool one task per block of each size
 (_path_records), so the task list does not depend on the worker count,
@@ -100,8 +100,8 @@ def draw_block(params: _measure.MeasureParams, seed: int, first: int, count: int
     a conditioned block one sampler.conditioned_configurations call in
     batches sized for BLOCK paths, a path's attempts being the draws
     since the block's previous path (Exhausted propagates once the
-    block's budget is spent).  The edge arrays are read out of the support
-    rounds and assembled in one sampler.assemble_block call.
+    block's budget is spent).  The edge arrays are read out of the
+    batch's support and assembled in one sampler.assemble_block call.
     """
     if first % BLOCK or not 0 < count <= BLOCK:
         raise ValueError(f"replicates {first}..{first + count - 1} "

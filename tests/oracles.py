@@ -163,14 +163,15 @@ def searchsorted_endpoints(field, count: int, rng, chunk: int):
     the same order, by a route of its own: chunks of chunk replicates,
     each a dense head and then a tail skip.  The head is every direction
     whose z is at least the 32nd largest, found by a stable sort; its
-    multiplicities are floor(log U / log z) from one (head, chunk)
-    uniform array, U = 1 - random.  The tail skips along its own
-    cumulative hazard, the head's hazards zeroed, with a plain binary
-    search for each skip's direction.
+    multiplicities are floor(log U / log z), one direction at a time,
+    from one (head, chunk) uniform array, U = 1 - random.  The tail
+    skips along its own cumulative hazard, the head's hazards zeroed,
+    with a plain binary search for each skip's direction.
 
     field is the measure's direction field (x1, x2, zpow, neg_log_z);
-    returns (xi, (rep, dir_index, nu)), each chunk's head rows by
-    direction and then its tail rows by skip round.
+    returns (xi, (head, rounds)) in sample_endpoints' support format:
+    the head's float64 (head, count) multiplicities and the skip rounds
+    as three lists (rep, dir_index, nu), one array per round.
     """
     z = field.zpow
     top = np.sort(z, kind="stable")[::-1]
@@ -179,18 +180,16 @@ def searchsorted_endpoints(field, count: int, rng, chunk: int):
     hazard[head] = 0.0
     cum = np.cumsum(hazard)
     xi = np.zeros((count, 2), dtype=np.int64)
-    reps_out, idx_out, nu_out = [], [], []
+    head_nu = np.zeros((head.size, count))
+    rounds = ([], [], [])
     for first in range(0, count, chunk):
         size = min(chunk, count - first)
         u = 1.0 - rng.random((head.size, size))
-        for j, u_j in zip(head.tolist(), u):
-            nu = np.floor(np.log(u_j) / -field.neg_log_z[j]).astype(np.int64)
-            rep = np.flatnonzero(nu > 0)
-            xi[first:first + size, 0] += field.x1[j] * nu
-            xi[first:first + size, 1] += field.x2[j] * nu
-            reps_out.append(first + rep)
-            idx_out.append(np.full(rep.size, j, dtype=np.int64))
-            nu_out.append(nu[rep])
+        for k, (j, u_j) in enumerate(zip(head.tolist(), u)):
+            nu = np.floor(np.log(u_j) / -field.neg_log_z[j])
+            head_nu[k, first:first + size] = nu
+            xi[first:first + size, 0] += field.x1[j] * nu.astype(np.int64)
+            xi[first:first + size, 1] += field.x2[j] * nu.astype(np.int64)
         alive = np.arange(size) if cum.size and cum[-1] > 0.0 else np.empty(0, np.int64)
         pos = np.zeros(size)
         while alive.size:
@@ -205,38 +204,51 @@ def searchsorted_endpoints(field, count: int, rng, chunk: int):
             nu = 1 + np.floor(np.log(u) / -field.neg_log_z[j]).astype(np.int64)
             xi[first + alive, 0] += field.x1[j] * nu
             xi[first + alive, 1] += field.x2[j] * nu
-            reps_out.append(first + alive)
-            idx_out.append(j)
-            nu_out.append(nu)
+            for out, new in zip(rounds, (first + alive, j, nu)):
+                out.append(new)
             pos[alive] = cum[j]
-    empty = [np.empty(0, np.int64)]
-    return xi, tuple(np.concatenate(empty + out) for out in (reps_out, idx_out, nu_out))
+    return xi, (head_nu, rounds)
 
 
-def concatenated_support(support):
-    """A per-round support (sampler.sample_endpoints) as the (rep,
-    dir_index, nu) arrays of all its rows, its rounds joined in order."""
-    empty = [np.empty(0, np.int64)]
-    return tuple(np.concatenate(empty + list(rounds)) for rounds in support)
+def concatenated_support(head_index, support):
+    """A support (head, rounds) of sampler.sample_endpoints as the (rep,
+    dir_index, nu) int64 arrays of all its rows: the head's nonzero
+    entries (head row k is direction head_index[k]) and the skip rounds
+    joined in order, sorted by replicate and then dir_index."""
+    head, rounds = support
+    pos, rep = np.nonzero(head)
+    rows = (np.concatenate([rep, *rounds[0]]),
+            np.concatenate([head_index[pos], *rounds[1]]),
+            np.concatenate([head[pos, rep].astype(np.int64), *rounds[2]]))
+    order = np.lexsort((rows[1], rows[0]))
+    return tuple(part[order] for part in rows)
 
 
 def concatenated_configurations_of(params, support, reps):
     """Edge arrays of replicates reps, in that order, by the concatenated
-    route: join the rounds, select the rows of reps with isin, lexsort
-    them by replicate and then dir_index, gather them and cut one
-    searchsorted slice per replicate; the reference for
-    sampler.configurations_of."""
+    route: join the support's rows (concatenated_support); the reference
+    for sampler.configurations_of."""
     from limitshape.measure import _field
 
     f = _field(params)
-    rows_rep, idx, nu = concatenated_support(support)
+    return rows_configurations(f, concatenated_support(f.dense_head, support), reps)
+
+
+def rows_configurations(field, rows, reps):
+    """Edge arrays of replicates reps, in that order, from the (rep,
+    dir_index, nu) arrays of a batch's rows, in any order: select the
+    rows of reps with isin, lexsort them by replicate and then
+    dir_index, gather them and cut one searchsorted slice per
+    replicate."""
+    rows_rep, idx, nu = rows
     reps = np.asarray(reps, dtype=np.int64)
     rows = np.flatnonzero(np.isin(rows_rep, reps))
     rows = rows[np.lexsort((idx[rows], rows_rep[rows]))]
     keys = rows_rep[rows]
     lo = np.searchsorted(keys, reps, side="left")
     hi = np.searchsorted(keys, reps, side="right")
-    edges = np.column_stack([f.x1[idx[rows]], f.x2[idx[rows]], nu[rows]]).astype(np.int64)
+    edges = np.column_stack([field.x1[idx[rows]], field.x2[idx[rows]], nu[rows]]
+                            ).astype(np.int64)
     return [edges[a:b] for a, b in zip(lo, hi)]
 
 
@@ -248,7 +260,7 @@ def concatenated_conditioned_configurations(params, n, count: int, batch: int,
     joined into three arrays, the pair's multiplicities added from them,
     the test U < z_a^s * z_b^t, and the accepted draws' rows (the pair's
     dropped, (a, s) and (b, t) appended) rebuilt by
-    concatenated_configurations_of; the same random numbers in the same
+    rows_configurations; the same random numbers in the same
     order, the same attempts and the same Exhausted, closest miss
     included."""
     from limitshape import sampler
@@ -266,7 +278,7 @@ def concatenated_conditioned_configurations(params, n, count: int, batch: int,
     while attempts < max_attempts:
         size = min(batch, max_attempts - attempts)
         xi, support = sampler.sample_endpoints(params, size, rng, collect_support=True)
-        rep, idx, nu = concatenated_support(support)
+        rep, idx, nu = concatenated_support(f.dense_head, support)
         u = rng.random(size)
         on_a, on_b = idx == ia, idx == ib
         r1, r2 = target[0] - xi[:, 0], target[1] - xi[:, 1]
@@ -280,11 +292,11 @@ def concatenated_conditioned_configurations(params, n, count: int, batch: int,
         if hits.size:
             keep = np.isin(rep, hits) & ~on_a & ~on_b
             with_a, with_b = hits[s[hits] > 0], hits[t[hits] > 0]
-            rows = ([np.concatenate([rep[keep], with_a, with_b])],
-                    [np.concatenate([idx[keep], np.full(with_a.size, ia),
-                                     np.full(with_b.size, ib)])],
-                    [np.concatenate([nu[keep], s[with_a], t[with_b]])])
-            out.extend(concatenated_configurations_of(params, rows, hits))
+            rows = (np.concatenate([rep[keep], with_a, with_b]),
+                    np.concatenate([idx[keep], np.full(with_a.size, ia),
+                                    np.full(with_b.size, ib)]),
+                    np.concatenate([nu[keep], s[with_a], t[with_b]]))
+            out.extend(rows_configurations(f, rows, hits))
             accepted_at.append(attempts + hits)
         if len(out) == count:
             return out, np.diff(np.concatenate(accepted_at), prepend=-1)

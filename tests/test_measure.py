@@ -137,28 +137,36 @@ def test_nu_moments_examples():
 
 # --- moment sums ---------------------------------------------------------------
 
+def _mean_length_profile(params, t):
+    """The exact mean length profile at slopes t: the step profile of the
+    field's jumps |x| * E[nu], the one mean_length_sup_gap reads."""
+    f = ms._field(params)
+    taus, _, after = ms.step_knots(f.tau, f.norm * f.mean_nu)
+    return ms.step_at(taus, after, t)
+
+
 def test_expected_length_profile_zero_before_range(power2):
     params = ms.MeasureParams.for_endpoint(power2, 300)
     curve_below = params  # t0 = 0 so only t < 0 is trivially empty, use -eps
-    assert ms.expected_length_profile(curve_below, -0.5) == 0.0
+    assert _mean_length_profile(curve_below, -0.5) == 0.0
 
 
 def test_expected_length_profile_monotone(parabola1):
     params = ms.MeasureParams.for_endpoint(parabola1, 500)
-    vals = [ms.expected_length_profile(params, t) for t in (0.5, 1.0, 2.0)]
+    vals = [_mean_length_profile(params, t) for t in (0.5, 1.0, 2.0)]
     assert vals == sorted(vals)
 
 
 def test_expected_length_total_tracks_curve(parabola1):
     params = ms.MeasureParams.for_endpoint(parabola1, 2000)
-    ratio = ms.expected_length_profile(params, math.inf) / 2000
+    ratio = _mean_length_profile(params, math.inf) / 2000
     assert ratio == pytest.approx(oracles.L_STAR_PARABOLA1, abs=0.01)
 
 
 def test_expected_length_dual_route_agreement(parabola1):
     params = ms.MeasureParams.for_endpoint(parabola1, 60)
     for t in (0.7, math.inf):
-        direct = ms.expected_length_profile(params, t)
+        direct = _mean_length_profile(params, t)
         inverted = ms.expected_length_profile_mobius(params, t)
         assert inverted == pytest.approx(direct, rel=1e-12)
 

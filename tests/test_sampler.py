@@ -193,13 +193,34 @@ class _ZeroEveryOtherStep:
         return self._rng.random(size)
 
 
-def _head_then_tail_in_slope_order(params, reps, idx, r):
-    """Replicate r's rows come head first, then tail, each part in
-    strictly increasing slope (field index)."""
-    own = idx[reps == r]
-    head = np.isin(own, ms._field(params).dense_head)
-    assert np.all(np.diff(head.astype(int)) <= 0)
-    assert np.all(np.diff(own[head]) > 0) and np.all(np.diff(own[~head]) > 0)
+def _check_support(params, support, count):
+    """A support (head, rounds): the head is the float64
+    (dense_head.size, count) array of whole multiplicities >= 0; each
+    skip round's replicates are ascending with no repeats; no skip lands
+    on a head direction; and a replicate's skip rounds visit its
+    directions in strictly increasing slope (field index)."""
+    head, (reps, idx, nu) = support
+    assert head.dtype == np.float64 and head.shape == (ms._field(params).dense_head.size, count)
+    assert head.min(initial=0.0) >= 0.0 and np.array_equal(head, np.floor(head))
+    assert len(reps) == len(idx) == len(nu)
+    for rep_r in reps:
+        assert rep_r.dtype == np.int64 and np.all(np.diff(rep_r) > 0)
+    empty = np.empty(0, np.int64)
+    reps, idx = np.concatenate([empty, *reps]), np.concatenate([empty, *idx])
+    assert not np.isin(idx, ms._field(params).dense_head).any()
+    order = np.argsort(reps, kind="stable")  # each replicate's rows in round order
+    reps, idx = reps[order], idx[order]
+    same = reps[1:] == reps[:-1]
+    assert np.all(idx[1:][same] > idx[:-1][same])
+
+
+def _same_support(got, want):
+    """Two supports (head, rounds) hold the same arrays, round by round."""
+    assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
+    for got_part, want_part in zip(got[1], want[1]):
+        assert len(got_part) == len(want_part)
+        for a, b in zip(got_part, want_part):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_skip_moves_on_after_a_zero_step(parabola1):
@@ -209,9 +230,7 @@ def test_skip_moves_on_after_a_zero_step(parabola1):
     params = _params(parabola1, 100)
     xi, support = sp.sample_endpoints(params, 50, _ZeroEveryOtherStep(3),
                                       collect_support=True)
-    reps, idx, _ = oracles.concatenated_support(support)
-    for r in range(50):
-        _head_then_tail_in_slope_order(params, reps, idx, r)
+    _check_support(params, support, 50)
     for r, edges in enumerate(sp.configurations_of(params, support, range(50))):
         assert _endpoint(edges).tolist() == xi[r].tolist()
 
@@ -223,25 +242,22 @@ def _same_paths(got, want):
 
 
 def test_support_rounds_are_ascending(parabola1):
-    """Each round's replicate array is ascending with no repeats, and a
-    replicate's head rounds, then its skip rounds, each visit its
-    directions in slope order."""
+    """The support is the head's (head, 3000) array and the skip rounds:
+    each round's replicate array is ascending with no repeats, and a
+    replicate's skip rounds visit its tail directions in slope order."""
     params = _params(parabola1, 100)
     _, support = sp.sample_endpoints(params, 3000, np.random.default_rng(11),
                                      collect_support=True)
-    assert len(support[0]) == len(support[1]) == len(support[2]) > 1
-    for rep_r in support[0]:
-        assert rep_r.dtype == np.int64 and np.all(np.diff(rep_r) > 0)
-    reps, idx, _ = oracles.concatenated_support(support)
-    for r in range(3000):
-        _head_then_tail_in_slope_order(params, reps, idx, r)
+    assert len(support[1][0]) > 1 and support[0].any()
+    _check_support(params, support, 3000)
 
 
 @pytest.mark.parametrize("n1", [20, 100])
 def test_configurations_of_matches_concatenated_route(parabola1, n1):
-    """The per-round rebuild gives the concatenated route's edge arrays
-    on random replicate orders, subsets and repeats, on a stream with
-    zero steps, and with empty rounds anywhere in the support."""
+    """The rebuild from the head's columns and the skip rounds gives the
+    concatenated route's edge arrays on random replicate orders, subsets
+    and repeats, on a stream with zero steps, and with empty rounds
+    anywhere in the support."""
     params = _params(parabola1, n1)
     pick = np.random.default_rng(n1)
     for rng in (np.random.default_rng(5), _ZeroEveryOtherStep(5)):
@@ -251,12 +267,16 @@ def test_configurations_of_matches_concatenated_route(parabola1, n1):
             _same_paths(sp.configurations_of(params, support, reps),
                         oracles.concatenated_configurations_of(params, support, reps))
         empty = np.empty(0, np.int64)
-        padded = tuple([empty] + [a for r in rounds for a in (r, empty)] for rounds in support)
+        head, rounds = support
+        padded = (head, tuple([empty] + [a for r in part for a in (r, empty)]
+                              for part in rounds))
         reps = pick.permutation(1000)
         _same_paths(sp.configurations_of(params, padded, reps),
                     oracles.concatenated_configurations_of(params, support, reps))
-    # a support of empty rounds, or of none, holds empty paths only
-    for support in (([], [], []), ([empty] * 3, [empty] * 3, [empty] * 3)):
+    # an all-zero head with skip rounds that are empty, or none, holds
+    # empty paths only
+    zeros = np.zeros((ms._field(params).dense_head.size, 1000))
+    for support in ((zeros, ([], [], [])), (zeros, ([empty] * 3, [empty] * 3, [empty] * 3))):
         got = sp.configurations_of(params, support, [3, 1])
         _same_paths(got, oracles.concatenated_configurations_of(params, support, [3, 1]))
         assert [e.shape for e in got] == [(0, 3), (0, 3)]
@@ -299,8 +319,11 @@ def test_conditioned_block_memory(parabola1, seed):
     """One 32-path block at n1 = 200 in batches of 8192 peaks under 8 MB
     of Python allocations: a batch's support is never joined into three
     arrays, and it is released before the next batch is drawn (joining
-    peaks near 11 MB in one batch and 17 MB in two).  The set has its 14
-    tables, so this is the table route's memory."""
+    peaks near 11 MB in one batch and 17 MB in two).  The head stays
+    float64 in the support and only the accepted draws' rows become
+    int64: the call peaks at 6.5 MB on both seeds, against 5.9 MB when
+    the head was kept as per-direction rounds of its nonzero entries.
+    The set has its 14 tables, so this is the table route's memory."""
     params = _params(parabola1, 200)
     n = (200, 200)
     assert len(ms.completing_set(params, n).tables) == 14
@@ -354,16 +377,16 @@ def test_skip_index_is_searchsorted_right(hazards, fractions):
 @pytest.mark.parametrize("n1", [20, 200])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sample_endpoints_matches_searchsorted_route(parabola1, n1, seed):
-    """Every endpoint and every collected support row is identical to
-    the binary-search reference route on the same random numbers."""
+    """Every endpoint, the head's array and every skip round are
+    identical to the binary-search reference route on the same random
+    numbers."""
     params = _params(parabola1, n1)
     f = ms._field(params)
     want = oracles.searchsorted_endpoints(f, 3000, np.random.default_rng(seed),
                                           sp._LOOKUP_BLOCK)
     got = sp.sample_endpoints(params, 3000, np.random.default_rng(seed), collect_support=True)
     assert np.array_equal(got[0], want[0])
-    for a, b in zip(oracles.concatenated_support(got[1]), want[1]):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    _same_support(got[1], want[1])
     assert np.array_equal(sp.sample_endpoints(params, 3000, np.random.default_rng(seed)),
                           want[0])
 
@@ -402,7 +425,7 @@ def test_head_and_tail_multiplicities_match_mean_nu(curve_name, boundary_ties, h
     n_draws = 20_000
     _, support = sp.sample_endpoints(params, n_draws, np.random.default_rng(37),
                                      collect_support=True)
-    _, idx, nu = oracles.concatenated_support(support)
+    _, idx, nu = oracles.concatenated_support(f.dense_head, support)
     active = np.bincount(idx, minlength=f.x1.size)
     nu_sum = np.bincount(idx, weights=nu, minlength=f.x1.size)
     p = f.zpow
@@ -433,7 +456,7 @@ def test_chunk_boundaries(parabola1, count_of):
     count = count_of(sp._LOOKUP_BLOCK)
     xi, support = sp.sample_endpoints(params, count, np.random.default_rng(count),
                                       collect_support=True)
-    reps, idx, nu = oracles.concatenated_support(support)
+    reps, idx, nu = oracles.concatenated_support(f.dense_head, support)
     assert xi.shape == (count, 2) and nu.min() >= 1
     assert np.unique(reps * f.x1.size + idx).size == reps.size
     edges = sp.configurations_of(params, support, np.arange(count))
@@ -447,8 +470,7 @@ def test_chunk_boundaries(parabola1, count_of):
     want = oracles.searchsorted_endpoints(f, count, np.random.default_rng(count),
                                           sp._LOOKUP_BLOCK)
     assert np.array_equal(xi, want[0])
-    for a, b in zip((reps, idx, nu), want[1]):
-        assert np.array_equal(a, b)
+    _same_support(support, want[1])
 
 
 class _NoSkips:
@@ -479,8 +501,9 @@ def test_small_field_is_all_head(parabola1):
         xi, support = sp.sample_endpoints(params, 2 * sp._LOOKUP_BLOCK + 3, _NoSkips(1),
                                           collect_support=True)
     assert "hazard_guide" not in vars(f)
-    assert len(support[0]) == 3 * 29  # one round per head direction in each of 3 chunks
-    reps, idx, nu = oracles.concatenated_support(support)
+    # three chunks' heads joined, no skip round
+    assert support[0].shape == (29, 2 * sp._LOOKUP_BLOCK + 3) and support[1] == ([], [], [])
+    reps, idx, nu = oracles.concatenated_support(f.dense_head, support)
     assert nu.min() >= 1 and np.unique(reps * 29 + idx).size == reps.size
     lines = sp.assemble_block(sp.configurations_of(params, support, np.arange(100)))
     assert [line.endpoint.tolist() for line in lines] == xi[:100].tolist()
@@ -514,7 +537,7 @@ def test_zero_uniforms_give_valid_paths(parabola1):
     conditioned paths assemble."""
     params = _params(parabola1, 100)
     xi, support = sp.sample_endpoints(params, 200, _ZeroUniforms(7), collect_support=True)
-    _, idx, nu = oracles.concatenated_support(support)
+    _, idx, nu = oracles.concatenated_support(ms._field(params).dense_head, support)
     assert nu.size and nu.min() >= 1
     assert not np.isin(idx, ms._field(params).dense_head).any()
     lines = sp.assemble_block(sp.configurations_of(params, support, np.arange(200)))
@@ -588,7 +611,7 @@ def test_skip_route_matches_direct_route(parabola1):
             nu_direct[j] += nu
     xi_skip, support = sp.sample_endpoints(
         params, n_draws, np.random.default_rng(29), collect_support=True)
-    _, idx, nu = oracles.concatenated_support(support)
+    _, idx, nu = oracles.concatenated_support(f.dense_head, support)
     active_skip = np.bincount(idx, minlength=f.x1.size).astype(float)
     nu_skip = np.bincount(idx, weights=nu, minlength=f.x1.size)
 
@@ -666,6 +689,29 @@ def test_completing_pair(parabola1, power2):
     assert pair[0] == (1, 0) and pair[1] in ((1, 1), (2, 1))
 
 
+def test_completing_set_lies_in_the_dense_head(parabola1, power2, tabulated_mixed):
+    """The conditioned loop reads S's free multiplicities from the head's
+    array, so every direction of the completing set is a dense_head
+    direction: S is at most the _PAIR_POOL = 16 likeliest and the head
+    every direction at least as likely as the 32nd, ties included.
+    Checked on parabola(1) (three directions tie at the head's boundary),
+    power(2) (eight tie) and the tabulated curve at n1 = 100 and 1000, on
+    a field of 29 directions, which is all head, and on the oracle's
+    micro-lattice instances of parabola(1)."""
+    assert ms._PAIR_POOL <= ms._DENSE_HEAD
+    cases = [_params(c, n1) for c in (parabola1, power2, tabulated_mixed) for n1 in (100, 1000)]
+    cases.append(ms.MeasureParams(n1=20, n2=20, curve=parabola1, truncation_radius=18,
+                                  tail_tolerance=20.0))
+    cases += [_params(parabola1, *n) for n, _, _ in oc.INSTANCES]
+    sizes = []
+    for params in cases:
+        f = ms._field(params)
+        cs = ms.completing_set(params, (params.n1, params.n2))
+        assert np.isin(cs.index, f.dense_head).all(), (params.n1, params.n2)
+        sizes.append((f.x1.size <= ms._DENSE_HEAD, cs.index.size))
+    assert (False, 16) in sizes and (True, 16) in sizes
+
+
 def _set_directions(cs):
     return list(zip(cs.x1.tolist(), cs.x2.tolist()))
 
@@ -707,7 +753,7 @@ def test_conditioned_means_are_exact(parabola1):
     f = ms._field(params)
     cs = ms.completing_set(params, n)
     p = oracles.endpoint_pmf_on_box(params, n)
-    outside = [i for i in np.argsort(-f.zpow, kind="stable") if not cs.in_set[i]][:3]
+    outside = [i for i in np.argsort(-f.zpow, kind="stable") if i not in cs.index][:3]
     paths, _ = sp.conditioned_configurations(params, n, 4000, 8192, 10 ** 6,
                                              np.random.default_rng(61))
     rows = np.concatenate(paths)
