@@ -9,8 +9,8 @@ candidate pairs (_DIRECTION_CHUNK) and the per-(column, sector) range
 tables (_SECTOR_CELLS) stay bounded; the pass size does not change the
 output.  mobius_inverted_sum is the independent
 route for sums over the coprime set: it combines full-lattice sums with
-mu weights, which is exact for any function on the lattice, and
-coprime_sum is the direct sum it is checked against.
+mu weights, which is exact for any function on the lattice; the tests
+check it against a direct sum over direction_arrays.
 """
 
 from __future__ import annotations
@@ -150,21 +150,13 @@ def _full_lattice_sum(f, radius: int) -> float:
     return total
 
 
-def coprime_sum(f, radius: int) -> float:
-    """Direct summation of f(x) over coprime x with x1 + x2 <= radius."""
-    x1, x2 = direction_arrays(0.0, math.inf, radius)
-    if x1.size == 0:
-        return 0.0
-    return float(np.sum(f(x1.astype(float), x2.astype(float))))
-
-
 def mobius_inverted_sum(f, radius: float) -> float:
     """Sum of f(x) over coprime x with x1 + x2 <= radius, by Moebius inversion.
 
     Every nonzero lattice point is m*x for one m >= 1 and one coprime x,
     so the coprime sum is the sum over m of mu(m) times the full-lattice
     sum of f(m*y) over y with y1 + y2 <= radius/m.  This is exact for any
-    f on the lattice and reproduces coprime_sum up to rounding.  f must
+    f on the lattice and reproduces the direct sum up to rounding.  f must
     accept (x1, x2) float arrays; mu comes from a mobius_sieve to
     floor(radius).
     """

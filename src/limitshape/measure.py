@@ -329,19 +329,25 @@ class _DirectionField:
         return _guide_table(self.cum_hazard)
 
     @cached_property
+    def pair_pool(self) -> np.ndarray:
+        """dense_head rows of the _PAIR_POOL likeliest directions, in
+        stable order by -z: the completing pair's and set's pool."""
+        return np.argsort(-self.zpow[self.dense_head], kind="stable")[:_PAIR_POOL]
+
+    @cached_property
     def completing_pair(self) -> tuple[int, int]:
         """Field indices (i, j), i < j, of the pair that completes each
         conditioned draw; built on first use.
 
-        Among the _PAIR_POOL likeliest directions (largest z), the pair
-        with the largest 1/((1 - z_i)(1 - z_j)), taken among the pairs
-        with |det| = 1 when there is one.  Distinct coprime directions
-        in the quadrant are never parallel, so det != 0 always.
+        Among the pool's directions (pair_pool), the pair with the
+        largest 1/((1 - z_i)(1 - z_j)), taken among the pairs with
+        |det| = 1 when there is one.  Distinct coprime directions in the
+        quadrant are never parallel, so det != 0 always.
         """
         if self.zpow.size < 2:
             raise ParameterOutOfRange(
                 f"endpoint conditioning needs two field directions, found {self.zpow.size}")
-        pool = np.sort(np.argsort(-self.zpow, kind="stable")[:_PAIR_POOL])
+        pool = self.dense_head[np.sort(self.pair_pool)]
         i, j = (pool[k] for k in np.triu_indices(pool.size, 1))
         det = self.x1[i] * self.x2[j] - self.x2[i] * self.x1[j]
         log_mass = np.log1p(-self.zpow[i]) + np.log1p(-self.zpow[j])
@@ -387,9 +393,10 @@ class _CompletingSet:
     the box [0, n].
 
     S is the field's completing pair {a, b} (levels 1 and 2) and then
-    index[2:], levels 3 .. m: the other _PAIR_POOL likeliest directions,
+    index[2:], levels 3 .. m: the pool's other directions (pair_pool),
     likeliest first, as many as min(_PAIR_POOL - 2, _SET_TABLE_CELLS //
     box) with box = (n1 + 1)(n2 + 1) cells, so none on a box too large.
+    head_rows are S's rows of the dense head: index = dense_head[head_rows].
     The level-j weight is the pmf of the sum over the set's first j
     directions divided by the pair's mass (1 - z_a)(1 - z_b): at level 2
     the pair's closed form z_a^s * z_b^t where r = s*a + t*b in integers
@@ -409,11 +416,14 @@ class _CompletingSet:
         self.det = self.a1 * self.b2 - self.a2 * self.b1
         self.log_za, self.log_zb = -f.neg_log_z[ia], -f.neg_log_z[ib]
         self.mass = (1.0 - f.zpow[ia]) * (1.0 - f.zpow[ib])
-        pool = np.argsort(-f.zpow, kind="stable")[:_PAIR_POOL]
-        extra = pool[(pool != ia) & (pool != ib)]
+        rows = f.pair_pool
+        pair = np.isin(f.dense_head[rows], (ia, ib))
+        extra = rows[~pair]
         box = (max(n[0], -1) + 1) * (max(n[1], -1) + 1)
         extra = extra[:min(extra.size, _SET_TABLE_CELLS // box) if box else 0]
-        self.index = np.concatenate([[ia, ib], extra]).astype(np.int64)
+        # dense_head is ascending, so the pair's rows are in (ia, ib) order
+        self.head_rows = np.concatenate([np.sort(rows[pair]), extra])
+        self.index = f.dense_head[self.head_rows]
         self.x1, self.x2 = f.x1[self.index], f.x2[self.index]
         self.z = f.zpow[self.index]
         self.tables = []

@@ -7,8 +7,8 @@ of (x1, x2, nu) rows, nu >= 1, in strictly increasing slope, the order
 of the direction field.  Draws take their rows straight from the field,
 so assembly is a prefix sum, one per block of paths (assemble_block,
 which checks the block's format once and names the first bad path),
-and the length profile is a step function (profile_knots, evaluated
-by measure.step_at; profile_rows for a block).  Endpoint conditioning
+and the length profile is a step function (profile_rows gives a
+block's knots to measure.profile_gaps).  Endpoint conditioning
 is exact probabilistic divide-and-conquer (Arratia & DeSalvo 2016)
 through a completing set S (measure.completing_set): the field's
 completing pair {a, b} and up to 14 more of its likeliest directions,
@@ -23,13 +23,12 @@ pair alone, whose test is U < z_a^s * z_b^t.
 conditioned_configurations is that one loop: it draws batched
 endpoints under an attempt budget, hands out a batch's accepted draws
 in replicate order as edge arrays with each path's own attempts, and
-raises Exhausted with the closest miss once the budget is spent.  S,
-at most the 16 likeliest directions, lies in the dense head (below),
-so a batch's xi_S is read from S's rows of the head's array, which
-are then zeroed to drop S's free rows.  A batch's support stays as sample_endpoints made it: the accepted
-replicates' head rows are read from their columns of the head's array
-and their tail rows found in each skip round by a binary search, and
-only their rows are gathered and sorted, never the whole batch's.
+raises Exhausted with the closest miss once the budget is spent.  S
+is picked from the dense head (below; measure's pair_pool), so xi_S
+is read from S's rows of a batch's head array, which are then zeroed
+to drop S's free rows.  The accepted replicates' head rows are read
+from their columns of that array and their tail rows picked out of
+the flat tail in one pass; only their rows are sorted and gathered.
 Its batches hold the predicted draws (predicted_attempts) of the paths
 a call is for (condition_batch): studies.draw_block asks it for a
 block of paths in one call.  condition_on_endpoint, its first accepted
@@ -53,7 +52,8 @@ enumerated direction (inverse transform), is the direct reference: no
 package route calls it, and tests pin the batched route's law to it
 and to exhaustive enumeration.  A batch's support is the head's
 float64 (head, count) array, the chunks' arrays side by side, and the
-tail's rounds, one per skip.  Each skip lands on a later direction,
+tail's rows as three flat int64 arrays (rep, dir_index, nu), the skip
+rounds joined once per batch.  Each skip lands on a later direction,
 never on a head direction's empty interval, so a replicate holds at
 most one row per direction, with no repeats to merge, and its tail
 rows come in slope order.
@@ -208,11 +208,10 @@ def sample_endpoints(params: MeasureParams, count: int,
     tail by Poisson-embedding skips (_skip_tail).
 
     When collect_support is set, also returns the support as
-    (head, rounds).  head is the float64 (dense_head.size, count) array
+    (head, tail).  head is the float64 (dense_head.size, count) array
     of the head's multiplicities, row k for direction dense_head[k];
-    rounds holds the tail's skip rounds as three lists (rep, dir_index,
-    nu) with one array per round.  A round's rep array is ascending and
-    holds each replicate at most once, and a replicate holds each
+    tail is three flat int64 arrays (rep, dir_index, nu), the tail's
+    rows in chunk and skip-round order.  A replicate holds each
     direction at most once, so configurations_of rebuilds any
     replicate's edge array with one sort of its own rows.
     """
@@ -225,7 +224,13 @@ def sample_endpoints(params: MeasureParams, count: int,
         _draw_head(f, x1[chunk], x2[chunk], rng, None if head is None else head[:, chunk])
         _skip_tail(f, x1[chunk], x2[chunk], first, rng, rounds)
     xi = np.column_stack([x1, x2])
-    return (xi, (head, rounds)) if collect_support else xi
+    if not collect_support:
+        return xi
+    tail = []
+    for part in rounds:  # each column's rounds are freed once joined
+        tail.append(np.concatenate([np.empty(0, np.int64), *part]))
+        part.clear()
+    return xi, (head, tuple(tail))
 
 
 def _draw_head(f, x1, x2, rng, out=None) -> None:
@@ -279,22 +284,20 @@ def _skip_tail(f, x1, x2, first, rng, rounds) -> None:
 
 
 def _replicate_rows(f, support, reps):
-    """(owner, dir_index, nu) of the rows of replicates reps in a
-    support (head, rounds) of sample_endpoints, where owner is the
+    """(owner, dir_index, nu) of the rows of distinct replicates reps in
+    a support (head, tail) of sample_endpoints, where owner is the
     position in reps: one nonzero over the head's columns reps, then one
-    searchsorted per skip round on its ascending rep array."""
-    head, rounds = support
+    pass over the tail, an isin mask of reps' rows and an owner map
+    gathered on them."""
+    head, (rep, idx, nu) = support
     cols = head[:, reps]
     pos, got = np.nonzero(cols)
-    owner, idx, nu = [got], [f.dense_head[pos]], [cols[pos, got].astype(np.int64)]
-    for rep_r, idx_r, nu_r in zip(*rounds):
-        at = np.searchsorted(rep_r, reps)
-        got = np.flatnonzero(at < rep_r.size)
-        got = got[rep_r[at[got]] == reps[got]]
-        owner.append(got)
-        idx.append(idx_r[at[got]])
-        nu.append(nu_r[at[got]])
-    return tuple(np.concatenate(parts) for parts in (owner, idx, nu))
+    keep = np.flatnonzero(np.isin(rep, reps, kind="table"))
+    owner = np.empty(head.shape[1], dtype=np.int64)
+    owner[reps] = np.arange(reps.size)
+    return (np.concatenate([got, owner[rep[keep]]]),
+            np.concatenate([f.dense_head[pos], idx[keep]]),
+            np.concatenate([cols[pos, got].astype(np.int64), nu[keep]]))
 
 
 def _edge_arrays(params: MeasureParams, owner, idx, nu, count: int) -> list:
@@ -311,13 +314,14 @@ def _edge_arrays(params: MeasureParams, owner, idx, nu, count: int) -> list:
 
 
 def configurations_of(params: MeasureParams, support, reps) -> list:
-    """Edge arrays of replicates reps, in that order, from a support
-    (head, rounds) such as sample_endpoints collects: their head columns
-    and one searchsorted per skip round find their rows
-    (_replicate_rows), and only those rows are sorted and gathered
-    (_edge_arrays); nothing of the batch's size is joined or scanned."""
-    reps = np.asarray(reps, dtype=np.int64)
-    return _edge_arrays(params, *_replicate_rows(_field(params), support, reps), reps.size)
+    """Edge arrays of replicates reps, in that order, repeats allowed,
+    from a support (head, tail) such as sample_endpoints collects: the
+    distinct replicates' head columns and tail rows (_replicate_rows)
+    are sorted and gathered once (_edge_arrays), and each replicate
+    asked for is handed its array."""
+    uniq, at = np.unique(np.asarray(reps, dtype=np.int64), return_inverse=True)
+    edges = _edge_arrays(params, *_replicate_rows(_field(params), support, uniq), uniq.size)
+    return [edges[i] for i in at.tolist()]
 
 
 def _complete(cs, r1, r2, v) -> np.ndarray:
@@ -368,11 +372,11 @@ def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
     conditioned law itself with no tolerance, and a draw is accepted
     with probability P(xi = n) / M.  With the pair alone (a box larger
     than the table budget) M is (1 - z_a)(1 - z_b), the test is
-    U < z_a^s * z_b^t and no further uniform is drawn.  S lies in the
-    dense head, so xi_S is read from S's rows of the batch's head array
-    in one product, and those rows are zeroed there, which drops them
-    from the kept draws' rows; the kept draws' edge arrays get S's drawn
-    rows with nu >= 1 in their slope places.
+    U < z_a^s * z_b^t and no further uniform is drawn.  S is picked from
+    the dense head, so xi_S is read from S's rows of the batch's head
+    array (cs.head_rows) in one product, and those rows are zeroed
+    there, which drops them from the kept draws' rows; the kept draws'
+    edge arrays get S's drawn rows with nu >= 1 in their slope places.
 
     Draws batches of min(batch, max_attempts - attempts) and returns
     (edge arrays, attempts), where attempts is an int64 array with one
@@ -386,7 +390,6 @@ def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
     f = _field(params)
     n = (int(n[0]), int(n[1]))
     cs = completing_set(params, n)
-    s_pos = np.searchsorted(f.dense_head, cs.index)  # S's rows of the head
     s_x1, s_x2 = cs.x1.astype(float), cs.x2.astype(float)
     levels = cs.index.size
     target = np.asarray(n, dtype=np.int64)
@@ -400,8 +403,8 @@ def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
         xi, support = sample_endpoints(params, size, rng, collect_support=True)
         u = rng.random(size)
         head = support[0]
-        s_nu = head[s_pos]
-        head[s_pos] = 0.0  # S's rows drop out of the accepted draws' rows
+        s_nu = head[cs.head_rows]
+        head[cs.head_rows] = 0.0  # S's rows drop out of the accepted draws' rows
         # xi_S is exact in float64, as the head's own endpoint sums are
         r1 = target[0] - xi[:, 0] + np.einsum("ij,i->j", s_nu, s_x1).astype(np.int64)
         r2 = target[1] - xi[:, 1] + np.einsum("ij,i->j", s_nu, s_x2).astype(np.int64)
@@ -471,26 +474,17 @@ def _edge_lengths(edges) -> np.ndarray:
     return np.sqrt(x1 * x1 + x2 * x2) * nu
 
 
-def _edge_slopes(edges) -> np.ndarray:
-    x1, x2 = edges[:, 0], edges[:, 1]
-    return np.where(x1 > 0, x2 / np.maximum(x1, 1), np.inf)
-
-
-def profile_knots(line: PolygonalLine):
-    """Step-profile knots (tau, before, after) of the line's length
-    profile: its edges are already in increasing slope order."""
-    return step_knots(_edge_slopes(line.edges), _edge_lengths(line.edges))
-
-
 def profile_rows(lines: list):
     """The step-profile knots of a block of lines as (rows, width) arrays
     (taus, before, after) and the knot count of each row, for
-    measure.profile_gaps.  Row i holds line i's profile_knots, then a
-    closing knot at +inf, padded to the block's width with +inf slopes
-    and zero jumps; it holds len(edges) + 1 knots.  Each row's prefix sum
-    adds the same jumps in the same order as profile_knots, so its knots
-    are profile_knots' bit for bit, and the closing knot and padding
-    hold the final value on both sides."""
+    measure.profile_gaps.  Row i holds the knots of line i's edges, in
+    their slope order, then a closing knot at +inf, padded to the
+    block's width with +inf slopes and zero jumps; it holds
+    len(edges) + 1 knots.  Each row's prefix sum adds the same jumps in
+    the same order as step_knots on the line alone (the tests'
+    reference, oracles.profile_knots), so its knots are that line's bit
+    for bit, and the closing knot and padding hold the final value on
+    both sides."""
     edges = [line.edges for line in lines]
     sizes = np.array([len(e) for e in edges], dtype=np.int64)
     joined = np.concatenate([np.empty((0, 3), dtype=np.int64), *edges])
@@ -498,7 +492,8 @@ def profile_rows(lines: list):
     col = np.arange(joined.shape[0]) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     taus = np.full((sizes.size, int(sizes.max(initial=0)) + 1), np.inf)
     jumps = np.zeros(taus.shape)
-    taus[row, col] = _edge_slopes(joined)
+    x1, x2 = joined[:, 0], joined[:, 1]
+    taus[row, col] = np.where(x1 > 0, x2 / np.maximum(x1, 1), np.inf)
     jumps[row, col] = _edge_lengths(joined)
     return (*step_knots(taus, jumps), sizes + 1)
 

@@ -138,6 +138,28 @@ def brute_coprime(t_lo, t_hi, radius):
     return [(x1, x2) for _, x1, x2 in out]
 
 
+def coprime_sum(f, radius: int) -> float:
+    """Direct summation of f(x) over coprime x with x1 + x2 <= radius,
+    the reference for lattice.mobius_inverted_sum."""
+    from limitshape.lattice import direction_arrays
+
+    x1, x2 = direction_arrays(0.0, math.inf, radius)
+    if x1.size == 0:
+        return 0.0
+    return float(np.sum(f(x1.astype(float), x2.astype(float))))
+
+
+def profile_knots(line):
+    """Step-profile knots (tau, before, after) of one line's length
+    profile, its edges already in increasing slope order: the reference
+    for sampler.profile_rows, which must give these knots bit for bit."""
+    from limitshape.measure import step_knots
+
+    x1, x2, nu = line.edges.T
+    slopes = np.where(x1 > 0, x2 / np.maximum(x1, 1), np.inf)
+    return step_knots(slopes, np.sqrt(x1 * x1 + x2 * x2) * nu)
+
+
 def edge_rows(support: dict) -> np.ndarray:
     """A {direction: multiplicity} map as the package's path format: an
     int64 (k, 3) array of (x1, x2, nu) rows sorted by exact slope."""
@@ -169,9 +191,10 @@ def searchsorted_endpoints(field, count: int, rng, chunk: int):
     with a plain binary search for each skip's direction.
 
     field is the measure's direction field (x1, x2, zpow, neg_log_z);
-    returns (xi, (head, rounds)) in sample_endpoints' support format:
-    the head's float64 (head, count) multiplicities and the skip rounds
-    as three lists (rep, dir_index, nu), one array per round.
+    returns (xi, (head, tail)) in sample_endpoints' support format:
+    the head's float64 (head, count) multiplicities and the tail's rows
+    as three int64 arrays (rep, dir_index, nu), its skip rounds joined
+    in chunk and round order.
     """
     z = field.zpow
     top = np.sort(z, kind="stable")[::-1]
@@ -207,19 +230,20 @@ def searchsorted_endpoints(field, count: int, rng, chunk: int):
             for out, new in zip(rounds, (first + alive, j, nu)):
                 out.append(new)
             pos[alive] = cum[j]
-    return xi, (head_nu, rounds)
+    empty = np.empty(0, np.int64)
+    return xi, (head_nu, tuple(np.concatenate([empty, *part]) for part in rounds))
 
 
 def concatenated_support(head_index, support):
-    """A support (head, rounds) of sampler.sample_endpoints as the (rep,
+    """A support (head, tail) of sampler.sample_endpoints as the (rep,
     dir_index, nu) int64 arrays of all its rows: the head's nonzero
-    entries (head row k is direction head_index[k]) and the skip rounds
-    joined in order, sorted by replicate and then dir_index."""
-    head, rounds = support
+    entries (head row k is direction head_index[k]) and the tail's rows
+    joined, sorted by replicate and then dir_index."""
+    head, (tail_rep, tail_idx, tail_nu) = support
     pos, rep = np.nonzero(head)
-    rows = (np.concatenate([rep, *rounds[0]]),
-            np.concatenate([head_index[pos], *rounds[1]]),
-            np.concatenate([head[pos, rep].astype(np.int64), *rounds[2]]))
+    rows = (np.concatenate([rep, tail_rep]),
+            np.concatenate([head_index[pos], tail_idx]),
+            np.concatenate([head[pos, rep].astype(np.int64), tail_nu]))
     order = np.lexsort((rows[1], rows[0]))
     return tuple(part[order] for part in rows)
 

@@ -449,12 +449,12 @@ def test_conditioned_study_exhausted_block(monkeypatch):
 
 def _endpoints_past(params, count, rng, collect_support=False):
     """sample_endpoints stand-in whose every draw ends past the target in
-    both coordinates, with no rows (an all-zero head and no skip round):
+    both coordinates, with no rows (an all-zero head and an empty tail):
     the completing set, which only adds steps, never brings such a draw
     back to the target."""
     xi = np.tile(np.array([params.n1 + 1, params.n2 + 1], dtype=np.int64), (count, 1))
     head = np.zeros((ms._field(params).dense_head.size, count))
-    return (xi, (head, ([], [], []))) if collect_support else xi
+    return (xi, (head, (np.empty(0, np.int64),) * 3)) if collect_support else xi
 
 
 def test_conditioned_study_with_no_accepted_replicate(monkeypatch):

@@ -393,7 +393,7 @@ def test_distance_reports_name_the_bad_path(parabola1, vertices, error):
 
 def _alone(line, scale, curve):
     """(d_L, argmax_t) of one line: measure.profile_gap on its own knots."""
-    taus, before, after = sp.profile_knots(line)
+    taus, before, after = oracles.profile_knots(line)
     return ms.profile_gap(curve, taus, scale * before, scale * after)
 
 

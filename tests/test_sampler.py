@@ -194,19 +194,19 @@ class _ZeroEveryOtherStep:
 
 
 def _check_support(params, support, count):
-    """A support (head, rounds): the head is the float64
-    (dense_head.size, count) array of whole multiplicities >= 0; each
-    skip round's replicates are ascending with no repeats; no skip lands
-    on a head direction; and a replicate's skip rounds visit its
-    directions in strictly increasing slope (field index)."""
-    head, (reps, idx, nu) = support
+    """A support (head, tail): the head is the float64
+    (dense_head.size, count) array of whole multiplicities >= 0; the
+    tail is three int64 arrays (rep, dir_index, nu) of one length; no
+    tail row is on a head direction; and a replicate's tail rows, in
+    skip-round order, visit its directions in strictly increasing slope
+    (field index)."""
+    head, tail = support
     assert head.dtype == np.float64 and head.shape == (ms._field(params).dense_head.size, count)
     assert head.min(initial=0.0) >= 0.0 and np.array_equal(head, np.floor(head))
-    assert len(reps) == len(idx) == len(nu)
-    for rep_r in reps:
-        assert rep_r.dtype == np.int64 and np.all(np.diff(rep_r) > 0)
-    empty = np.empty(0, np.int64)
-    reps, idx = np.concatenate([empty, *reps]), np.concatenate([empty, *idx])
+    assert len(tail) == 3
+    for part in tail:
+        assert part.dtype == np.int64 and part.shape == tail[0].shape == (part.size,)
+    reps, idx, _ = tail
     assert not np.isin(idx, ms._field(params).dense_head).any()
     order = np.argsort(reps, kind="stable")  # each replicate's rows in round order
     reps, idx = reps[order], idx[order]
@@ -215,12 +215,11 @@ def _check_support(params, support, count):
 
 
 def _same_support(got, want):
-    """Two supports (head, rounds) hold the same arrays, round by round."""
+    """Two supports (head, tail) hold the same arrays, dtypes included."""
     assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
-    for got_part, want_part in zip(got[1], want[1]):
-        assert len(got_part) == len(want_part)
-        for a, b in zip(got_part, want_part):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert len(got[1]) == len(want[1]) == 3
+    for a, b in zip(got[1], want[1]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_skip_moves_on_after_a_zero_step(parabola1):
@@ -242,22 +241,23 @@ def _same_paths(got, want):
 
 
 def test_support_rounds_are_ascending(parabola1):
-    """The support is the head's (head, 3000) array and the skip rounds:
-    each round's replicate array is ascending with no repeats, and a
-    replicate's skip rounds visit its tail directions in slope order."""
+    """The support is the head's (head, 3000) array and the flat tail,
+    whose skip rounds, joined in order, visit each replicate's tail
+    directions in slope order."""
     params = _params(parabola1, 100)
     _, support = sp.sample_endpoints(params, 3000, np.random.default_rng(11),
                                      collect_support=True)
-    assert len(support[1][0]) > 1 and support[0].any()
+    # more tail rows than replicates: some replicate took two skip rounds
+    assert support[1][0].size > 3000 and support[0].any()
     _check_support(params, support, 3000)
 
 
 @pytest.mark.parametrize("n1", [20, 100])
 def test_configurations_of_matches_concatenated_route(parabola1, n1):
-    """The rebuild from the head's columns and the skip rounds gives the
+    """The rebuild from the head's columns and the flat tail gives the
     concatenated route's edge arrays on random replicate orders, subsets
-    and repeats, on a stream with zero steps, and with empty rounds
-    anywhere in the support."""
+    and repeats, on a stream with zero steps, and with the tail's rows
+    shuffled."""
     params = _params(parabola1, n1)
     pick = np.random.default_rng(n1)
     for rng in (np.random.default_rng(5), _ZeroEveryOtherStep(5)):
@@ -266,28 +266,26 @@ def test_configurations_of_matches_concatenated_route(parabola1, n1):
                      np.array([999, 0, 999, 500])):
             _same_paths(sp.configurations_of(params, support, reps),
                         oracles.concatenated_configurations_of(params, support, reps))
-        empty = np.empty(0, np.int64)
-        head, rounds = support
-        padded = (head, tuple([empty] + [a for r in part for a in (r, empty)]
-                              for part in rounds))
+        head, tail = support
+        shuffle = pick.permutation(tail[0].size)
+        shuffled = (head, tuple(part[shuffle] for part in tail))
         reps = pick.permutation(1000)
-        _same_paths(sp.configurations_of(params, padded, reps),
+        _same_paths(sp.configurations_of(params, shuffled, reps),
                     oracles.concatenated_configurations_of(params, support, reps))
-    # an all-zero head with skip rounds that are empty, or none, holds
-    # empty paths only
+    # an all-zero head with an empty tail holds empty paths only
     zeros = np.zeros((ms._field(params).dense_head.size, 1000))
-    for support in ((zeros, ([], [], [])), (zeros, ([empty] * 3, [empty] * 3, [empty] * 3))):
-        got = sp.configurations_of(params, support, [3, 1])
-        _same_paths(got, oracles.concatenated_configurations_of(params, support, [3, 1]))
-        assert [e.shape for e in got] == [(0, 3), (0, 3)]
+    support = (zeros, (np.empty(0, np.int64),) * 3)
+    got = sp.configurations_of(params, support, [3, 1])
+    _same_paths(got, oracles.concatenated_configurations_of(params, support, [3, 1]))
+    assert [e.shape for e in got] == [(0, 3), (0, 3)]
 
 
 @pytest.mark.parametrize("n1", [100, 200])
 @pytest.mark.parametrize("batch, count", [(1, 2), (7, 2), (3000, 40), (8192, 40)])
 def test_conditioned_configurations_match_concatenated_route(parabola1, n1, batch, count,
                                                              pair_only):
-    """The per-round conditioned loop hands out the same paths and
-    attempts as the concatenated reference loop on the same stream."""
+    """The conditioned loop hands out the same paths and attempts as the
+    concatenated reference loop on the same stream."""
     params = _params(parabola1, n1)
     n = (params.n1, params.n2)
     assert ms.completing_set(params, n).tables == []
@@ -317,13 +315,17 @@ def test_conditioned_exhausted_matches_concatenated_route(parabola1, pair_only):
 @pytest.mark.parametrize("seed", [1, 2])  # one batch, then two
 def test_conditioned_block_memory(parabola1, seed):
     """One 32-path block at n1 = 200 in batches of 8192 peaks under 8 MB
-    of Python allocations: a batch's support is never joined into three
-    arrays, and it is released before the next batch is drawn (joining
-    peaks near 11 MB in one batch and 17 MB in two).  The head stays
-    float64 in the support and only the accepted draws' rows become
-    int64: the call peaks at 6.5 MB on both seeds, against 5.9 MB when
-    the head was kept as per-direction rounds of its nonzero entries.
-    The set has its 14 tables, so this is the table route's memory."""
+    of Python allocations: the head stays a float64 array, the tail's
+    skip rounds are joined once into three flat arrays, each column's
+    rounds freed as it is joined, the accepted draws' tail rows are
+    picked out by one isin mask, and a batch's support is released
+    before the next batch is drawn (joining the head's rows in too
+    peaks near 11 MB in one batch and 17 MB in two).  The call peaks at
+    6.76 MB on both seeds, against 6.50 MB when the tail was kept as one
+    array per skip round and searched round by round, and 7.79 MB when
+    the rounds were joined without freeing them and the owner map was
+    gathered over every tail row.  The set has its 14 tables, so this
+    is the table route's memory."""
     params = _params(parabola1, 200)
     n = (200, 200)
     assert len(ms.completing_set(params, n).tables) == 14
@@ -377,7 +379,7 @@ def test_skip_index_is_searchsorted_right(hazards, fractions):
 @pytest.mark.parametrize("n1", [20, 200])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sample_endpoints_matches_searchsorted_route(parabola1, n1, seed):
-    """Every endpoint, the head's array and every skip round are
+    """Every endpoint, the head's array and the tail's three arrays are
     identical to the binary-search reference route on the same random
     numbers."""
     params = _params(parabola1, n1)
@@ -501,8 +503,9 @@ def test_small_field_is_all_head(parabola1):
         xi, support = sp.sample_endpoints(params, 2 * sp._LOOKUP_BLOCK + 3, _NoSkips(1),
                                           collect_support=True)
     assert "hazard_guide" not in vars(f)
-    # three chunks' heads joined, no skip round
-    assert support[0].shape == (29, 2 * sp._LOOKUP_BLOCK + 3) and support[1] == ([], [], [])
+    # three chunks' heads joined, an empty tail
+    assert support[0].shape == (29, 2 * sp._LOOKUP_BLOCK + 3)
+    assert all(part.dtype == np.int64 and part.shape == (0,) for part in support[1])
     reps, idx, nu = oracles.concatenated_support(f.dense_head, support)
     assert nu.min() >= 1 and np.unique(reps * 29 + idx).size == reps.size
     lines = sp.assemble_block(sp.configurations_of(params, support, np.arange(100)))
@@ -967,7 +970,7 @@ def test_exhausted_closest_miss_is_the_minimum(parabola1, pair_only, monkeypatch
 # --- profiles and scaling -----------------------------------------------------------
 
 def _profile(line, t, side="right"):
-    taus, _, after = sp.profile_knots(line)
+    taus, _, after = oracles.profile_knots(line)
     return ms.step_at(taus, after, t, side)
 
 
