@@ -7,7 +7,13 @@ of the ball, optionally capped by a linear form per slope sector, sorted
 by slope.  It walks the columns x1 in passes sized so that both the
 candidate pairs (_DIRECTION_CHUNK) and the per-(column, sector) range
 tables (_SECTOR_CELLS) stay bounded; the pass size does not change the
-output.  mobius_inverted_sum is the independent
+output.  The direction field calls it with 32 sectors: fewer sectors
+mean smaller range tables but more candidates, and on the c08 curve at
+n1 = 1e4, 256 / 64 / 32 / 16 / 8 sectors gave 148.6k / 150.3k /
+152.5k / 157.2k / 167.2k candidates in 22 / 19 / 20 / 19 / 21 ms, and
+on parabola(1) at n1 = 200 the same 12.9k candidates in 2.4 / 1.6 /
+1.5 / 1.4 / 1.3 ms (2-vCPU Xeon); every candidate then costs a tilt
+evaluation.  mobius_inverted_sum is the independent
 route for sums over the coprime set: it combines full-lattice sums with
 mu weights, which is exact for any function on the lattice; the tests
 check it against a direct sum over direction_arrays.
@@ -24,10 +30,12 @@ from .errors import LimitTooLarge
 _SIEVE_BUDGET = 1 << 27  # int8 table, ~134 MB
 _DIRECTION_CHUNK = 1 << 21  # candidate pairs per pass of direction_arrays
 # (column, sector) range-table cells per pass of direction_arrays: 64 columns
-# at 256 sectors.  Of 2^10 to 2^16 and unbounded, 2^14 enumerated the c08
-# and parabola(1) fields fastest (n1 = 1e2 to 1e4, 2-vCPU Xeon) and cut the
-# parabola(1) field build's peak at n1 = 100 from 3.5 to 1.2 MB.
-_SECTOR_CELLS = 1 << 14
+# at the direction field's 32 sectors.  Enumerating the c08 and parabola(1)
+# fields (n1 = 1e2 to 1e4, 2-vCPU Xeon), 2^11 peaked at 0.57 MB on
+# parabola(1) at n1 = 100 and 2.18 MB on c08 at 1e3, against 1.12 and
+# 3.36 MB at 2^14 (512 columns a pass), which was at most 0.1 ms faster
+# there; 2^9 and 2^10 were 0.2 to 3 ms slower.
+_SECTOR_CELLS = 1 << 11
 _LATTICE_CHUNK = 1 << 18  # lattice points per call of f in _full_lattice_sum
 
 
@@ -42,9 +50,17 @@ def direction_arrays(t_lo: float, t_hi: float, radius: float, *,
     _DIRECTION_CHUNK // radius columns, so at most about _DIRECTION_CHUNK
     (2^21) candidate pairs, and at most _SECTOR_CELLS // (len(cuts) + 1)
     columns, so its (column, sector) range tables hold at most
-    _SECTOR_CELLS (2^14) cells and stay in cache.  Passes are
-    concatenated in column order before the stable slope sort, so the
-    output does not depend on the pass size.
+    _SECTOR_CELLS (2^11) cells and stay in cache.  Passes are
+    concatenated in column order before the slope sort, so the output
+    does not depend on the pass size.
+
+    The slopes have no ties, so any sort gives the one increasing
+    order: two distinct reduced fractions p/q < p'/q' with p + q and
+    p' + q' at most R differ by at least 1/(q q'), while they round to
+    the same float64 only when they differ by less than one ulp of
+    p'/q', at most 2^-52 p'/q'.  That needs p' q > 2^52, impossible
+    below R = 2^26 (the field's radius is at most 2*10^5); the axis
+    directions have slopes 0 and inf, which no other direction shares.
 
     cuts (increasing) split the slope window into len(cuts) + 1
     sectors, sector k holding the slopes in (cuts[k-1], cuts[k]]; a
@@ -106,7 +122,7 @@ def direction_arrays(t_lo: float, t_hi: float, radius: float, *,
     x2 = np.concatenate(xs2)
     with np.errstate(divide="ignore"):
         tau = np.where(x1 > 0, x2 / np.maximum(x1, 1), np.inf)
-    order = np.argsort(tau, kind="stable")
+    order = np.argsort(tau)
     return x1[order], x2[order]
 
 

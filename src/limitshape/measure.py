@@ -61,7 +61,8 @@ assert abs(KAPPA - _KAPPA_PINNED) < 1e-12, "zeta-based kappa drifted from pinned
 
 _TAIL_BUDGET = 1e-9
 _MAX_RADIUS = 200_000
-_SECTOR_SAFETY = 0.9  # sector floor = 0.9 x the smaller tilt at its two ends
+_SECTOR_SAFETY = 0.9  # grid-interval floor = 0.9 x the smaller tilt at its two ends
+_SECTOR_GROUP = 8  # tilt-grid intervals per enumeration sector: 256 / 8 = 32 sectors
 _PAIR_POOL = 16  # likeliest directions: the completing pair's pool and the completing set
 _FIELD_CACHE = 4  # fields kept per process: a study's sizes, which forked workers inherit
 _SET_TABLE_CELLS = 1 << 20  # float64 cells of a completing set's tables, 8 MB
@@ -74,15 +75,17 @@ def _tilt_base(curve: ConvexCurve, t: np.ndarray) -> np.ndarray:
 
     The curvature-in-u form keeps vertical tangents (t1 = inf) stable.
     """
-    out = np.full(t.shape, math.inf)
     inside = (t >= curve.t0) & (t <= curve.t1)
-    if np.any(inside):
-        ti = t[inside]
-        k3 = curvature_profile(curve, slope_inverse(curve, ti)) ** (1.0 / 3.0)
-        finite = ~np.isinf(ti)
-        w = np.ones_like(ti)
-        w[finite] = np.hypot(1.0, ti[finite]) / (curve.c_gamma + ti[finite])
-        out[inside] = KAPPA * k3 * w
+    if not np.any(inside):
+        return np.full(t.shape, math.inf)
+    ti = t[inside]
+    k3 = curvature_profile(curve, slope_inverse(curve, ti)) ** (1.0 / 3.0)
+    finite = ~np.isinf(ti)
+    w = np.ones_like(ti)
+    w[finite] = np.hypot(1.0, ti[finite]) / (curve.c_gamma + ti[finite])
+    # made after the root solve, whose temporaries set the field build's peak
+    out = np.full(t.shape, math.inf)
+    out[inside] = KAPPA * k3 * w
     return out
 
 
@@ -203,14 +206,17 @@ def _tail_rate(curve: ConvexCurve, rho: float, alpha: float) -> float:
     return alpha * dstar / 2.0
 
 
-def certified_tail(curve: ConvexCurve, rho: float, alpha: float, radius: int) -> float:
-    """Closed-form bound on the expected number of edges beyond the radius."""
-    b = _tail_rate(curve, rho, alpha)
-    q = math.exp(-b)
+def _beyond_radius(q: float, radius: int) -> float:
+    """certified_tail at decay q = exp(-_tail_rate)."""
     if q >= 1.0:
         return math.inf
     # E[nu] = z/(1-z) <= z / (1 - q^(radius+1)) on the omitted set
     return _geometric_tail(q, radius + 1) / (1.0 - q ** (radius + 1))
+
+
+def certified_tail(curve: ConvexCurve, rho: float, alpha: float, radius: int) -> float:
+    """Closed-form bound on the expected number of edges beyond the radius."""
+    return _beyond_radius(math.exp(-_tail_rate(curve, rho, alpha)), radius)
 
 
 def in_ball_tail(params: MeasureParams) -> float:
@@ -222,19 +228,20 @@ def in_ball_tail(params: MeasureParams) -> float:
 
 def _choose_radius(curve: ConvexCurve, rho: float, alpha: float) -> tuple[int, float]:
     b = _tail_rate(curve, rho, alpha)
+    q = math.exp(-b)  # certified_tail's decay, computed once for the bisection
     q1 = math.exp(-2.0 * b)  # un-halved decay, rough scale of the edge count
     anchor = max(1.0, _geometric_tail(q1, 1))
     target = _TAIL_BUDGET * anchor
     half = target / 2.0  # the other half is in_ball_tail's
     lo, hi = 1, 2
-    while certified_tail(curve, rho, alpha, hi) > half:
+    while _beyond_radius(q, hi) > half:
         hi *= 2
         if hi > _MAX_RADIUS:
             raise TailBoundViolated(
                 f"no radius below {_MAX_RADIUS} meets the tail budget {target!r}")
     while lo < hi:
         mid = (lo + hi) // 2
-        if certified_tail(curve, rho, alpha, mid) <= half:
+        if _beyond_radius(q, mid) <= half:
             hi = mid
         else:
             lo = mid + 1
@@ -260,10 +267,13 @@ def direction_exponent(curve: ConvexCurve, rho: float, x1, x2):
     x2 = np.asarray(x2, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         tt = np.where(x1 > 0.0, rho * x2 / np.where(x1 > 0.0, x1, 1.0), math.inf)
+    # the linear form first, so the float copies of x are not held through
+    # the root solve in _tilt_base, whose temporaries set the field build's peak
+    linear = curve.c_gamma * x1 + rho * x2
+    del x1, x2
     base = _tilt_base(curve, tt)
     with np.errstate(invalid="ignore"):
-        return np.where(np.isinf(base), math.inf,
-                        base * (curve.c_gamma * x1 + rho * x2))
+        return np.where(np.isinf(base), math.inf, base * linear)
 
 
 class _DirectionField:
@@ -278,12 +288,18 @@ class _DirectionField:
         # enumerate only the slope window where z > 0: tau in [t0/rho, t1/rho].
         # Between two tilt-grid slopes the tilt base is at least floor_k, so
         # alpha*e(x) <= T needs c*x1 + rho*x2 <= T / (alpha * floor_k) there.
+        # The sectors are coarse: every _SECTOR_GROUP-th grid slope is a cut
+        # and a sector's floor is the least of its fine floors, so its cap
+        # is at least that of every grid interval inside it.  The candidates
+        # are a superset of the fine sectors', and the exact filter below
+        # keeps the same field from fewer range-table cells.
         t_lo = c.t0 / rho
         t_hi = c.t1 / rho if math.isfinite(c.t1) else math.inf
         t, base = _tilt_grid(c)
         floors = _SECTOR_SAFETY * np.minimum(base[:-1], base[1:])
+        floors = np.minimum.reduceat(floors, np.arange(0, floors.size, _SECTOR_GROUP))
         x1, x2 = _lattice.direction_arrays(t_lo, t_hi, params.truncation_radius,
-                                           cuts=t[1:-1] / rho,
+                                           cuts=t[_SECTOR_GROUP:-1:_SECTOR_GROUP] / rho,
                                            caps=cap / (params.alpha_n * floors),
                                            weights=(c.c_gamma, rho))
         exponent = direction_exponent(c, rho, x1, x2)
@@ -359,10 +375,29 @@ def _guide_table(cum) -> np.ndarray:
     """Guide table (Chen & Asau 1974; Devroye 1986, III.2.4) of a
     nondecreasing cum whose total cum[-1] is a positive normal float:
     M = 4 * cum.size buckets of width h = cum[-1] / M and
-    g[b] = #{cum <= b*h}.  The last edge (M-1)*h lies below cum[-1], so
-    every g[b] is a valid index into cum."""
+    g[b] = #{cum <= b*h}, the float edges b*h as searchsorted(cum,
+    arange(M) * h, "right") sees them.  The last edge (M-1)*h lies below
+    cum[-1], so every g[b] is a valid index into cum.
+
+    Built in linear time without the edges: k_i, the first bucket whose
+    edge is at least cum[i], is nondecreasing in i, and g takes the
+    value i on the buckets k_(i-1) <= b < k_i (k_(-1) = 0, k_n = M for n
+    = cum.size, every k clipped to [0, M]), so one repeat writes it.
+    k_i starts as ceil(cum[i] / h).  The quotient and every edge are
+    within a relative 2^-53 of their exact values (an absolute 2^-1075,
+    under a quarter bucket, for a subnormal edge), which is below one
+    bucket while M < 2^50, so the start is at most one bucket off
+    either way: one step down where the edge below still reaches
+    cum[i], then one step up where its own edge does not, make it
+    exact.
+    """
     m = 4 * cum.size
-    return np.searchsorted(cum, np.arange(m) * (cum[-1] / m), side="right")
+    h = cum[-1] / m
+    k = np.ceil(cum / h)
+    k -= (k - 1.0) * h >= cum
+    k += k * h < cum
+    k = np.clip(k, 0, m).astype(np.int64)
+    return np.repeat(np.arange(cum.size + 1), np.diff(k, prepend=0, append=m))
 
 
 @lru_cache(maxsize=_FIELD_CACHE)

@@ -52,6 +52,25 @@ def test_enumeration_sorted_and_distinct(radius, lo, span):
     assert got == oracles.brute_coprime(lo, lo + span, radius)
 
 
+def test_ball_slopes_have_no_float_ties():
+    # direction_arrays sorts with the default (unstable) argsort, which
+    # gives the one increasing order only when no two slopes tie in float64
+    x1, x2 = lt.direction_arrays(0.0, math.inf, 2000)
+    assert x1.size > 1_200_000
+    with np.errstate(divide="ignore"):
+        tau = np.where(x1 > 0, x2 / np.maximum(x1, 1), np.inf)
+    assert np.all(np.diff(tau) > 0.0)
+
+
+def test_largest_field_slopes_have_no_float_ties(tabulated_mixed):
+    # the c08 field at n1 = 1e4, the largest field the tests build
+    from limitshape import measure as ms
+
+    f = ms._field(ms.MeasureParams.for_endpoint(tabulated_mixed, 10_000))
+    assert f.tau.dtype == np.float64 and f.tau.size > 100_000
+    assert np.all(np.diff(f.tau) > 0.0)
+
+
 @settings(deadline=None, max_examples=60)
 @given(data=st.data(), radius=st.integers(min_value=1, max_value=60),
        lo=st.integers(min_value=0, max_value=128),
@@ -194,8 +213,8 @@ def test_direction_chunking_is_byte_identical(curve_name, n1, request, monkeypat
 
 
 def test_field_build_peak_memory():
-    # a fresh parabola(1) field at n1 = 100 (6515 directions, 256 sectors)
-    # peaks at 1.23 MB; one pass over all 267 columns peaked at 3.51 MB
+    # a fresh parabola(1) field at n1 = 100 (6515 directions, 32 sectors)
+    # peaks at 0.69 MB; one pass over all 267 columns peaks at 1.12 MB
     import tracemalloc
 
     from limitshape import curve, measure

@@ -376,6 +376,29 @@ def test_skip_index_is_searchsorted_right(hazards, fractions):
                           np.searchsorted(cum, pos, side="right"))
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_HAZARDS, min_size=1, max_size=40))
+@example([3.0])  # a single direction
+@example([0.0, 0.0, 2.0, 0.0, 0.0])  # zero-width intervals on both sides
+@example([1e-300, 1e-300, 1e-300])  # every interval tiny
+# cum values exactly on bucket edges, which count in the edge's own bucket
+@example([1.0, 1.0, 0.0])
+@example([0.1, 0.1, 0.2])
+# ceil(cum / h) one bucket too high, then one too low
+@example([2.1, 0.3])
+@example([0.9, 0.3])
+def test_guide_table_is_searchsorted_right(hazards):
+    """The linear-time guide table equals the binary search of cum at
+    every float bucket edge b * h, dtype included."""
+    cum = np.cumsum(hazards)
+    assume(cum[-1] > 0.0)
+    m = 4 * cum.size
+    want = np.searchsorted(cum, np.arange(m) * (cum[-1] / m), side="right")
+    got = ms._guide_table(cum)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("n1", [20, 200])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sample_endpoints_matches_searchsorted_route(parabola1, n1, seed):
