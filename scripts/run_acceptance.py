@@ -3,11 +3,14 @@
 and study layer, with reports written under --out (default ./acceptance_out).
 
 This drives the same checks as tests/test_acceptance.py but leaves the
-full CSV/SVG/Markdown artifact trail behind for inspection.
+full CSV/SVG/Markdown artifact trail behind for inspection.  It runs
+from a checkout: the package is imported from ./src, here and in the
+CLI processes it starts.
 """
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import time
@@ -16,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO / "tests"))
+SRC = str(REPO / "src")
+sys.path[:0] = [SRC, str(REPO / "tests")]
 
 from conftest import mixed_cubic_points  # noqa: E402
 
@@ -25,8 +29,10 @@ PARABOLA = {"preset": {"name": "parabola", "c": 1.0}}
 
 def run_cli(args):
     t0 = time.time()
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-m", "limitshape"] + args,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     print(f"  limitshape {' '.join(args[:2])}... -> exit {proc.returncode} "
           f"({time.time() - t0:.1f}s)")
     if proc.stderr.strip():

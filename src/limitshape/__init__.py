@@ -21,14 +21,12 @@ from .lattice import (
 from .measure import (
     KAPPA,
     MeasureParams,
-    MomentReport,
     b_matrix,
     calibration_residual,
     covariance_matrix,
     delta,
+    endpoint_density,
     expected_endpoint,
-    gaussian_density_at,
-    moment_report,
     nu_moments,
 )
 from .metrics import PathDistanceReport, distance_report, distance_reports, hausdorff
@@ -45,7 +43,6 @@ __all__ = [
     "Configuration",
     "ConvexCurve",
     "MeasureParams",
-    "MomentReport",
     "OracleDistribution",
     "PathDistanceReport",
     "PolygonalLine",
@@ -56,16 +53,15 @@ __all__ = [
     "delta",
     "distance_report",
     "distance_reports",
+    "endpoint_density",
     "exact_conditional_oracle",
     "expected_endpoint",
-    "gaussian_density_at",
     "hausdorff",
     "length_profile",
     "make_preset",
     "make_tabulated",
     "mobius_inverted_sum",
     "mobius_sieve",
-    "moment_report",
     "nu_moments",
     "sample_endpoints",
     "slope_grid",

@@ -81,13 +81,14 @@ def _cmd_calibrate(cfg: ExperimentConfig, thresholds: dict) -> int:
     _report.write_csv(os.path.join(cfg.out_dir, "calibration.csv"),
                       ["t", "delta1", "delta2", "residual"],
                       list(zip(grid, d1, d2, resid)))
-    rep = _measure.moment_report(params)
+    K = _measure.covariance_matrix(params)
     payload = {
         "n1": params.n1, "n2": params.n2,
         "alpha_n": params.alpha_n, "rho_n": params.rho_n,
         "kappa": _measure.KAPPA,
-        "a_z": rep.a_z.tolist(), "K": rep.K.tolist(), "B": rep.B.tolist(),
-        "detK": rep.detK, "density_at_n": rep.density_at_n,
+        "a_z": _measure.expected_endpoint(params).tolist(), "K": K.tolist(),
+        "B": _measure.b_matrix(curve).tolist(), "detK": float(np.linalg.det(K)),
+        "density_at_n": _measure.endpoint_density(params, (params.n1, params.n2)),
     }
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "moment_report.json"), "w",

@@ -601,50 +601,22 @@ def b_matrix(curve: ConvexCurve) -> np.ndarray:
     return np.array([[b11, b12], [b12, b22]])
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """Exact first/second endpoint moments plus their limit profile."""
-
-    a_z: np.ndarray
-    K: np.ndarray
-    B: np.ndarray
-    detK: float
-    density_at_n: float
-
-
-def _gaussian_density(a_z, K, detK: float, m) -> float:
-    if not (detK > 0.0) or not math.isfinite(detK):
-        raise SingularCovariance(f"det K = {detK!r}")
-    diff = np.asarray(m, dtype=float) - a_z
-    quad_form = float(diff @ np.linalg.solve(K, diff))
-    return float(np.exp(-0.5 * quad_form) / (2.0 * math.pi * math.sqrt(detK)))
-
-
-def gaussian_density_at(report: MomentReport, m) -> float:
-    """Bivariate normal density with mean a_z and covariance K at the
-    lattice point m, evaluated through the inverse covariance."""
-    return _gaussian_density(report.a_z, report.K, report.detK, m)
-
-
-def endpoint_density(params: MeasureParams, m) -> float:
-    """gaussian_density_at the lattice point m from the exact endpoint
-    mean and covariance sums alone: moment_report's density without the
-    quadrature of B."""
+def endpoint_density(params: MeasureParams, m):
+    """The local-CLT density of the endpoint: the bivariate normal
+    density with mean expected_endpoint and covariance covariance_matrix,
+    at the lattice point m (a float) or at each row of a (k, 2) array of
+    points (an array).  Every point gets its own solve against K and its
+    own dot product, so a row of an array has the bits of a single call.
+    Raises SingularCovariance unless det K is positive and finite."""
     K = covariance_matrix(params)
-    return _gaussian_density(expected_endpoint(params), K, float(np.linalg.det(K)), m)
-
-
-def moment_report(params: MeasureParams) -> MomentReport:
-    a = expected_endpoint(params)
-    K = covariance_matrix(params)
-    B = b_matrix(params.curve)
-    detK = float(np.linalg.det(K))
-    if not (detK > 0.0):
-        raise SingularCovariance("endpoint covariance is not positive definite")
-    report = MomentReport(a_z=a, K=K, B=B, detK=detK, density_at_n=0.0)
-    density = gaussian_density_at(report, (params.n1, params.n2))
-    object.__setattr__(report, "density_at_n", density)
-    return report
+    det_k = float(np.linalg.det(K))
+    if not (det_k > 0.0 and math.isfinite(det_k)):
+        raise SingularCovariance(
+            f"endpoint covariance is not positive definite: det K = {det_k!r}")
+    diff = np.asarray(m, dtype=float) - expected_endpoint(params)
+    quad_form = (diff[..., None, :] @ np.linalg.solve(K, diff[..., None]))[..., 0, 0]
+    density = np.exp(-0.5 * quad_form) / (2.0 * math.pi * math.sqrt(det_k))
+    return float(density) if density.ndim == 0 else density
 
 
 def expected_length_profile_mobius(params: MeasureParams, t) -> float:

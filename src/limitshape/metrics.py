@@ -76,6 +76,12 @@ _VERTEX_BLOCK = 16
 
 @dataclass(frozen=True)
 class PathDistanceReport:
+    """The two distances between a scaled path and the target arc:
+    d_hausdorff, the Hausdorff distance to the arc's polyline; d_length,
+    the sup over slopes t of the length-profile gap; and argmax_t, the
+    slope where that sup is first reached, +inf when it holds from the
+    last knot on."""
+
     d_hausdorff: float
     d_length: float
     argmax_t: float

@@ -385,8 +385,14 @@ def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
     one.  The first k paths depend on count only through the budget.
     Once max_attempts draws are spent short of count, raises Exhausted
     with the closest miss: the free endpoint of any draw nearest n in
-    the covariance-adapted (Mahalanobis) norm.
+    the covariance-adapted (Mahalanobis) norm.  A count of 0 returns
+    ([], an empty attempts array) without a draw; a negative count
+    raises ValueError.
     """
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    if count == 0:
+        return [], np.empty(0, dtype=np.int64)
     f = _field(params)
     n = (int(n[0]), int(n[1]))
     cs = completing_set(params, n)

@@ -305,19 +305,12 @@ def run_moment_study(config) -> StudyResult:
     return result
 
 
-def _lclt_cells(params, half_width: int = 2):
-    report = _measure.moment_report(params)
-    center = np.rint(report.a_z).astype(int)
-    cells = [(int(center[0] + i), int(center[1] + j))
-             for i in range(-half_width, half_width + 1)
-             for j in range(-half_width, half_width + 1)]
-    return report, cells
-
-
 def run_lclt_study(config) -> StudyResult:
-    """Empirical endpoint hit frequencies against the Gaussian density.
-    Every size's field is built here, for its cells, before the pool
-    forks, so the workers draw from the fields they inherit."""
+    """Empirical endpoint hit frequencies against the Gaussian density
+    (measure.endpoint_density), at the 5 x 5 cells around the rounded
+    expected endpoint and at n itself.  Every size's field is built
+    here, for its cells, before the pool forks, so the workers draw
+    from the fields they inherit."""
     curve_key = json.dumps(config.curve_spec, sort_keys=True)
     result = StudyResult()
     replicates = config.lclt_replicates
@@ -326,19 +319,21 @@ def run_lclt_study(config) -> StudyResult:
     sizes, tasks = [], []
     for n1 in config.n1_list:
         params = _params_for(curve_key, n1)
-        report, cells = _lclt_cells(params)
+        center = np.rint(_measure.expected_endpoint(params)).astype(int)
+        cells = [(int(center[0] + i), int(center[1] + j))
+                 for i in range(-2, 3) for j in range(-2, 3)]
         target = (params.n1, params.n2)
-        density_target = _measure.gaussian_density_at(report, target)
+        *densities, density_target = _measure.endpoint_density(params, cells + [target]).tolist()
         if density_target * replicates < 25:
             raise InsufficientReplicates(
                 f"expected hits {density_target * replicates:.1f} < 25 at n1={n1}")
-        sizes.append((n1, report, cells, density_target))
+        sizes.append((n1, cells, densities, density_target))
         tasks.extend((curve_key, n1, b_idx, min(batch, replicates - b_idx * batch),
                       config.seed, tuple(cells + [target]))
                      for b_idx in range(n_batches))
     done = _run_tasks(_lclt_chunk, tasks, config.workers)
     p_hat_at_n = {}
-    for i, (n1, report, cells, density_target) in enumerate(sizes):
+    for i, (n1, cells, densities, density_target) in enumerate(sizes):
         counts = sum(done[i * n_batches:(i + 1) * n_batches])
         cell_counts = counts[:-1]
         target_count = int(counts[-1])
@@ -352,8 +347,8 @@ def run_lclt_study(config) -> StudyResult:
         p_hat_at_n[n1] = freq
 
         chi2 = 0.0
-        for (m, count) in zip(cells, cell_counts):
-            expected = _measure.gaussian_density_at(report, m) * replicates
+        for m, count, density in zip(cells, cell_counts, densities):
+            expected = density * replicates
             chi2 += (count - expected) ** 2 / max(expected, 1e-300)
             result.details.append((n1, m[0], m[1], int(count), expected / replicates))
         result.rows.append(ConvergenceRow(

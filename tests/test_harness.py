@@ -660,6 +660,18 @@ def test_cli_calibrate(tmp_path):
     assert rep["n1"] == 100 and "detK" in rep
 
 
+def test_cli_calibrate_singular_covariance(tmp_path, capsys):
+    # power(1.0001) at n1 = 5 keeps the single direction (1, 1), so det K = 0;
+    # calibration.csv is written before the moments are
+    out = tmp_path / "sing"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = cli_main(["calibrate", "--curve", "power:1.0001", "--n1", "5", "--out", str(out)])
+    assert code == 1
+    assert "endpoint covariance is not positive definite" in capsys.readouterr().err
+    assert (out / "calibration.csv").exists() and not (out / "moment_report.json").exists()
+
+
 def test_cli_error_exit_code(tmp_path):
     assert cli_main(["sample", "--n1", "50", "--curve", "nonsense:xx",
                      "--out", str(tmp_path / "x")]) == 1
@@ -841,6 +853,16 @@ def test_cli_entry_point_subprocess(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert os.path.exists(os.path.join(out, "lines.jsonl"))
+
+
+def test_public_callables_have_docstrings():
+    # a dataclass without a docstring gets its signature as __doc__
+    import limitshape
+
+    public = [getattr(limitshape, name) for name in limitshape.__all__]
+    bare = [obj.__name__ for obj in public if callable(obj)
+            and (not (obj.__doc__ or "").strip() or obj.__doc__.startswith(f"{obj.__name__}("))]
+    assert bare == []
 
 
 # --- benchmark harness ------------------------------------------------------------------

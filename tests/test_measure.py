@@ -319,46 +319,68 @@ def test_b_matrix_cauchy_schwarz(parabola1, power2, circle, tabulated_mixed):
 
 # --- Gaussian density -----------------------------------------------------------
 
-def _toy_report(a, K):
-    K = np.asarray(K, dtype=float)
-    return ms.MomentReport(a_z=np.asarray(a, float), K=K, B=np.eye(2),
-                           detK=float(np.linalg.det(K)), density_at_n=0.5)
+def _lclt_points(params):
+    """The lclt study's 26 points: the 5 x 5 cells around the rounded
+    expected endpoint, then n."""
+    c = np.rint(ms.expected_endpoint(params)).astype(int)
+    return np.array([(c[0] + i, c[1] + j) for i in range(-2, 3) for j in range(-2, 3)]
+                    + [(params.n1, params.n2)])
 
 
-def test_gaussian_density_isotropic_unit():
-    rep = _toy_report([0.0, 0.0], np.eye(2))
-    assert ms.gaussian_density_at(rep, (0, 0)) == pytest.approx(1.0 / (2 * math.pi))
+@pytest.mark.parametrize("which,n1", [("parabola", 200), ("parabola", 400), ("c08", 1000)])
+def test_endpoint_density_matches_scipy(parabola1, tabulated_mixed, which, n1):
+    from scipy.stats import multivariate_normal
+
+    curve = parabola1 if which == "parabola" else tabulated_mixed
+    params = ms.MeasureParams.for_endpoint(curve, n1)
+    law = multivariate_normal(ms.expected_endpoint(params), ms.covariance_matrix(params))
+    for m in _lclt_points(params):
+        assert ms.endpoint_density(params, m) == pytest.approx(law.pdf(m), rel=1e-12)
+
+
+def test_endpoint_density_rows_are_single_calls(parabola1, tabulated_mixed):
+    for curve, n1 in ((parabola1, 24), (parabola1, 200), (parabola1, 1000),
+                      (tabulated_mixed, 1000)):
+        params = ms.MeasureParams.for_endpoint(curve, n1)
+        points = _lclt_points(params)
+        batch = ms.endpoint_density(params, points)
+        assert batch.shape == (len(points),)
+        single = [ms.endpoint_density(params, tuple(int(v) for v in m)) for m in points]
+        assert all(isinstance(d, float) for d in single)
+        assert batch.tolist() == single
 
 
 def test_gaussian_density_at_mean(parabola1):
     params = ms.MeasureParams.for_endpoint(parabola1, 500)
-    rep = ms.moment_report(params)
-    m = np.rint(rep.a_z).astype(int)
-    expected = 1.0 / (2 * math.pi * math.sqrt(rep.detK))
-    assert ms.gaussian_density_at(rep, m) == pytest.approx(expected, rel=1e-3)
+    m = np.rint(ms.expected_endpoint(params)).astype(int)
+    expected = 1.0 / (2 * math.pi * math.sqrt(np.linalg.det(ms.covariance_matrix(params))))
+    assert ms.endpoint_density(params, m) == pytest.approx(expected, rel=1e-3)
 
 
 def test_gaussian_density_singular_rejected():
-    rep = _toy_report([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(SingularCovariance):
-        ms.gaussian_density_at(rep, (0, 0))
+    # power(1.0001) at n1 = 5 keeps the single direction (1, 1), so det K = 0
+    params = ms.MeasureParams.for_endpoint(cv.make_preset("power", p=1.0001), 5)
+    f = ms._field(params)
+    assert (f.x1.tolist(), f.x2.tolist()) == ([1], [1])
+    for m in ((5, 5), np.array([[5, 5], [4, 4]])):
+        with pytest.raises(SingularCovariance, match="not positive definite"):
+            ms.endpoint_density(params, m)
 
 
 def test_density_scaling_with_n(parabola1):
     d = {}
     for n1 in (500, 8000):
         params = ms.MeasureParams.for_endpoint(parabola1, n1)
-        d[n1] = ms.moment_report(params).density_at_n
+        d[n1] = ms.endpoint_density(params, (params.n1, params.n2))
     assert d[500] / d[8000] == pytest.approx(16.0 ** (4.0 / 3.0), rel=0.25)
 
 
 def test_moment_report_invariants(parabola1):
     params = ms.MeasureParams.for_endpoint(parabola1, 300)
-    rep = ms.moment_report(params)
-    eigs = np.linalg.eigvalsh(rep.K)
-    assert np.all(eigs > 0)
-    assert rep.detK > 0
-    assert 0.0 < rep.density_at_n < 1.0
+    K = ms.covariance_matrix(params)
+    assert np.all(np.linalg.eigvalsh(K) > 0)
+    assert np.linalg.det(K) > 0
+    assert 0.0 < ms.endpoint_density(params, (params.n1, params.n2)) < 1.0
 
 
 # --- properties ------------------------------------------------------------------

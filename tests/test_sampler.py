@@ -312,6 +312,23 @@ def test_conditioned_exhausted_matches_concatenated_route(parabola1, pair_only):
                 want.closest_distance))
 
 
+def test_conditioned_zero_count_draws_nothing(parabola1):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    paths, attempts = sp.conditioned_configurations(_params(parabola1, 50), (50, 50), 0,
+                                                    200, 5000, rng)
+    assert paths == [] and attempts.dtype == np.int64 and attempts.shape == (0,)
+    assert rng.bit_generator.state == state
+
+
+def test_conditioned_negative_count_rejected(parabola1):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="count must be non-negative, got -1"):
+        sp.conditioned_configurations(_params(parabola1, 50), (50, 50), -1, 200, 5000, rng)
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("seed", [1, 2])  # one batch, then two
 def test_conditioned_block_memory(parabola1, seed):
     """One 32-path block at n1 = 200 in batches of 8192 peaks under 8 MB
@@ -691,9 +708,8 @@ def test_acceptance_rate_tracks_density(parabola1):
     largest value of the completing set's law on the box; the Gaussian
     density stands in for P(xi = n)."""
     params = _params(parabola1, 60)
-    rep = ms.moment_report(params)
     cs = ms.completing_set(params, (60, 60))
-    predicted = rep.density_at_n / (cs.mass * cs.peak)
+    predicted = ms.endpoint_density(params, (60, 60)) / (cs.mass * cs.peak)
     assert 1.0 / sp.predicted_attempts(params, (60, 60)) == pytest.approx(predicted,
                                                                           rel=1e-12)
     rng = np.random.default_rng(101)
