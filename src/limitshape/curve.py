@@ -92,7 +92,8 @@ def _slope_table(curve: ConvexCurve):
     """g1 on the dyadic grid u = j / 2^12, checked strictly increasing.
 
     Each root of g1(u) = t lies in the table cell that brackets t, so
-    searchsorted hands every slope a bracket of width 2^-12.  The last
+    searchsorted hands every slope a bracket of width 2^-12; measure's
+    tilt floors (measure._floor_table) use the same cells.  The last
     entry may be +inf when the arc ends vertically.
     """
     u = np.linspace(0.0, 1.0, _SLOPE_TABLE)
@@ -379,7 +380,9 @@ def make_preset(name: str, **kwargs) -> ConvexCurve:
             return p * np.asarray(u, float) ** (p - 1.0)
 
         def g2(u):
-            with np.errstate(divide="ignore"):
+            # u^(p-2) overflows at tiny u for p near 1: the slope inverse
+            # (t/p)^(1/(p-1)) underflows there
+            with np.errstate(divide="ignore", over="ignore"):
                 return p * (p - 1.0) * np.asarray(u, float) ** (p - 2.0)
 
         def inverse_slope(t):

@@ -9,14 +9,16 @@ candidate pairs (_DIRECTION_CHUNK) and the per-(column, sector) range
 tables (_SECTOR_CELLS) stay bounded; the pass size does not change the
 output.  The direction field calls it with 32 sectors: fewer sectors
 mean smaller range tables but more candidates, and on the c08 curve at
-n1 = 1e4, 256 / 64 / 32 / 16 / 8 sectors gave 148.6k / 150.3k /
-152.5k / 157.2k / 167.2k candidates in 22 / 19 / 20 / 19 / 21 ms, and
-on parabola(1) at n1 = 200 the same 12.9k candidates in 2.4 / 1.6 /
-1.5 / 1.4 / 1.3 ms (2-vCPU Xeon); every candidate then costs a tilt
-evaluation.  mobius_inverted_sum is the independent
-route for sums over the coprime set: it combines full-lattice sums with
-mu weights, which is exact for any function on the lattice; the tests
-check it against a direct sum over direction_arrays.
+n1 = 1e4, 256 / 64 / 32 / 16 / 8 sectors gave 122.8k / 124.2k /
+126.1k / 130.0k / 138.2k candidates in 27-34 / 16 / 14 / 14 / 14 ms,
+and on parabola(1) at n1 = 200 the same 10.5k candidates in 3.5 /
+1.6-2.3 / 1.2-1.7 / 1.1-1.4 / 1.0-1.1 ms (best of 5, two runs, 2-vCPU
+Xeon); every candidate then costs a check against its slope cell's
+tilt floor, and each survivor a tilt evaluation (c08: 122.4k at any
+sector count).  mobius_inverted_sum is the independent route for sums
+over the coprime set: it combines full-lattice sums with mu weights,
+which is exact for any function on the lattice; the tests check it
+against a direct sum over direction_arrays.
 """
 
 from __future__ import annotations

@@ -661,15 +661,19 @@ def test_cli_calibrate(tmp_path):
 
 
 def test_cli_calibrate_singular_covariance(tmp_path, capsys):
-    # power(1.0001) at n1 = 5 keeps the single direction (1, 1), so det K = 0;
-    # calibration.csv is written before the moments are
-    out = tmp_path / "sing"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code = cli_main(["calibrate", "--curve", "power:1.0001", "--n1", "5", "--out", str(out)])
-    assert code == 1
-    assert "endpoint covariance is not positive definite" in capsys.readouterr().err
-    assert (out / "calibration.csv").exists() and not (out / "moment_report.json").exists()
+    # near-linear power curves: the slope inverse (t/p)^(1/(p-1)) underflows to
+    # u = 0 on most of the slope grid, where g2 is infinite, so the tilt is
+    # not finite there (power(1.0001) at n1 = 5 would also keep the single
+    # direction (1, 1), a singular covariance).  calibrate refuses before it
+    # writes anything, without a RuntimeWarning, which the suite turns into
+    # an error
+    for spec, n1, bad in (("power:1.0001", "5", 62), ("power:1.001", "50", 37)):
+        out = tmp_path / spec.replace(":", "_")
+        code = cli_main(["calibrate", "--curve", spec, "--n1", n1, "--out", str(out)])
+        assert code == 1
+        assert f"is not finite at {bad} of 64 calibration slopes" in capsys.readouterr().err
+        assert not (out / "calibration.csv").exists()
+        assert not (out / "moment_report.json").exists()
 
 
 def test_cli_error_exit_code(tmp_path):

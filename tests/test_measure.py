@@ -297,6 +297,34 @@ def test_field_is_the_sublevel_set_of_the_ball(request, name):
         assert beyond + in_ball <= params.tail_tolerance
 
 
+@pytest.mark.parametrize("name", ["parabola1", "parabola2", "power2", "circle",
+                                  "tabulated_parabola", "tabulated_mixed"])
+def test_floor_table_lies_below_the_tilt(request, name):
+    # every cell floor of the slope table lies below the exact tilt at 7
+    # interior points of its cell; the cell ends' own minimum (a margin of
+    # 1.0) would not, as the tilt dips between the ends by up to 3.7e-6
+    # relative (tabulated_parabola)
+    curve = request.getfixturevalue(name)
+    u_tab, slopes = cv._slope_table(curve)
+    floors = ms._floor_table(curve)
+    assert floors.shape == (slopes.size - 1,) and np.all(floors > 0.0)
+    u = u_tab[:-1, None] + np.diff(u_tab)[:, None] * (np.arange(1, 8) / 8.0)
+    t = curve.g1(u)
+    assert np.all((t > slopes[:-1, None]) & (t < slopes[1:, None]))
+    base = ms._tilt_base(curve, t.ravel()).reshape(t.shape)
+    assert np.all(base >= floors[:, None])
+
+
+def test_field_solves_few_directions_it_drops(tabulated_mixed):
+    # the c08 curve at n1 = 1e4 keeps 119 922 directions; 126 092 are
+    # enumerated and 122 387 of them get the exact tilt
+    f = ms._DirectionField(ms.MeasureParams.for_endpoint(tabulated_mixed, 10_000))
+    kept = f.x1.size
+    assert f.candidates >= f.solved >= kept
+    assert f.solved <= 1.05 * kept
+    assert f.candidates <= 1.10 * kept
+
+
 # --- B matrix -------------------------------------------------------------------
 
 def test_b_matrix_power2_closed_form(power2):
