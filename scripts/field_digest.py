@@ -7,7 +7,9 @@ hashes, per field, every ndarray attribute and every cached property
 (dense_head, cum_hazard, hazard_guide, pair_pool, completing_pair),
 each with its name, dtype and shape.  Scalars that describe the build
 rather than the field (candidate counts) are left out, so two
-checkouts whose fields agree bit for bit print the same lines:
+checkouts whose fields agree bit for bit print the same lines.  Each
+line also gives the repr of the parameters the field is built from:
+tilt_floor(curve), truncation_radius, tail_tolerance and neg_log_z_cap.
 
     python3 scripts/field_digest.py > a.txt   # in each checkout
     diff a.txt b.txt
@@ -65,8 +67,11 @@ def field_digest(field) -> str:
 def main() -> None:
     for label, curve in curves().items():
         for n1 in SIZES:
-            field = ms._DirectionField(ms.MeasureParams.for_endpoint(curve, n1))
-            print(f"{label:<20} {n1:>6} {field.x1.size:>8} {field_digest(field)}")
+            params = ms.MeasureParams.for_endpoint(curve, n1)
+            field = ms._DirectionField(params)
+            print(f"{label:<20} {n1:>6} {field.x1.size:>8} {field_digest(field)} "
+                  f"{ms.tilt_floor(curve)!r} {params.truncation_radius!r} "
+                  f"{params.tail_tolerance!r} {params.neg_log_z_cap!r}")
 
 
 if __name__ == "__main__":

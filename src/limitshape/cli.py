@@ -26,7 +26,7 @@ from . import oracle as _oracle
 from . import report as _report
 from . import studies as _studies
 from .config import MODE_KEYS, ExperimentConfig, curve_from_spec, load_thresholds
-from .errors import LimitShapeError, ParameterOutOfRange
+from .errors import LimitShapeError
 
 
 def _parse_curve_arg(text: str) -> dict:
@@ -76,13 +76,8 @@ def _cmd_calibrate(cfg: ExperimentConfig, thresholds: dict) -> int:
     params = _params_from_config(cfg)
     curve = params.curve
     grid = _curve.slope_grid(curve, 64)
+    resid = _measure.calibration_residual(curve, grid)  # raises before anything is written
     d1, d2 = _measure.delta(curve, grid)
-    bad = int(np.count_nonzero(~(np.isfinite(d1) & np.isfinite(d2))))
-    if bad:
-        raise ParameterOutOfRange(
-            f"the tilt (delta1, delta2) of {curve.name} is not finite at {bad} of "
-            f"{grid.size} calibration slopes; no calibration is written")
-    resid = _measure.calibration_residual(curve, grid)
     _report.write_csv(os.path.join(cfg.out_dir, "calibration.csv"),
                       ["t", "delta1", "delta2", "residual"],
                       list(zip(grid, d1, d2, resid)))

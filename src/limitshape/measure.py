@@ -62,7 +62,7 @@ assert abs(KAPPA - _KAPPA_PINNED) < 1e-12, "zeta-based kappa drifted from pinned
 _TAIL_BUDGET = 1e-9
 _MAX_RADIUS = 200_000
 _FLOOR_MARGIN = 0.99  # slope-table cell floor = 0.99 x the smaller tilt at its two ends
-_SECTOR_GROUP = 8  # tilt-grid intervals per enumeration sector: 256 / 8 = 32 sectors
+_SECTORS = 32  # enumeration sectors of the direction field, whole slope-table cells each
 _PAIR_POOL = 16  # likeliest directions: the completing pair's pool and the completing set
 _FIELD_CACHE = 4  # fields kept per process: a study's sizes, which forked workers inherit
 _SET_TABLE_CELLS = 1 << 20  # float64 cells of a completing set's tables, 8 MB
@@ -108,26 +108,21 @@ def delta(curve: ConvexCurve, t):
 
 
 def calibration_residual(curve: ConvexCurve, t):
-    """delta1(t) + t*delta2(t) - KAPPA*g2(u(t))^(1/3); zero for a correct tilt."""
+    """delta1(t) + t*delta2(t) - KAPPA*g2(u(t))^(1/3), zero for a correct tilt,
+    from one solve of u(t); ParameterOutOfRange where the tilt is not finite."""
     t_arr, scalar = _curve._as_float_array(t)
     if np.any(t_arr <= curve.t0) or np.any(t_arr >= curve.t1):
         raise SlopeOutOfRange("calibration residual needs t strictly inside (t0, t1)")
-    d1, d2 = delta(curve, t_arr)
     u = slope_inverse(curve, t_arr)
+    d2 = _base_at(curve, u, t_arr)
+    bad = int(np.count_nonzero(~np.isfinite(d2)))
+    if bad:
+        raise ParameterOutOfRange(
+            f"the tilt (delta1, delta2) of {curve.name} is not finite at {bad} of "
+            f"{t_arr.size} calibration slopes")
     rhs = KAPPA * np.asarray(curve.g2(u), dtype=float) ** (1.0 / 3.0)
-    out = d1 + t_arr * d2 - rhs
+    out = curve.c_gamma * d2 + t_arr * d2 - rhs
     return float(out) if scalar else out
-
-
-@lru_cache(maxsize=32)
-def _tilt_grid(curve: ConvexCurve) -> tuple[np.ndarray, np.ndarray]:
-    """257 slopes uniform in tangent angle, endpoints included, and
-    _tilt_base on them (read-only arrays)."""
-    _, t = _curve._angle_grid(curve, 257)
-    base = _tilt_base(curve, t)
-    t.flags.writeable = False
-    base.flags.writeable = False
-    return t, base
 
 
 @lru_cache(maxsize=32)
@@ -136,11 +131,10 @@ def _floor_table(curve: ConvexCurve) -> np.ndarray:
     (curve._slope_table): _FLOOR_MARGIN times the smaller of the tilt
     bases at the cell's two ends (a read-only array).
 
-    u is known at the table's slopes, so no root solve is needed.  Like
-    the tilt grid, it is a grid bound: over the six test-fixture curves
-    the tilt at 7 interior points of every cell never fell below the
-    smaller end value by more than 3.7e-6 relative, far inside the
-    margin.
+    u is known at the table's slopes, so no root solve is needed.  It is
+    a grid bound: over the six test-fixture curves the tilt at 7 interior
+    points of every cell never fell below the smaller end value by more
+    than 3.7e-6 relative, far inside the margin.
     """
     u, t = _curve._slope_table(curve)
     base = _base_at(curve, u, t)
@@ -149,14 +143,16 @@ def _floor_table(curve: ConvexCurve) -> np.ndarray:
     return floors
 
 
+@lru_cache(maxsize=32)
 def tilt_floor(curve: ConvexCurve) -> float:
     """Positive lower bound of min(delta1, delta2) over the slope range.
 
-    The infimum is taken on the tilt grid (_tilt_grid); it feeds the
-    truncation-tail certificate beyond the radius.
+    The infimum is taken on 257 slopes uniform in tangent angle,
+    endpoints included (curve._angle_grid); it feeds the truncation-tail
+    certificate beyond the radius.
     """
-    _, base = _tilt_grid(curve)
-    return float(min(curve.c_gamma, 1.0) * np.min(base))
+    _, t = _curve._angle_grid(curve, 257)
+    return float(min(curve.c_gamma, 1.0) * np.min(_tilt_base(curve, t)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,8 +300,8 @@ def direction_exponent(curve: ConvexCurve, rho: float, x1, x2):
 class _DirectionField:
     """Tau-sorted per-direction arrays for one parameter set: the coprime
     x in the ball with alpha * e(x) <= T (MeasureParams.neg_log_z_cap).
-    candidates and solved count the directions the build enumerated and
-    those it gave the exact tilt."""
+    candidates counts the directions the build enumerated, each of which
+    gets the exact tilt."""
 
     def __init__(self, params: MeasureParams):
         validate_tail(params)
@@ -315,44 +311,25 @@ class _DirectionField:
         # enumerate only the slope window where z > 0: tau in [t0/rho, t1/rho].
         # In a cell of the slope table the tilt base is at least its floor
         # (_floor_table), so alpha*e(x) <= T needs c*x1 + rho*x2 <= T /
-        # (alpha * floor) there.  The enumeration sectors are coarse: every
-        # _SECTOR_GROUP-th tilt-grid slope is a cut, and a sector's cap uses
-        # the least floor of the cells it overlaps.  Each candidate is then
-        # held to its own cell's bound, and only the survivors get the exact
-        # tilt, whose level keeps the same field from fewer root solves.
+        # (alpha * floor) there.  The enumeration sectors are _SECTORS runs
+        # of whole cells, each capped by its least cell floor; every
+        # candidate then gets the exact tilt, whose level keeps the field.
         t_lo = c.t0 / rho
         t_hi = c.t1 / rho if math.isfinite(c.t1) else math.inf
-        t, _ = _tilt_grid(c)
         _, slopes = _curve._slope_table(c)
-        floors = _floor_table(c)
-        ends = t[::_SECTOR_GROUP]
-        # cells lo..hi touch a sector's slope range, ends included; reduceat
-        # on the interleaved [lo, hi + 1) takes their minima in the even slots
-        last = floors.size - 1
-        lo = np.clip(np.searchsorted(slopes, ends[:-1], "left") - 1, 0, last)
-        hi = np.clip(np.searchsorted(slopes, ends[1:], "right") - 1, 0, last)
-        sector_floors = np.minimum.reduceat(np.append(floors, math.inf),
-                                            np.ravel([lo, hi + 1], order="F"))[::2]
+        floors = _floor_table(c).reshape(_SECTORS, -1)
+        cells = floors.shape[1]
         x1, x2 = _lattice.direction_arrays(t_lo, t_hi, params.truncation_radius,
-                                           cuts=ends[1:-1] / rho,
-                                           caps=cap / (params.alpha_n * sector_floors),
+                                           cuts=slopes[cells:-1:cells] / rho,
+                                           caps=cap / (params.alpha_n * floors.min(axis=1)),
                                            weights=(c.c_gamma, rho))
         self.candidates = x1.size
-        tau = np.where(x1 > 0, x2 / np.maximum(x1, 1), np.inf)
-        # rho * tau is nondecreasing (the slopes are sorted and rounding is
-        # monotone), so one search splits the candidates into cells' runs
-        runs = np.diff(np.searchsorted(rho * tau, slopes[1:-1], "left"),
-                       prepend=0, append=tau.size)
-        near = c.c_gamma * x1 + rho * x2 <= np.repeat(cap / (params.alpha_n * floors), runs)
-        x1, x2, tau = x1[near], x2[near], tau[near]
-        self.solved = x1.size
-        exponent = direction_exponent(c, rho, x1, x2)
-        neg_log_z = params.alpha_n * exponent
+        neg_log_z = params.alpha_n * direction_exponent(c, rho, x1, x2)
         keep = neg_log_z <= cap
         x1, x2 = x1[keep], x2[keep]
         self.x1 = x1
         self.x2 = x2
-        self.tau = tau[keep]
+        self.tau = np.where(x1 > 0, x2 / np.maximum(x1, 1), np.inf)
         self.norm = np.hypot(x1.astype(float), x2.astype(float))
         self.neg_log_z = neg_log_z[keep]
         self.zpow = np.exp(-self.neg_log_z)

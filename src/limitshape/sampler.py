@@ -213,8 +213,11 @@ def sample_endpoints(params: MeasureParams, count: int,
     tail is three flat int64 arrays (rep, dir_index, nu), the tail's
     rows in chunk and skip-round order.  A replicate holds each
     direction at most once, so configurations_of rebuilds any
-    replicate's edge array with one sort of its own rows.
+    replicate's edge array with one sort of its own rows.  A negative
+    count raises ValueError before any draw.
     """
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     f = _field(params)
     x1, x2 = np.zeros(count, dtype=np.int64), np.zeros(count, dtype=np.int64)
     head = np.empty((f.dense_head.size, count)) if collect_support else None
@@ -386,13 +389,16 @@ def conditioned_configurations(params: MeasureParams, n, count: int, batch: int,
     Once max_attempts draws are spent short of count, raises Exhausted
     with the closest miss: the free endpoint of any draw nearest n in
     the covariance-adapted (Mahalanobis) norm.  A count of 0 returns
-    ([], an empty attempts array) without a draw; a negative count
-    raises ValueError.
+    ([], an empty attempts array) without a draw; a negative count or,
+    for a positive count, a batch below 1 raises ValueError before any
+    draw.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     if count == 0:
         return [], np.empty(0, dtype=np.int64)
+    if batch < 1:
+        raise ValueError(f"batch must be positive, got {batch}")
     f = _field(params)
     n = (int(n[0]), int(n[1]))
     cs = completing_set(params, n)

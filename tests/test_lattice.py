@@ -214,7 +214,7 @@ def test_direction_chunking_is_byte_identical(curve_name, n1, request, monkeypat
 
 def test_field_build_peak_memory():
     # a fresh parabola(1) field at n1 = 100 (6515 directions, 32 sectors)
-    # peaks at 0.69 MB; one pass over all 267 columns peaks at 1.12 MB
+    # peaks at 0.71 MB; one pass over all 267 columns peaks at 1.08 MB
     import tracemalloc
 
     from limitshape import curve, measure

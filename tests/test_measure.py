@@ -74,6 +74,15 @@ def test_calibration_residual_out_of_range(power2):
         ms.calibration_residual(power2, 2.5)
 
 
+def test_calibration_residual_rejects_a_tilt_that_is_not_finite():
+    # power(1.001): u(t) underflows to 0 at 37 of the 64 grid slopes, where
+    # g2 and the tilt are infinite; the residual raises before the
+    # subtraction, which would warn and return NaN there
+    curve = cv.make_preset("power", p=1.001)
+    with pytest.raises(ParameterOutOfRange, match="is not finite at 37 of 64 calibration slopes"):
+        ms.calibration_residual(curve, cv.slope_grid(curve, 64))
+
+
 def test_tabulated_residual_against_preset_oracle(parabola1, tabulated_parabola):
     # tilt built on the interpolant, right-hand side from the analytic preset
     t = 0.5
@@ -316,13 +325,11 @@ def test_floor_table_lies_below_the_tilt(request, name):
 
 
 def test_field_solves_few_directions_it_drops(tabulated_mixed):
-    # the c08 curve at n1 = 1e4 keeps 119 922 directions; 126 092 are
-    # enumerated and 122 387 of them get the exact tilt
+    # the c08 curve at n1 = 1e4 keeps 119 922 directions of the 125 508 it
+    # enumerates, each of which gets the exact tilt
     f = ms._DirectionField(ms.MeasureParams.for_endpoint(tabulated_mixed, 10_000))
     kept = f.x1.size
-    assert f.candidates >= f.solved >= kept
-    assert f.solved <= 1.05 * kept
-    assert f.candidates <= 1.10 * kept
+    assert kept <= f.candidates <= 1.05 * kept
 
 
 # --- B matrix -------------------------------------------------------------------

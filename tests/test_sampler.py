@@ -329,6 +329,23 @@ def test_conditioned_negative_count_rejected(parabola1):
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("batch", [0, -1])
+def test_conditioned_batch_below_one_rejected(parabola1, batch):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"batch must be positive, got {batch}"):
+        sp.conditioned_configurations(_params(parabola1, 50), (50, 50), 3, batch, 5000, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_sample_endpoints_negative_count_rejected(parabola1):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="count must be non-negative, got -1"):
+        sp.sample_endpoints(_params(parabola1, 50), -1, rng, collect_support=True)
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("seed", [1, 2])  # one batch, then two
 def test_conditioned_block_memory(parabola1, seed):
     """One 32-path block at n1 = 200 in batches of 8192 peaks under 8 MB
